@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
+    Echelon,
     EnumerationOverflow,
     FpMatrix,
     enumerate_points,
@@ -139,17 +140,13 @@ def ghost_cover(M: RModule, cls: ProjectiveClass) -> tuple[RModule, RMap]:
         S = stable_hom(Gn, M)
         if S.sdim == 0:
             continue
-        reach = []
+        reach = Echelon(M.ring.p, S.sdim)
         for d, rep in chosen:
             for e in stable_hom(Gn, shifts[d]).quotient_basis_maps():
-                reach.append(np.array(S.stable_coords(rep @ e), dtype=np.int64))
-        span = stack_rows(M.ring.p, reach, cols=S.sdim)
+                reach.add(S.stable_coords(rep @ e))
         for b in S.quotient_basis_maps():
-            v = np.array(S.stable_coords(b), dtype=np.int64)
-            if not in_span(span, v):
+            if reach.add(S.stable_coords(b)):
                 chosen.append((n, b))
-                reach.append(v)
-                span = stack_rows(M.ring.p, reach, cols=S.sdim)
     if not chosen:
         P = zero_module(M.ring)
         return P, zero_map(P, M)
@@ -387,7 +384,7 @@ def dr_set(res: AdamsResolution, Y: RModule, x: RMap, r: int,
     extensions through the tower maps and pushes out along p_{s+r}; the
     result is returned with the subgroup spanned by its differences.
     """
-    if s + r > res.length:
+    if s + r >= res.length:  # the pushout needs p_{s+r}
         raise AdamsError("insufficient resolution length for this differential")
     chart = CoupleChart(res, Y)
     E0 = chart.E_space(s, t)

@@ -6,6 +6,11 @@ quotients, and enumerating points of small affine subspaces, all done
 here with deterministic reduced row echelon form.  Pivoting is fixed
 (leftmost eligible column, topmost row) so representatives are
 bit-reproducible across runs and platforms.
+
+One elimination per query: each function reduces one matrix once and
+reads every part of its answer from that reduction, and a span that
+grows one vector at a time is kept in an `Echelon` rather than
+re-reduced for each membership test.
 """
 
 from __future__ import annotations
@@ -176,10 +181,11 @@ def rref(M: FpMatrix) -> tuple[FpMatrix, list[int]]:
         i = r + int(nz[0])
         if i != r:
             A[[r, i]] = A[[i, r]]
-        A[r] = (A[r] * _inv_mod(A[r, c], p)) % p
+        # row r is zero left of c, so only the columns from c on change
+        A[r, c:] = (A[r, c:] * _inv_mod(A[r, c], p)) % p
         col = A[:, c].copy()
         col[r] = 0
-        A = (A - np.outer(col, A[r])) % p
+        A[:, c:] = (A[:, c:] - np.outer(col, A[r, c:])) % p
         pivots.append(c)
         r += 1
     return FpMatrix(p, A), pivots
@@ -196,14 +202,18 @@ def nullspace(M: FpMatrix) -> FpMatrix:
     order, with 1 at the free position.
     """
     R, pivots = rref(M)
-    n = M.cols
+    return FpMatrix(M.p, _kernel_from_rref(R.a, pivots, M.cols, M.p))
+
+
+def _kernel_from_rref(R: np.ndarray, pivots: list[int], n: int, p: int) -> np.ndarray:
+    """The nullspace basis read off a reduction whose first n columns are rref(A)."""
     free = [j for j in range(n) if j not in pivots]
     basis = np.zeros((len(free), n), dtype=np.int64)
     for k, j in enumerate(free):
         basis[k, j] = 1
         for i, pc in enumerate(pivots):
-            basis[k, pc] = (-R.a[i, j]) % M.p
-    return FpMatrix(M.p, basis.reshape(len(free), n))
+            basis[k, pc] = (-R[i, j]) % p
+    return basis
 
 
 def row_space_basis(M: FpMatrix) -> FpMatrix:
@@ -256,8 +266,8 @@ def solve_affine(A: FpMatrix, b) -> AffineSpace | None:
     rep = np.zeros(A.cols, dtype=np.int64)
     for i, pc in enumerate(pivots):
         rep[pc] = R.a[i, A.cols]
-    kern = nullspace(A)
-    return AffineSpace(A.p, A.cols, rep, kern.a)
+    # pivoting is column by column, so the first A.cols columns of R are rref(A)
+    return AffineSpace(A.p, A.cols, rep, _kernel_from_rref(R.a, pivots, A.cols, A.p))
 
 
 def enumerate_points(space: AffineSpace, cap: int = 4096) -> list[np.ndarray]:
@@ -294,9 +304,51 @@ def affine_image(space: AffineSpace, M: FpMatrix) -> AffineSpace:
 def in_span(rows: FpMatrix, v) -> bool:
     """Is v in the row space of `rows`?"""
     v = as_vector(v, rows.p)
-    if rows.rows == 0:
-        return not v.any()
-    return solve_affine(rows.transpose(), v) is not None
+    if v.shape[0] != rows.cols:
+        raise DimensionMismatch("vector length != row length")
+    aug = FpMatrix(rows.p, np.hstack([rows.a.T, v.reshape(-1, 1)]))
+    return rows.rows not in rref(aug)[1]
+
+
+class Echelon:
+    """A growing subspace of F_p^n, kept in reduced row echelon form.
+
+    `add` answers whether a vector was new to the span and, if so, takes
+    it in; a run of membership tests against a growing span costs one
+    reduction per vector rather than one elimination of the whole span.
+    """
+
+    __slots__ = ("p", "n", "_rows", "_pivots")
+
+    def __init__(self, p: int, n: int):
+        self.p = p
+        self.n = n
+        self._rows = np.zeros((0, n), dtype=np.int64)
+        self._pivots: list[int] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self._pivots)
+
+    def reduce(self, v) -> np.ndarray:
+        """v minus its part in the span: zero exactly when v is in the span."""
+        v = as_vector(v, self.p)
+        if v.shape[0] != self.n:
+            raise DimensionMismatch("vector length != ambient dimension")
+        return (v - v[self._pivots] @ self._rows) % self.p
+
+    def add(self, v) -> bool:
+        """Take v into the span; True when the rank grew."""
+        w = self.reduce(v)
+        nz = np.flatnonzero(w)
+        if nz.size == 0:
+            return False
+        c = int(nz[0])
+        w = (w * _inv_mod(w[c], self.p)) % self.p
+        rows = (self._rows - np.outer(self._rows[:, c], w)) % self.p
+        self._rows = np.vstack([rows, w])
+        self._pivots.append(c)
+        return True
 
 
 def quotient_coords(subspace_basis: FpMatrix, v) -> np.ndarray:

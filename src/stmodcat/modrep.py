@@ -22,15 +22,14 @@ import numpy as np
 
 from .linalg import (
     DimensionMismatch,
+    Echelon,
     FpMatrix,
     LinAlgError,
-    in_span,
     is_prime,
     nullspace,
     rank,
     rref,
     solve_columns,
-    stack_rows,
 )
 
 
@@ -208,17 +207,17 @@ def jordan_chains(M: RModule) -> list[list[np.ndarray]]:
 
     chains: list[list[np.ndarray]] = []
     for h in range(hmax, 0, -1):
-        span_vectors = [row for row in kernels[h - 1].a]
+        span = Echelon(p, n)
+        for row in kernels[h - 1].a:
+            span.add(row)
         for chain in chains:  # all have length > h here
-            span_vectors.append(chain[len(chain) - h])
+            span.add(chain[len(chain) - h])
         for v in kernels[h].a:
-            span = stack_rows(p, span_vectors, cols=n)
-            if not in_span(span, v):
+            if span.add(v):
                 chain = [v % p]
                 for _ in range(h - 1):
                     chain.append(M.X.apply(chain[-1]))
                 chains.append(chain)
-                span_vectors.append(v % p)
     return chains
 
 
@@ -291,7 +290,7 @@ def partition_layout(M: RModule) -> list[int] | None:
             l += 1
         parts.append(l)
         o += l
-    if module_from_partition(M.ring, parts) != M:
+    if max(parts, default=0) > M.ring.m or module_from_partition(M.ring, parts) != M:
         return None
     return parts
 

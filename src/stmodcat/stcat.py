@@ -68,7 +68,7 @@ class StableHomSpace:
     """
 
     __slots__ = ("src", "tgt", "basis", "_flat", "phom_coords", "_ph_rref",
-                 "_ph_pivots", "_free", "sdim", "p", "_solve_T", "_solve_pivots")
+                 "_ph_pivots", "_free", "sdim", "p", "_solve_T")
 
     def __init__(self, M: RModule, N: RModule):
         if M.ring != N.ring:
@@ -83,16 +83,16 @@ class StableHomSpace:
         object.__setattr__(self, "_flat", flat)
         object.__setattr__(self, "p", p)
         # precompute a solver for coordinates in the hom basis:
-        # rref([flat^T | I]) gives a transform T with x[pivots] = (T v)[:h]
+        # rref([flat | I_h]) = [E flat | E] with (E flat)[:, piv] = I_h, so a
+        # combination v = c flat has c = v[piv] E; _solve_T applies that.
         n, h = M.dim * N.dim, len(basis)
-        aug = FpMatrix(p, np.hstack([flat.a.T.reshape(n, h),
-                                     np.eye(n, dtype=np.int64)]))
+        aug = FpMatrix(p, np.hstack([flat.a, np.eye(h, dtype=np.int64)]))
         R, piv = rref(aug)
-        if len([j for j in piv if j < h]) != h:
+        if len([j for j in piv if j < n]) != h:
             raise StCatError("hom basis is not independent")
-        object.__setattr__(self, "_solve_T",
-                           FpMatrix(p, R.a[:h, h:].reshape(h, n)))
-        object.__setattr__(self, "_solve_pivots", piv[:h])
+        T = np.zeros((h, n), dtype=np.int64)
+        T[:, piv] = R.a[:, n:].T
+        object.__setattr__(self, "_solve_T", FpMatrix(p, T))
         # maps factoring through a projective = maps lifting along the cover of N
         _, _, cover = omega(N)
         lifted = [cover @ u for u in hom_basis(M, cover.src)]
@@ -118,10 +118,13 @@ class StableHomSpace:
         return self._solve_T.apply(A.a.reshape(-1))
 
     def _check(self, f: RMap):
-        if f.src != self.src or f.tgt != self.tgt:
+        if not ((f.src is self.src or f.src == self.src)
+                and (f.tgt is self.tgt or f.tgt == self.tgt)):
             raise StCatError("map does not live in this hom space")
 
     def stable_coords(self, f) -> tuple[int, ...]:
+        if isinstance(f, RMap):
+            self._check(f)
         c = self.hom_coords(f)
         for i, pc in enumerate(self._ph_pivots):
             c = (c - c[pc] * self._ph_rref[i]) % self.p

@@ -91,6 +91,19 @@ def test_engine_error_exit_code(tmp_path):
     assert proc.returncode == 1
 
 
+def test_dr_past_resolution_length_is_an_engine_error(tmp_path):
+    # d_2 of a class in E_1^{0,*} pushes out along p_2, which a length-2
+    # resolution does not have
+    decls = (SESSIONS / "prop_a1.toda").read_text().split("\nsthom")[0]
+    short = tmp_path / "short.toda"
+    short.write_text(decls + "\nadams M gen=k len=2\ndr kappa 2\n")
+    lineno = short.read_text().splitlines().index("dr kappa 2") + 1
+    proc = run_cli([str(short)])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: line {lineno}: dr kappa 2: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_overflow_reports_offending_command(tmp_path):
     bad = tmp_path / "big.toda"
     bad.write_text(

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from stmodcat.linalg import (
     AffineSpace,
     DimensionMismatch,
+    Echelon,
     EnumerationOverflow,
     FpMatrix,
     ModulusMismatch,
@@ -123,6 +124,7 @@ def test_solutions_satisfy_system(args):
     b = A.apply(x0)
     s = solve_affine(A, b)
     assert s is not None
+    assert np.array_equal(s.basis, nullspace(A).a)
     for v in enumerate_points(s, cap=4096) if s.size() <= 4096 else [s.representative]:
         assert np.array_equal(A.apply(v), b)
 
@@ -155,3 +157,64 @@ def test_rref_is_idempotent_and_deterministic():
     R1, piv1 = rref(A)
     R2, piv2 = rref(R1)
     assert R1 == R2 and piv1 == piv2
+
+
+@st.composite
+def fp_matrices(draw, max_rows=6, max_cols=7):
+    p = draw(st.sampled_from([2, 3, 5]))
+    m = draw(st.integers(0, max_rows))
+    n = draw(st.integers(1, max_cols))
+    entries = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
+                            min_size=m, max_size=m))
+    return FpMatrix(p, np.array(entries, dtype=np.int64).reshape(m, n))
+
+
+def reference_rref(M):
+    """Gauss-Jordan elimination over the full width at every pivot step."""
+    p, A = M.p, M.a.copy()
+    m, n = A.shape
+    pivots, r = [], 0
+    for c in range(n):
+        rows = [i for i in range(r, m) if A[i, c]]
+        if not rows:
+            continue
+        A[[r, rows[0]]] = A[[rows[0], r]]
+        A[r] = (A[r] * pow(int(A[r, c]), p - 2, p)) % p
+        for i in range(m):
+            if i != r:
+                A[i] = (A[i] - A[i, c] * A[r]) % p
+        pivots.append(c)
+        r += 1
+    return A, pivots
+
+
+@given(fp_matrices())
+@settings(max_examples=150, deadline=None)
+def test_rref_matches_full_width_reference(M):
+    R, pivots = rref(M)
+    ref, ref_pivots = reference_rref(M)
+    assert pivots == ref_pivots
+    assert np.array_equal(R.a, ref)
+
+
+@given(fp_matrices(max_rows=8))
+@settings(max_examples=150, deadline=None)
+def test_echelon_add_reports_rank_growth(M):
+    span = Echelon(M.p, M.cols)
+    for k, v in enumerate(M.a):
+        before = rank(stack_rows(M.p, M.a[:k], cols=M.cols))
+        after = rank(stack_rows(M.p, M.a[:k + 1], cols=M.cols))
+        assert (not span.reduce(v).any()) == (after == before)
+        assert span.add(v) == (after > before)
+        assert span.rank == after
+    for v in M.a:
+        assert not span.reduce(v).any()
+
+
+@given(fp_matrices(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_in_span_matches_rank(rows, data):
+    v = np.array(data.draw(st.lists(st.integers(0, rows.p - 1),
+                                    min_size=rows.cols, max_size=rows.cols)))
+    grown = stack_rows(rows.p, list(rows.a) + [v], cols=rows.cols)
+    assert in_span(rows, v) == (rank(grown) == rank(rows))

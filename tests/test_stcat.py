@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stmodcat.linalg import FpMatrix, rank
+from stmodcat.linalg import FpMatrix, rank, solve_columns
 from stmodcat.modrep import (
+    RMap,
+    RModule,
     Ring,
     block_map,
     direct_sum,
@@ -16,6 +19,7 @@ from stmodcat.modrep import (
 from stmodcat.stcat import (
     DIRECT,
     OP,
+    StCatError,
     Triangle,
     cone_triangle,
     counit_iso,
@@ -252,3 +256,46 @@ def test_zero_module_edges():
     assert jordan_type(t.g.tgt) == (2,)
     bs = bracket3(zero_map(M33, Z), zero_map(k33, M33), zero_map(Z, k33))
     assert bs.elements == {()}  # the one class of the zero group
+
+
+def test_stable_coords_rejects_a_map_from_another_hom_space():
+    R = Ring(2, 3)
+    k4 = module_from_partition(R, [1] * 4)
+    k = module_from_partition(R, [1])
+    f = RMap(k4, k, FpMatrix(2, [[1, 1, 1, 1]]))
+    M = module_from_partition(R, [2])
+    with pytest.raises(StCatError):
+        stable_hom(M, M).stable_coords(f)
+    assert stable_hom(k4, k).stable_coords(f) == (1, 1, 1, 1)
+
+
+@st.composite
+def modules(draw, ring):
+    """A module of dim <= 5, optionally moved off canonical layout by a change of basis."""
+    parts = draw(st.lists(st.integers(1, ring.m), min_size=1, max_size=3)
+                 .filter(lambda ps: sum(ps) <= 5))
+    M = module_from_partition(ring, parts)
+    if not draw(st.booleans()):
+        return M
+    n, p = M.dim, ring.p
+    entries = st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n)
+    L = np.tril(np.array(draw(entries)).reshape(n, n), -1) + np.eye(n, dtype=np.int64)
+    U = np.triu(np.array(draw(entries)).reshape(n, n), 1) + np.eye(n, dtype=np.int64)
+    C = FpMatrix(p, L @ U)  # unit triangular factors, so C is invertible
+    return RModule(ring, C @ M.X @ solve_columns(C, FpMatrix.identity(p, n)))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_hom_coords_round_trip(data):
+    ring = Ring(data.draw(st.sampled_from([2, 3, 5])), data.draw(st.integers(2, 3)))
+    M, N = data.draw(modules(ring)), data.draw(modules(ring))
+    S = stable_hom(M, N)
+    c = np.array(data.draw(st.lists(st.integers(0, ring.p - 1),
+                                    min_size=len(S.basis), max_size=len(S.basis))),
+                 dtype=np.int64)
+    A = np.zeros((N.dim, M.dim), dtype=np.int64)
+    for ci, b in zip(c, S.basis):
+        A = A + ci * b.A.a
+    f = RMap(M, N, FpMatrix(ring.p, A))
+    assert np.array_equal(S.hom_coords(f), c)
