@@ -17,7 +17,6 @@ from .modrep import (
 )
 from .stcat import (
     StableHomSpace,
-    StableMap,
     Triangle,
     stable_hom,
     stably_equal,

@@ -232,8 +232,14 @@ class CoupleChart:
         return pre_matrix(susp_map(self.res.p[s], t), self.Y)
 
     def alpha_mat(self, s: int, t: int) -> FpMatrix:
-        """D^{s+1,t+1} -> D^{s,t}: precompose the suspended dbar_s."""
-        return pre_matrix(susp_map(self.res.dbar[s], t), self.Y)
+        """D^{s+1,t+1} -> D^{s,t}: precompose (-1)^t times the suspended dbar_s.
+
+        Suspending a distinguished triangle negates its connecting map, so
+        the t-th suspension of the stage triangle has connecting map
+        (-1)^t Sigma^t dbar_s (the sign `_op_stage_triangle` applies too).
+        """
+        mat = pre_matrix(susp_map(self.res.dbar[s], t), self.Y)
+        return -mat if t % 2 else mat
 
     def alpha_chain_into(self, s1: int, t1: int, k: int) -> FpMatrix:
         """Composite alpha^k : D^{s1+k, t1+k} -> D^{s1,t1}."""
@@ -382,7 +388,9 @@ def dr_set(res: AdamsResolution, Y: RModule, x: RMap, r: int,
 
     x is a representative Sigma^t P_s -> Y.  Enumerates every chain of
     extensions through the tower maps and pushes out along p_{s+r}; the
-    result is returned with the subgroup spanned by its differences.
+    result is returned with the subgroup spanned by its differences.  A
+    chain that does not extend is dropped; x is a d_{r-1}-cycle exactly
+    when some chain extends through every stage.
     """
     if s + r >= res.length:  # the pushout needs p_{s+r}
         raise AdamsError("insufficient resolution length for this differential")
@@ -399,11 +407,12 @@ def dr_set(res: AdamsResolution, Y: RModule, x: RMap, r: int,
         for c in cur:
             sol = solve_affine(chart.alpha_mat(s + j, t + j - 1),
                                np.array(c, dtype=np.int64))
-            if sol is None:
-                raise NotACycle(
-                    f"x is not a d_{r-1}-cycle: extension fails at stage {j}")
-            for v in enumerate_points(sol, cap):
-                nxt.add(tuple(int(y) for y in v))
+            if sol is not None:
+                nxt.update(tuple(int(y) for y in v)
+                           for v in enumerate_points(sol, cap))
+        if not nxt:
+            raise NotACycle(
+                f"x is not a d_{r-1}-cycle: extension fails at stage {j}")
         if len(nxt) > cap:
             raise EnumerationOverflow(f"{len(nxt)} chains exceed cap {cap}")
         cur = nxt

@@ -72,13 +72,6 @@ class SessionError(Exception):
         self.lineno = lineno
 
 
-class EngineFailure(Exception):
-    """An engine error attributed to a command."""
-
-    def __init__(self, lineno, command, message):
-        super().__init__(f"line {lineno}: {command}: {message}")
-
-
 _MU_RE = re.compile(r"^(?:(\d+)\*)?mu\((?:1|x(?:\^(\d+))?)\)$")
 
 
@@ -564,9 +557,6 @@ def main(argv=None) -> int:
                     help="emit one structured JSON document")
     ap.add_argument("--max-enumerate", type=int, default=4096,
                     help="cap on exact enumerations (default 4096)")
-    ap.add_argument("--seed", type=int, default=None,
-                    help="seed for randomized property commands (unused by "
-                         "the deterministic command set)")
     args = ap.parse_args(argv)
     return run_session(args.session, as_json=args.json,
                        max_enumerate=args.max_enumerate)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import EnumerationOverflow, FpMatrix, rank, row_space_basis
+from .linalg import EnumerationOverflow, FpMatrix, rank
 from .modrep import identity_map, module_from_partition
 from .stcat import (
     Triangle,
@@ -36,10 +36,6 @@ class HellerVerdict:
 
     def __bool__(self):
         return self.distinguished
-
-
-def _image_rows(mat: FpMatrix) -> FpMatrix:
-    return row_space_basis(mat.transpose())
 
 
 def _exact_at(into: FpMatrix, out: FpMatrix) -> bool:

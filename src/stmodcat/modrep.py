@@ -12,10 +12,14 @@ Kernel and cokernel constructions return modules in reduced canonical
 form (Jordan blocks sorted descending, free blocks stripped) together
 with the comparison maps, so repeated constructions stay at desk scale
 and equal shapes share caches.
+
+`memo` is the one cache of the engine: every memoized construction here
+and in `stcat` is keyed by the `key` of its module and map arguments.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +47,20 @@ class RingMismatch(ModRepError):
 
 class NotRLinear(ModRepError):
     pass
+
+
+def memo(fn):
+    """Cache fn for the life of the process, keyed by its arguments' `key`s."""
+    cache = {}
+
+    @functools.wraps(fn)
+    def wrapper(*args):
+        key = tuple([a.key for a in args])
+        if key not in cache:
+            cache[key] = fn(*args)
+        return cache[key]
+
+    return wrapper
 
 
 @dataclass(frozen=True)
@@ -108,6 +126,10 @@ class RMap:
 
     def __setattr__(self, *args):
         raise AttributeError("RMap is immutable")
+
+    @property
+    def key(self):
+        return (self.src.key, self.tgt.key, self.A.a.tobytes())
 
     def __matmul__(self, other: "RMap") -> "RMap":
         if other.tgt != self.src:
@@ -295,9 +317,7 @@ def partition_layout(M: RModule) -> list[int] | None:
     return parts
 
 
-_HOM_BASIS_CACHE: dict[tuple, list] = {}
-
-
+@memo
 def hom_basis(M: RModule, N: RModule) -> list[RMap]:
     """Basis of the F_p-space of R-linear maps M -> N, deterministic order.
 
@@ -307,14 +327,9 @@ def hom_basis(M: RModule, N: RModule) -> list[RMap]:
     """
     if M.ring != N.ring:
         raise RingMismatch("hom between modules over different rings")
-    key = (M.key, N.key)
-    if key in _HOM_BASIS_CACHE:
-        return _HOM_BASIS_CACHE[key]
     s, t = M.dim, N.dim
     if s == 0 or t == 0:
-        out: list[RMap] = []
-        _HOM_BASIS_CACHE[key] = out
-        return out
+        return []
     p = M.ring.p
     sparts = partition_layout(M)
     tparts = partition_layout(N)
@@ -332,17 +347,14 @@ def hom_basis(M: RModule, N: RModule) -> list[RMap]:
                     out.append(RMap(M, N, FpMatrix(p, A), check=False))
                 coff += a
             roff += b
-        _HOM_BASIS_CACHE[key] = out
         return out
     Is = np.eye(s, dtype=np.int64)
     It = np.eye(t, dtype=np.int64)
     system = FpMatrix(p, np.kron(It, M.X.a.T) - np.kron(N.X.a, Is))
-    out = [
+    return [
         RMap(M, N, FpMatrix(p, row.reshape(t, s)), check=False)
         for row in nullspace(system).a
     ]
-    _HOM_BASIS_CACHE[key] = out
-    return out
 
 
 def mu_map(ring: Ring, a: int, b: int, j: int, coeff: int = 1) -> RMap:
@@ -519,35 +531,17 @@ class CokernelData:
         raise AttributeError("CokernelData is immutable")
 
 
-_OMEGA: dict[tuple, tuple[RModule, RMap, RMap]] = {}
-_SIGMA: dict[tuple, tuple[RModule, RMap, RMap]] = {}
-
-
+@memo
 def omega(M: RModule) -> tuple[RModule, RMap, RMap]:
     """(Omega M, incl: Omega M -> P, cover: P -> M); kernel of the cover."""
-    if M.key in _OMEGA:
-        return _OMEGA[M.key]
     P, cover = projective_cover(M)
     kd = KernelData(cover)
-    result = (kd.kernel, kd.incl, cover)
-    _OMEGA[M.key] = result
-    return result
+    return kd.kernel, kd.incl, cover
 
 
+@memo
 def sigma(M: RModule) -> tuple[RModule, RMap, RMap]:
     """(Sigma M, emb: M -> I, quot: I -> Sigma M); cokernel of the envelope."""
-    if M.key in _SIGMA:
-        return _SIGMA[M.key]
     I, emb = injective_envelope(M)
     cd = CokernelData(emb)
-    result = (cd.cokernel, emb, cd.proj)
-    _SIGMA[M.key] = result
-    return result
-
-
-def omega_module(M: RModule) -> RModule:
-    return omega(M)[0]
-
-
-def sigma_module(M: RModule) -> RModule:
-    return sigma(M)[0]
+    return cd.cokernel, emb, cd.proj

@@ -13,9 +13,14 @@ stored explicitly (unit and its adjoint mate) and every degree-shifting
 identification routes through them.
 
 Two computation contexts share this machinery: the direct category and
-the opposite category (arrows reversed, sigma and omega swapped, cones
-built from fibers).  Bracket code is written once against the context
-interface.
+the opposite category.  `OpContext` subclasses `DirectContext` and
+overrides only the dualised operations (arrows reversed, sigma and
+omega swapped, cone and fiber swapped, pre- and post-composition
+swapped, unit and counit swapped), so bracket code is written once
+against the context interface and read in either category.
+
+Memoized constructions go through `modrep.memo`, keyed by the `key` of
+their module and map arguments.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from .modrep import (
     direct_sum,
     hom_basis,
     identity_map,
+    memo,
     omega,
     sigma,
     zero_map,
@@ -67,8 +73,8 @@ class StableHomSpace:
     stable class has one canonical coordinate vector.
     """
 
-    __slots__ = ("src", "tgt", "basis", "_flat", "phom_coords", "_ph_rref",
-                 "_ph_pivots", "_free", "sdim", "p", "_solve_T")
+    __slots__ = ("src", "tgt", "basis", "_ph_rref", "_ph_pivots", "_free",
+                 "sdim", "p", "_solve_T")
 
     def __init__(self, M: RModule, N: RModule):
         if M.ring != N.ring:
@@ -80,7 +86,6 @@ class StableHomSpace:
         object.__setattr__(self, "src", M)
         object.__setattr__(self, "tgt", N)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_flat", flat)
         object.__setattr__(self, "p", p)
         # precompute a solver for coordinates in the hom basis:
         # rref([flat | I_h]) = [E flat | E] with (E flat)[:, piv] = I_h, so a
@@ -99,8 +104,6 @@ class StableHomSpace:
         ph_rows = [self.hom_coords(v) for v in lifted]
         ph = stack_rows(p, ph_rows, cols=h)
         Rp, pivots = rref(ph)
-        object.__setattr__(self, "phom_coords",
-                           FpMatrix(p, Rp.a[:len(pivots)].reshape(len(pivots), h)))
         object.__setattr__(self, "_ph_rref", Rp.a[:len(pivots)].reshape(len(pivots), h))
         object.__setattr__(self, "_ph_pivots", pivots)
         object.__setattr__(self, "_free",
@@ -146,20 +149,10 @@ class StableHomSpace:
     def zero(self) -> RMap:
         return zero_map(self.src, self.tgt)
 
-    def full_space(self) -> AffineSpace:
-        return AffineSpace(self.p, self.sdim,
-                           np.zeros(self.sdim, dtype=np.int64),
-                           np.eye(self.sdim, dtype=np.int64))
 
-
-_HOM_CACHE: dict[tuple, StableHomSpace] = {}
-
-
+@memo
 def stable_hom(M: RModule, N: RModule) -> StableHomSpace:
-    key = (M.key, N.key)
-    if key not in _HOM_CACHE:
-        _HOM_CACHE[key] = StableHomSpace(M, N)
-    return _HOM_CACHE[key]
+    return StableHomSpace(M, N)
 
 
 def stable_coords(f: RMap) -> tuple[int, ...]:
@@ -176,66 +169,28 @@ def stably_equal(f: RMap, g: RMap) -> bool:
     return is_stably_zero(f - g)
 
 
-@dataclass(frozen=True)
-class StableMap:
-    """A map in the stable category: a representative plus its hom space."""
-
-    rep: RMap
-
-    @property
-    def space(self) -> StableHomSpace:
-        return stable_hom(self.rep.src, self.rep.tgt)
-
-    def coords(self) -> tuple[int, ...]:
-        return self.space.stable_coords(self.rep)
-
-    def __eq__(self, other):
-        if not isinstance(other, StableMap):
-            return NotImplemented
-        return (self.rep.src == other.rep.src and self.rep.tgt == other.rep.tgt
-                and self.coords() == other.coords())
-
-    def __hash__(self):
-        return hash((self.rep.src, self.rep.tgt, self.coords()))
-
-    def is_zero(self) -> bool:
-        return not any(self.coords())
-
-
 # ---------------------------------------------------------------------------
 # composition operators and affine solving inside stable homs
 
 
-_POST_CACHE: dict[tuple, FpMatrix] = {}
-_PRE_CACHE: dict[tuple, FpMatrix] = {}
-
-
+@memo
 def post_matrix(g: RMap, A: RModule) -> FpMatrix:
     """Matrix of g . (-) : T(A, src g) -> T(A, tgt g) in stable coordinates."""
-    key = (g.src.key, g.tgt.key, g.A.a.tobytes(), A.key)
-    if key in _POST_CACHE:
-        return _POST_CACHE[key]
     S = stable_hom(A, g.src)
     T = stable_hom(A, g.tgt)
     cols = [T.stable_coords(g @ u) for u in S.quotient_basis_maps()]
     arr = np.array(cols, dtype=np.int64).T.reshape(T.sdim, S.sdim)
-    out = FpMatrix(g.src.ring.p, arr)
-    _POST_CACHE[key] = out
-    return out
+    return FpMatrix(g.src.ring.p, arr)
 
 
+@memo
 def pre_matrix(f: RMap, C: RModule) -> FpMatrix:
     """Matrix of (-) . f : T(tgt f, C) -> T(src f, C) in stable coordinates."""
-    key = (f.src.key, f.tgt.key, f.A.a.tobytes(), C.key)
-    if key in _PRE_CACHE:
-        return _PRE_CACHE[key]
     S = stable_hom(f.tgt, C)
     T = stable_hom(f.src, C)
     cols = [T.stable_coords(u @ f) for u in S.quotient_basis_maps()]
     arr = np.array(cols, dtype=np.int64).T.reshape(T.sdim, S.sdim)
-    out = FpMatrix(f.src.ring.p, arr)
-    _PRE_CACHE[key] = out
-    return out
+    return FpMatrix(f.src.ring.p, arr)
 
 
 def solve_post(g: RMap, target: RMap) -> AffineSpace | None:
@@ -264,10 +219,6 @@ def classes_from_affine(space: StableHomSpace, sols: AffineSpace,
 
 # ---------------------------------------------------------------------------
 # suspension of maps and the comparison isomorphisms
-
-
-_SIGMA_MAP_CACHE: dict[tuple, RMap] = {}
-_OMEGA_MAP_CACHE: dict[tuple, RMap] = {}
 
 
 def _solve_exact_intertwiner(candidates: list[RMap], rhs: FpMatrix,
@@ -304,43 +255,33 @@ def omega_ob(M: RModule) -> RModule:
     return omega(M)[0]
 
 
+@memo
 def sigma_map(f: RMap) -> RMap:
     """Suspend a map through the chosen injective envelopes."""
-    key = (f.src.key, f.tgt.key, f.A.a.tobytes())
-    if key in _SIGMA_MAP_CACHE:
-        return _SIGMA_MAP_CACHE[key]
     SM, embM, quotM = sigma(f.src)
     SN, embN, quotN = sigma(f.tgt)
     if SM.dim == 0 or SN.dim == 0:
-        out = zero_map(SM, SN)
-    else:
-        F = _solve_exact_intertwiner(hom_basis(embM.tgt, embN.tgt),
-                                     embN.A @ f.A, compose_right=embM.A)
-        out = RMap(SM, SN, quotN.A @ F.A @ right_inverse(quotM.A))
-    _SIGMA_MAP_CACHE[key] = out
-    return out
+        return zero_map(SM, SN)
+    F = _solve_exact_intertwiner(hom_basis(embM.tgt, embN.tgt),
+                                 embN.A @ f.A, compose_right=embM.A)
+    return RMap(SM, SN, quotN.A @ F.A @ right_inverse(quotM.A))
 
 
+@memo
 def omega_map(f: RMap) -> RMap:
     """Desuspend a map through the chosen projective covers."""
-    key = (f.src.key, f.tgt.key, f.A.a.tobytes())
-    if key in _OMEGA_MAP_CACHE:
-        return _OMEGA_MAP_CACHE[key]
     OM, inclM, covM = omega(f.src)
     ON, inclN, covN = omega(f.tgt)
     if OM.dim == 0 or ON.dim == 0:
-        out = zero_map(OM, ON)
-    else:
-        G = _solve_exact_intertwiner(hom_basis(covM.src, covN.src),
-                                     f.A @ covM.A, compose_left=covN.A)
-        # restrict G to the kernels
-        GB = FpMatrix(f.src.ring.p, (G.A.a @ inclM.A.a) % f.src.ring.p)
-        try:
-            out = RMap(OM, ON, solve_columns(inclN.A, GB))
-        except LinAlgError:
-            raise StCatError("cover lift does not preserve kernels")
-    _OMEGA_MAP_CACHE[key] = out
-    return out
+        return zero_map(OM, ON)
+    G = _solve_exact_intertwiner(hom_basis(covM.src, covN.src),
+                                 f.A @ covM.A, compose_left=covN.A)
+    # restrict G to the kernels
+    GB = FpMatrix(f.src.ring.p, (G.A.a @ inclM.A.a) % f.src.ring.p)
+    try:
+        return RMap(OM, ON, solve_columns(inclN.A, GB))
+    except LinAlgError:
+        raise StCatError("cover lift does not preserve kernels")
 
 
 def susp_ob(M: RModule, n: int) -> RModule:
@@ -355,35 +296,25 @@ def susp_map(f: RMap, n: int) -> RMap:
     return f
 
 
-_UNIT_CACHE: dict[tuple, RMap] = {}
-_COUNIT_CACHE: dict[tuple, RMap] = {}
-
-
+@memo
 def unit_iso(M: RModule) -> RMap:
     """The comparison M -> Sigma Omega M (a stable isomorphism)."""
-    if M.key in _UNIT_CACHE:
-        return _UNIT_CACHE[M.key]
     OM, incl, cover = omega(M)
     SOM, embO, quotO = sigma(OM)
-    p = M.ring.p
     if M.dim == 0 or SOM.dim == 0:
-        out = zero_map(M, SOM)
-    else:
-        E = _solve_exact_intertwiner(hom_basis(cover.src, embO.tgt),
-                                     embO.A, compose_right=incl.A)
-        out = RMap(M, SOM, quotO.A @ E.A @ right_inverse(cover.A))
-    _UNIT_CACHE[M.key] = out
-    return out
+        return zero_map(M, SOM)
+    E = _solve_exact_intertwiner(hom_basis(cover.src, embO.tgt),
+                                 embO.A, compose_right=incl.A)
+    return RMap(M, SOM, quotO.A @ E.A @ right_inverse(cover.A))
 
 
+@memo
 def counit_iso(M: RModule) -> RMap:
     """The comparison Omega Sigma M -> M: the adjoint mate of the unit.
 
     Defined by the triangle identity Sigma(counit_M) . unit_{Sigma M} =
     id_{Sigma M} in the stable category, which pins its stable class.
     """
-    if M.key in _COUNIT_CACHE:
-        return _COUNIT_CACHE[M.key]
     SM = sigma_ob(M)
     OSM = omega_ob(SM)
     space = stable_hom(OSM, M)
@@ -399,9 +330,7 @@ def counit_iso(M: RModule) -> RMap:
     sol = solve_affine(mat, idc)
     if sol is None:
         raise StCatError("no adjoint mate; comparison data inconsistent")
-    out = space.from_stable_coords(sol.representative)
-    _COUNIT_CACHE[M.key] = out
-    return out
+    return space.from_stable_coords(sol.representative)
 
 
 def sigma_omega_comparison(A: RModule, k: int) -> RMap:
@@ -457,15 +386,9 @@ class Triangle:
         return (self.f.src, self.f.tgt, self.g.tgt)
 
 
-_CONE_CACHE: dict[tuple, "Triangle"] = {}
-_FIBER_CACHE: dict[tuple, "Triangle"] = {}
-
-
+@memo
 def cone_triangle(f: RMap) -> Triangle:
     """The fixed cone construction: stabilize to a monomorphism, take cokernel."""
-    key = (f.src.key, f.tgt.key, f.A.a.tobytes())
-    if key in _CONE_CACHE:
-        return _CONE_CACHE[key]
     M, N = f.src, f.tgt
     SM, embM, quotM = sigma(M)
     E, incls, projs = direct_sum([N, embM.tgt])
@@ -481,16 +404,12 @@ def cone_triangle(f: RMap) -> Triangle:
         # then restrict along the reduction section
         h_raw = quotM.A @ projs[1].A @ right_inverse(cd.raw_proj.A)
         h = RMap(C, SM, h_raw @ cd.red_incl.A)
-    out = Triangle(f, q, h, "cone")
-    _CONE_CACHE[key] = out
-    return out
+    return Triangle(f, q, h, "cone")
 
 
+@memo
 def fiber_triangle(f: RMap) -> Triangle:
     """The dual construction: stabilize to a surjection, take the kernel."""
-    key = (f.src.key, f.tgt.key, f.A.a.tobytes())
-    if key in _FIBER_CACHE:
-        return _FIBER_CACHE[key]
     M, N = f.src, f.tgt
     p = M.ring.p
     if rank(f.A) == N.dim:
@@ -513,9 +432,7 @@ def fiber_triangle(f: RMap) -> Triangle:
                                        FpMatrix(M.ring.p, (embK.A.a @ kd.reduction.a) % p),
                                        compose_right=kd.raw_basis)
         d = RMap(N, SK, quotK.A @ phi.A @ right_inverse(e.A))
-    out = Triangle(w, f, d, "fiber")
-    _FIBER_CACHE[key] = out
-    return out
+    return Triangle(w, f, d, "fiber")
 
 
 def rotate(t: Triangle) -> Triangle:
@@ -538,11 +455,6 @@ def rotate_steps(t: Triangle, steps: int) -> Triangle:
 def is_stable_iso(f: RMap) -> bool:
     """True iff the cone of f is stably zero."""
     return cone_triangle(f).g.tgt.dim == 0
-
-
-def triangles_stably_equal(s: Triangle, t: Triangle) -> bool:
-    return (stably_equal(s.f, t.f) and stably_equal(s.g, t.g)
-            and stably_equal(s.h, t.h))
 
 
 def is_distinguished(t: Triangle, cap: int = 4096) -> bool:
@@ -578,8 +490,28 @@ def is_distinguished(t: Triangle, cap: int = 4096) -> bool:
 # computation contexts: the category and its opposite
 
 
+@memo
+def _unit_inverse(A: RModule) -> RMap:
+    inv = stable_inverse(unit_iso(A))
+    if inv is None:
+        raise StCatError("unit comparison is not a stable isomorphism")
+    return inv
+
+
+@memo
+def _counit_inverse(A: RModule) -> RMap:
+    inv = stable_inverse(counit_iso(A))
+    if inv is None:
+        raise StCatError("counit comparison is not a stable isomorphism")
+    return inv
+
+
 class DirectContext:
-    """The stable module category itself."""
+    """The stable module category itself.
+
+    Methods call the module-level constructions by their global names,
+    so a wrapper installed on a module name sees every call.
+    """
 
     name = "direct"
 
@@ -592,23 +524,14 @@ class DirectContext:
     def hom(self, A: RModule, B: RModule) -> StableHomSpace:
         return stable_hom(A, B)
 
-    def coords(self, f: RMap) -> tuple[int, ...]:
-        return stable_hom(f.src, f.tgt).stable_coords(f)
-
     def compose(self, g: RMap, f: RMap) -> RMap:
         return g @ f
 
     def identity(self, A: RModule) -> RMap:
         return identity_map(A)
 
-    def zero(self, A: RModule, B: RModule) -> RMap:
-        return zero_map(A, B)
-
     def negate(self, f: RMap) -> RMap:
         return -f
-
-    def is_zero(self, f: RMap) -> bool:
-        return is_stably_zero(f)
 
     def eq(self, f: RMap, g: RMap) -> bool:
         return stably_equal(f, g)
@@ -619,12 +542,13 @@ class DirectContext:
     def sigma_map(self, f: RMap) -> RMap:
         return sigma_map(f)
 
-    def cone(self, f: RMap) -> tuple[RModule, RMap, RMap]:
-        t = cone_triangle(f)
-        return t.g.tgt, t.g, t.h
-
     def sigma_inv_ob(self, A: RModule) -> RModule:
         return omega_ob(A)
+
+    def cone(self, f: RMap) -> tuple[RModule, RMap, RMap]:
+        """(C, q, iota) with a distinguished row src f -> tgt f -> C -> Sigma(src f)."""
+        t = cone_triangle(f)
+        return t.g.tgt, t.g, t.h
 
     def fiber(self, f: RMap) -> tuple[RModule, RMap, RMap]:
         """(F, u, v) with a distinguished row SigmaInv(tgt f) -> F -> src f -> tgt f."""
@@ -634,12 +558,7 @@ class DirectContext:
 
     def unit_inverse(self, A: RModule) -> RMap:
         """The identification Sigma(SigmaInv A) -> A."""
-        if A.key not in _UNIT_INV_CACHE:
-            inv = stable_inverse(unit_iso(A))
-            if inv is None:
-                raise StCatError("unit comparison is not a stable isomorphism")
-            _UNIT_INV_CACHE[A.key] = inv
-        return _UNIT_INV_CACHE[A.key]
+        return _unit_inverse(A)
 
     def post_matrix(self, g: RMap, A: RModule) -> FpMatrix:
         return post_matrix(g, A)
@@ -647,28 +566,24 @@ class DirectContext:
     def pre_matrix(self, f: RMap, C: RModule) -> FpMatrix:
         return pre_matrix(f, C)
 
-    def is_distinguished(self, a: RMap, b: RMap, c: RMap) -> bool:
-        return is_distinguished(Triangle(a, b, c))
-
     def solve_post(self, g: RMap, target: RMap) -> AffineSpace | None:
         return solve_post(g, target)
 
     def solve_pre(self, f: RMap, target: RMap) -> AffineSpace | None:
         return solve_pre(f, target)
 
+    def is_distinguished(self, a: RMap, b: RMap, c: RMap) -> bool:
+        return is_distinguished(Triangle(a, b, c))
+
     def classes(self, A: RModule, B: RModule, sols: AffineSpace,
                 cap: int = 4096) -> list[RMap]:
-        return classes_from_affine(stable_hom(A, B), sols, cap)
+        return classes_from_affine(self.hom(A, B), sols, cap)
 
     def make(self, A: RModule, B: RModule, coords) -> RMap:
-        return stable_hom(A, B).from_stable_coords(coords)
+        return self.hom(A, B).from_stable_coords(coords)
 
 
-_UNIT_INV_CACHE: dict[tuple, RMap] = {}
-_COUNIT_INV_CACHE: dict[tuple, RMap] = {}
-
-
-class OpContext:
+class OpContext(DirectContext):
     """The opposite category; a map A -> B is stored as its underlying B -> A."""
 
     name = "op"
@@ -682,26 +597,8 @@ class OpContext:
     def hom(self, A: RModule, B: RModule) -> StableHomSpace:
         return stable_hom(B, A)
 
-    def coords(self, f: RMap) -> tuple[int, ...]:
-        return stable_hom(f.src, f.tgt).stable_coords(f)
-
     def compose(self, g: RMap, f: RMap) -> RMap:
         return f @ g
-
-    def identity(self, A: RModule) -> RMap:
-        return identity_map(A)
-
-    def zero(self, A: RModule, B: RModule) -> RMap:
-        return zero_map(B, A)
-
-    def negate(self, f: RMap) -> RMap:
-        return -f
-
-    def is_zero(self, f: RMap) -> bool:
-        return is_stably_zero(f)
-
-    def eq(self, f: RMap, g: RMap) -> bool:
-        return stably_equal(f, g)
 
     def sigma_ob(self, A: RModule) -> RModule:
         return omega_ob(A)
@@ -709,27 +606,21 @@ class OpContext:
     def sigma_map(self, f: RMap) -> RMap:
         return omega_map(f)
 
-    def cone(self, f: RMap) -> tuple[RModule, RMap, RMap]:
-        # the opposite cone of f is the fiber of the underlying map,
-        # with the rotated-back connecting map
-        t = rotate_back(fiber_triangle(f))
-        return t.f.tgt, t.g, t.f
-
     def sigma_inv_ob(self, A: RModule) -> RModule:
         return sigma_ob(A)
 
+    def cone(self, f: RMap) -> tuple[RModule, RMap, RMap]:
+        # the opposite cone of f is the fiber of the underlying map
+        F, u, v = super().fiber(f)
+        return F, v, u
+
     def fiber(self, f: RMap) -> tuple[RModule, RMap, RMap]:
         # the opposite fiber of f is the cone of the underlying map
-        t = cone_triangle(f)
-        return t.g.tgt, t.h, t.g
+        C, q, iota = super().cone(f)
+        return C, iota, q
 
     def unit_inverse(self, A: RModule) -> RMap:
-        if A.key not in _COUNIT_INV_CACHE:
-            inv = stable_inverse(counit_iso(A))
-            if inv is None:
-                raise StCatError("counit comparison is not a stable isomorphism")
-            _COUNIT_INV_CACHE[A.key] = inv
-        return _COUNIT_INV_CACHE[A.key]
+        return _counit_inverse(A)
 
     def post_matrix(self, g: RMap, A: RModule) -> FpMatrix:
         return pre_matrix(g, A)
@@ -737,24 +628,16 @@ class OpContext:
     def pre_matrix(self, f: RMap, C: RModule) -> FpMatrix:
         return post_matrix(f, C)
 
-    def is_distinguished(self, a: RMap, b: RMap, c: RMap) -> bool:
-        # reversal rule: the underlying triangle, read backwards and
-        # rotated through the comparison, must be distinguished
-        A = self.src(a)
-        return is_distinguished(Triangle(c, b, unit_iso(A) @ a))
-
     def solve_post(self, g: RMap, target: RMap) -> AffineSpace | None:
         return solve_pre(g, target)
 
     def solve_pre(self, f: RMap, target: RMap) -> AffineSpace | None:
         return solve_post(f, target)
 
-    def classes(self, A: RModule, B: RModule, sols: AffineSpace,
-                cap: int = 4096) -> list[RMap]:
-        return classes_from_affine(stable_hom(B, A), sols, cap)
-
-    def make(self, A: RModule, B: RModule, coords) -> RMap:
-        return stable_hom(B, A).from_stable_coords(coords)
+    def is_distinguished(self, a: RMap, b: RMap, c: RMap) -> bool:
+        # reversal rule: the underlying triangle, read backwards and
+        # rotated through the comparison, must be distinguished
+        return is_distinguished(Triangle(c, b, unit_iso(self.src(a)) @ a))
 
 
 DIRECT = DirectContext()

@@ -14,6 +14,7 @@ from stmodcat.adams import (
     pages,
     sparse_check,
 )
+from stmodcat.linalg import in_span
 from stmodcat.modrep import (
     Ring,
     block_map,
@@ -190,6 +191,23 @@ def test_not_a_cycle_reports_stage(res6):
         dr_set(res6, Y, bad, 2)
 
 
+def test_not_a_cycle_exactly_outside_z3():
+    # at stage 2 some chains fail to extend and others do: a d_2-cycle
+    # must survive through the chains that extend
+    ring = Ring(3, 5)
+    MM = module_from_partition(ring, [2, 1])
+    res = adams_resolution(MM, ProjectiveClass(module_from_partition(ring, [1])), 6)
+    Z3 = pages(res, MM, 3, s_max=0, t_max=0)[2].groups[(0, 0)].Z
+    E0 = stable_hom(res.P[0], MM)
+    outside = next(c for c in itertools.product(range(3), repeat=E0.sdim)
+                   if not in_span(Z3, np.array(c, dtype=np.int64)))
+    for c in [(0,) * E0.sdim] + [tuple(row) for row in Z3.a]:
+        d3 = dr_set(res, MM, E0.from_stable_coords(c), 3)
+        assert d3.elements, c
+    with pytest.raises(NotACycle):
+        dr_set(res, MM, E0.from_stable_coords(outside), 3)
+
+
 def test_d1_as_composition(res6):
     # d_1(x) is x composed with the primary operation
     E0 = stable_hom(res6.P[0], M)
@@ -265,18 +283,19 @@ def test_forms_agree_at_odd_p():
         kk = module_from_partition(ring, [1])
         MM = module_from_partition(ring, [2])
         res = adams_resolution(MM, ProjectiveClass(kk), 6)
-        E0 = stable_hom(res.P[0], MM)
-        tested = 0
-        for c in itertools.product(range(p), repeat=E0.sdim):
-            x = E0.from_stable_coords(c)
-            try:
-                rep = dr_bracket_forms(res, MM, x, 2, cap=20000)
-            except NotACycle:
-                continue
-            assert rep.equal_full and rep.equal_restricted
-            assert rep.equal_w_filtered
-            tested += 1
-        assert tested >= 3
+        for t in range(4):   # odd t carries the sign of the suspended triangle
+            E0 = stable_hom(susp_ob(res.P[0], t), MM)
+            tested = 0
+            for c in itertools.product(range(p), repeat=E0.sdim):
+                x = E0.from_stable_coords(c)
+                try:
+                    rep = dr_bracket_forms(res, MM, x, 2, t=t, cap=20000)
+                except NotACycle:
+                    continue
+                assert rep.equal_full and rep.equal_restricted, (p, m, t, c)
+                assert rep.equal_w_filtered, (p, m, t, c)
+                tested += 1
+            assert tested >= 3, (p, m, t)
 
 
 def test_kappa_d1_d1_indeterminacy_subgroup(res6):

@@ -64,6 +64,13 @@ def test_parse_error_exit_code(tmp_path):
     assert "line 2" in proc.stderr
 
 
+def test_seed_flag_is_rejected():
+    # the command set is deterministic, so there is no --seed
+    with pytest.raises(SystemExit) as exc:
+        main([str(SESSIONS / "c3_negative.toda"), "--seed", "1"])
+    assert exc.value.code == 2
+
+
 def test_unknown_name_exit_code(tmp_path):
     bad = tmp_path / "bad.toda"
     bad.write_text("ring p=2 m=4\nmodule M = [2]\nsthom M Q\n")

@@ -189,6 +189,22 @@ def test_op_cone_is_fiber():
     assert jordan_type(C_op) == jordan_type(fiber_triangle(f).f.src)
 
 
+def _single_block_maps(ring):
+    m = ring.m
+    return [mu_map(ring, a, b, j) for a in range(1, m + 1)
+            for b in range(1, m + 1) for j in range(max(0, b - a), b)]
+
+
+@pytest.mark.parametrize("ctx", [DIRECT, OP], ids=lambda c: c.name)
+@pytest.mark.parametrize("p, m", [(2, 3), (3, 3)])
+def test_context_cone_is_distinguished(ctx, p, m):
+    maps = _single_block_maps(Ring(p, m))
+    assert len(maps) == 14
+    for f in maps:
+        C, q, iota = ctx.cone(f)
+        assert ctx.is_distinguished(f, q, iota), f
+
+
 def test_op_context_hom_and_compose():
     f = mu_map(R33, 1, 2, 1)   # direct: k -> M; op: M -> k
     assert OP.src(f) == M33 and OP.tgt(f) == k33
@@ -233,18 +249,6 @@ def test_stable_iso_iff_two_sided_inverse():
     ]
     for f in candidates:
         assert is_stable_iso(f) == (stable_inverse(f) is not None)
-
-
-def test_stable_map_wrapper():
-    from stmodcat.stcat import StableMap
-
-    f = StableMap(mu_map(R24, 3, 2, 0))
-    g = StableMap(mu_map(R24, 3, 2, 0) + mu_map(R24, 3, 2, 1))
-    assert f == g                      # differ by a projectively trivial map
-    assert hash(f) == hash(g)
-    assert not f.is_zero()
-    assert StableMap(mu_map(R24, 3, 2, 1)).is_zero()
-    assert f.space.sdim == 1
 
 
 def test_zero_module_edges():
