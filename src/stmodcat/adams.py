@@ -21,6 +21,7 @@ restricted-bracket machinery.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +33,7 @@ from .linalg import (
     enumerate_points,
     in_span,
     nullspace,
-    quotient_coords,
+    quotient,
     rank,
     row_space_basis,
     solve_affine,
@@ -271,26 +272,27 @@ class PageGroup:
 
     s: int
     t: int
-    Z: FpMatrix      # rows span the surviving cycles in E_1 coordinates
+    Z: FpMatrix      # rows span the surviving cycles in E_1 coordinates (RREF)
     B: FpMatrix      # rows span the boundaries
     dim: int
 
     def contains(self, coords) -> bool:
         return in_span(self.Z, np.asarray(coords, dtype=np.int64))
 
+    @functools.cached_property
+    def _class_map(self) -> tuple[list[int], FpMatrix]:
+        """(zpiv, Q): Z is in RREF, so a cycle v has Z-coordinates v[zpiv] at
+        the pivots of Z, and its class modulo the boundaries is Q v[zpiv]."""
+        zpiv = [int(np.flatnonzero(row)[0]) for row in self.Z.a]
+        return zpiv, quotient(FpMatrix(self.Z.p, self.B.a[:, zpiv]))[0]
+
     def class_coords(self, coords) -> tuple[int, ...]:
         """Coordinates of an E_1 cycle in the E_r subquotient (complement basis)."""
         v = np.asarray(coords, dtype=np.int64)
         if not self.contains(v):
             raise NotACycle("class does not survive to this page")
-        # express in the Z basis, then reduce modulo B inside those coordinates
-        sol = solve_affine(self.Z.transpose(), v)
-        zc = sol.representative
-        rows = []
-        for b in self.B.a:
-            rows.append(solve_affine(self.Z.transpose(), b).representative)
-        return tuple(int(x) for x in quotient_coords(
-            stack_rows(self.Z.p, rows, cols=self.Z.rows), zc))
+        zpiv, Q = self._class_map
+        return tuple(int(x) for x in Q.apply(v[zpiv]))
 
 
 @dataclass
@@ -403,10 +405,10 @@ def dr_set(res: AdamsResolution, Y: RModule, x: RMap, r: int,
                  chart.gamma_mat(s, t).apply(np.array(E0.stable_coords(x),
                                                       dtype=np.int64)))}
     for j in range(1, r):
+        alpha = chart.alpha_mat(s + j, t + j - 1)
         nxt = set()
         for c in cur:
-            sol = solve_affine(chart.alpha_mat(s + j, t + j - 1),
-                               np.array(c, dtype=np.int64))
+            sol = solve_affine(alpha, np.array(c, dtype=np.int64))
             if sol is not None:
                 nxt.update(tuple(int(y) for y in v)
                            for v in enumerate_points(sol, cap))

@@ -247,14 +247,8 @@ def _format_block(sub: np.ndarray, p: int) -> str:
             else:
                 base = f"mu(x^{j})"
             terms.append(base if c == 1 else f"{c}*{base}")
-    # entries off the mu diagonals must vanish
-    recon = np.zeros_like(sub)
-    for t in terms:
-        coeff, j = _parse_mu_term(t)
-        for i in range(a):
-            if i + j < b:
-                recon[i + j, i] = coeff
-    if not np.array_equal(recon % p, sub % p):
+    # entries off the mu diagonals (above the main one) must vanish
+    if (np.triu(sub, 1) % p).any():
         return "?"
     return "+".join(terms) if terms else "0"
 
@@ -282,10 +276,7 @@ def mu_label(f: RMap) -> str:
 
 
 def bracket_labels(bs: BracketSet) -> list[str]:
-    space = stable_hom(bs.src, bs.tgt)
-    return [mu_label(space.from_stable_coords(
-        tuple(1 if i == k else 0 for i in range(space.sdim))))
-        for k in range(space.sdim)]
+    return [mu_label(b) for b in stable_hom(bs.src, bs.tgt).quotient_basis_maps()]
 
 
 # ---------------------------------------------------------------------------
@@ -328,16 +319,38 @@ def _bracket_text(title, bs: BracketSet) -> str:
             f"  indeterminacy rank {rank}")
 
 
+# operand counts (least, most) per command; None is unbounded
+_ARITY = {"sthom": (2, 2), "cone": (1, 1), "fiber": (1, 1), "bracket": (4, 4),
+          "nbracket": (2, None), "adams": (3, 3), "page": (1, 1), "dr": (2, 2),
+          "drforms": (2, 2), "heller": (3, 3), "sparse": (3, 3)}
+
+
+def _int_arg(lineno: int, what: str, tok: str, least: int) -> int:
+    """An integer operand of at least `least`, else a line-numbered error."""
+    try:
+        value = int(tok)
+    except ValueError:
+        raise SessionError(lineno, f"{what} must be an integer, got {tok!r}")
+    if value < least:
+        raise SessionError(lineno, f"{what} must be at least {least}, got {value}")
+    return value
+
+
 def run_command(sess: Session, rep: Report, lineno: int, toks: list[str]):
     cmd = toks[0]
     cap = sess.cap
+    if cmd not in _ARITY:
+        raise SessionError(lineno, f"unknown command {cmd!r}")
+    least, most = _ARITY[cmd]
+    got = len(toks) - 1
+    if got < least or (most is not None and got > most):
+        want = least if least == most else f"at least {least}"
+        raise SessionError(lineno, f"{cmd} takes {want} operands, got {got}")
     if cmd == "sthom":
         A = sess.get_module(lineno, toks[1])
         B = sess.get_module(lineno, toks[2])
         S = stable_hom(A, B)
-        labels = [mu_label(S.from_stable_coords(
-            tuple(1 if i == k else 0 for i in range(S.sdim))))
-            for k in range(S.sdim)]
+        labels = [mu_label(b) for b in S.quotient_basis_maps()]
         rep.emit(f"sthom {toks[1]} {toks[2]}: dim {S.sdim}"
                  f"  basis [{', '.join(labels)}]",
                  {"command": "sthom", "src": toks[1], "tgt": toks[2],
@@ -358,7 +371,10 @@ def run_command(sess: Session, rep: Report, lineno: int, toks: list[str]):
                  _bracket_payload("bracket", names, bs) | {"defn": defn})
     elif cmd == "nbracket":
         if toks[1].startswith("["):
-            jseq = json.loads(toks[1])
+            try:
+                jseq = [int(j) for j in json.loads(toks[1])]
+            except (ValueError, TypeError):  # JSONDecodeError is a ValueError
+                raise SessionError(lineno, f"bad reduction sequence {toks[1]!r}")
             names = toks[2:]
         else:
             jseq = None
@@ -371,8 +387,10 @@ def run_command(sess: Session, rep: Report, lineno: int, toks: list[str]):
     elif cmd == "adams":
         M = sess.get_module(lineno, toks[1])
         kv = dict(a.split("=", 1) for a in toks[2:] if "=" in a)
+        if set(kv) != {"gen", "len"}:
+            raise SessionError(lineno, "adams needs gen=<module> len=<int>")
         G = sess.get_module(lineno, kv["gen"])
-        length = int(kv["len"])
+        length = _int_arg(lineno, "len", kv["len"], 1)
         cls = ProjectiveClass(G)
         sess.resolution = adams_resolution(M, cls, length)
         sess.resolution_target = M
@@ -385,27 +403,27 @@ def run_command(sess: Session, rep: Report, lineno: int, toks: list[str]):
                   "length": length, "X_types": types, "P_types": ptypes,
                   "d1_label": d1})
     elif cmd == "page":
+        r = _int_arg(lineno, "r", toks[1], 1)
         if sess.resolution is None:
             raise SessionError(lineno, "page before adams")
-        r = int(toks[1])
         pgs = pages(sess.resolution, sess.resolution_target, r)
         page = pgs[-1]
         dims = {f"{s},{t}": g.dim for (s, t), g in sorted(page.groups.items())}
         rep.emit(f"page {r}: dims {dims}",
                  {"command": "page", "r": r, "dims": dims})
     elif cmd == "dr":
+        r = _int_arg(lineno, "r", toks[2], 1)
         if sess.resolution is None:
             raise SessionError(lineno, "dr before adams")
         x = _resolution_class(sess, lineno, toks[1])
-        r = int(toks[2])
         bs = dr_set(sess.resolution, x.tgt, x, r, cap=cap)
         rep.emit(_bracket_text(f"d_{r}[{toks[1]}]", bs),
                  _bracket_payload("dr", [toks[1]], bs) | {"r": r})
     elif cmd == "drforms":
+        r = _int_arg(lineno, "r", toks[2], 1)
         if sess.resolution is None:
             raise SessionError(lineno, "drforms before adams")
         x = _resolution_class(sess, lineno, toks[1])
-        r = int(toks[2])
         report = dr_bracket_forms(sess.resolution, x.tgt, x, r, cap=cap)
         flags = {
             "full_bracket_equal": report.equal_full,
@@ -442,8 +460,8 @@ def run_command(sess: Session, rep: Report, lineno: int, toks: list[str]):
                   "bracket_ok": v.bracket_ok})
     elif cmd == "sparse":
         G = sess.get_module(lineno, toks[1])
-        N = int(toks[2])
-        window = int(toks[3])
+        N = _int_arg(lineno, "N", toks[2], 1)
+        window = _int_arg(lineno, "window", toks[3], 0)
         spr = sparse_check(G, N, window)
         rep.emit(f"sparse {toks[1]} N={N} window={window}: "
                  f"{'sparse' if spr.sparse else 'NOT sparse'}"
@@ -453,8 +471,6 @@ def run_command(sess: Session, rep: Report, lineno: int, toks: list[str]):
                   "window": window, "sparse": spr.sparse,
                   "vacuous": spr.vacuous,
                   "nonzero_degrees": spr.nonzero_degrees})
-    else:
-        raise SessionError(lineno, f"unknown command {cmd!r}")
 
 
 def _resolution_class(sess: Session, lineno: int, name: str) -> RMap:

@@ -201,19 +201,33 @@ def nullspace(M: FpMatrix) -> FpMatrix:
     Deterministic: one vector per free column, in increasing column
     order, with 1 at the free position.
     """
-    R, pivots = rref(M)
-    return FpMatrix(M.p, _kernel_from_rref(R.a, pivots, M.cols, M.p))
+    return quotient(M)[0]
 
 
-def _kernel_from_rref(R: np.ndarray, pivots: list[int], n: int, p: int) -> np.ndarray:
-    """The nullspace basis read off a reduction whose first n columns are rref(A)."""
+def quotient(sub: FpMatrix) -> tuple[FpMatrix, list[int]]:
+    """F_p^n modulo the row space of `sub`, read off one rref: (Q, free).
+
+    The class of v is Q v: v reduced by the RREF pivots and read at the
+    free columns, so two vectors get equal classes iff their difference
+    lies in the row space.  A class c lifts to the vector holding c at
+    `free` and 0 elsewhere.  Row k of Q is 1 at free[k] and minus that
+    RREF column at the pivots, the k-th kernel vector: Q = nullspace(sub).
+    """
+    R, pivots = rref(sub)
+    Q, free = _kernel_from_rref(R.a, pivots, sub.cols, sub.p)
+    return FpMatrix(sub.p, Q), free
+
+
+def _kernel_from_rref(R: np.ndarray, pivots: list[int], n: int,
+                      p: int) -> tuple[np.ndarray, list[int]]:
+    """The nullspace basis and free columns of a reduction starting with rref(A)."""
     free = [j for j in range(n) if j not in pivots]
     basis = np.zeros((len(free), n), dtype=np.int64)
     for k, j in enumerate(free):
         basis[k, j] = 1
         for i, pc in enumerate(pivots):
             basis[k, pc] = (-R[i, j]) % p
-    return basis
+    return basis, free
 
 
 def row_space_basis(M: FpMatrix) -> FpMatrix:
@@ -267,7 +281,8 @@ def solve_affine(A: FpMatrix, b) -> AffineSpace | None:
     for i, pc in enumerate(pivots):
         rep[pc] = R.a[i, A.cols]
     # pivoting is column by column, so the first A.cols columns of R are rref(A)
-    return AffineSpace(A.p, A.cols, rep, _kernel_from_rref(R.a, pivots, A.cols, A.p))
+    basis, _ = _kernel_from_rref(R.a, pivots, A.cols, A.p)
+    return AffineSpace(A.p, A.cols, rep, basis)
 
 
 def enumerate_points(space: AffineSpace, cap: int = 4096) -> list[np.ndarray]:
@@ -349,38 +364,6 @@ class Echelon:
         self._rows = np.vstack([rows, w])
         self._pivots.append(c)
         return True
-
-
-def quotient_coords(subspace_basis: FpMatrix, v) -> np.ndarray:
-    """Coordinates of v's class in the fixed complement of a subspace.
-
-    The complement is spanned by the standard basis vectors at the
-    non-pivot positions of the subspace's RREF.  Two vectors get equal
-    output iff their difference lies in the subspace.
-    """
-    p = subspace_basis.p
-    v = as_vector(v, p)
-    if subspace_basis.cols != v.shape[0]:
-        raise DimensionMismatch("vector length != subspace ambient dimension")
-    R, pivots = rref(subspace_basis)
-    w = v.copy()
-    for i, pc in enumerate(pivots):
-        w = (w - w[pc] * R.a[i]) % p
-    free = [j for j in range(subspace_basis.cols) if j not in pivots]
-    return w[free]
-
-
-def lift_quotient_coords(subspace_basis: FpMatrix, coords) -> np.ndarray:
-    """A section of quotient_coords: the representative with zeros at pivots."""
-    p = subspace_basis.p
-    coords = as_vector(coords, p)
-    _, pivots = rref(subspace_basis)
-    free = [j for j in range(subspace_basis.cols) if j not in pivots]
-    if len(free) != coords.shape[0]:
-        raise DimensionMismatch("coordinate length != complement dimension")
-    v = np.zeros(subspace_basis.cols, dtype=np.int64)
-    v[free] = coords
-    return v
 
 
 def solve_columns(A: FpMatrix, B: FpMatrix) -> FpMatrix:

@@ -31,8 +31,9 @@ from .linalg import (
     LinAlgError,
     is_prime,
     nullspace,
+    quotient,
     rank,
-    rref,
+    right_inverse,
     solve_columns,
 )
 
@@ -243,15 +244,6 @@ def jordan_chains(M: RModule) -> list[list[np.ndarray]]:
     return chains
 
 
-def _invert(C: FpMatrix) -> FpMatrix:
-    n = C.rows
-    aug = FpMatrix(C.p, np.hstack([C.a, np.eye(n, dtype=np.int64)]))
-    R, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise LinAlgError("matrix is singular")
-    return FpMatrix(C.p, R.a[:, n:])
-
-
 def canonical_form(M: RModule) -> tuple[RModule, RMap, RMap]:
     """(canonical module, iso M -> canon, inverse iso)."""
     chains = jordan_chains(M)
@@ -262,7 +254,7 @@ def canonical_form(M: RModule) -> tuple[RModule, RMap, RMap]:
         return canon, z, z
     cols = [v for chain in chains for v in chain]
     C = FpMatrix(M.ring.p, np.array(cols, dtype=np.int64).T)
-    Cinv = _invert(C)
+    Cinv = right_inverse(C)
     return canon, RMap(M, canon, Cinv), RMap(canon, M, C)
 
 
@@ -450,7 +442,7 @@ def injective_envelope(M: RModule) -> tuple[RModule, RMap]:
             cols.append(e)
     E = np.array(cols, dtype=np.int64).T  # chain coords -> I
     C = np.array([v for chain in chains for v in chain], dtype=np.int64).T
-    A = (E @ _invert(FpMatrix(ring.p, C)).a) % ring.p
+    A = (E @ right_inverse(FpMatrix(ring.p, C)).a) % ring.p
     return I, RMap(M, I, FpMatrix(ring.p, A))
 
 
@@ -505,22 +497,10 @@ class CokernelData:
         p = f.tgt.ring.p
         n = f.tgt.dim
         sub = FpMatrix(p, f.A.a.T.reshape(f.src.dim, n))  # rows span im f
-        R, pivots = rref(sub)
-        free = [j for j in range(n) if j not in pivots]
-        k = len(free)
-        # projection: reduce each standard basis vector by the pivots,
-        # read off the free positions
-        cols = []
-        for j in range(n):
-            v = np.zeros(n, dtype=np.int64)
-            v[j] = 1
-            for i, pc in enumerate(pivots):
-                v = (v - v[pc] * R.a[i]) % p
-            cols.append(v[free])
-        Q = np.array(cols, dtype=np.int64).T.reshape(k, n)
-        Y = (Q @ f.tgt.X.a[:, free]) % p  # x-action on the quotient
+        Q, free = quotient(sub)  # the projection tgt -> tgt / im f
+        Y = (Q.a @ f.tgt.X.a[:, free]) % p  # x-action on the quotient
         C_raw = RModule(f.tgt.ring, FpMatrix(p, Y))
-        proj_raw = RMap(f.tgt, C_raw, FpMatrix(p, Q))
+        proj_raw = RMap(f.tgt, C_raw, Q)
         C, to_red, from_red = reduce_module(C_raw)
         object.__setattr__(self, "cokernel", C)
         object.__setattr__(self, "proj", to_red @ proj_raw)

@@ -34,6 +34,7 @@ from .linalg import (
     FpMatrix,
     LinAlgError,
     enumerate_points,
+    quotient,
     rank,
     right_inverse,
     rref,
@@ -73,8 +74,8 @@ class StableHomSpace:
     stable class has one canonical coordinate vector.
     """
 
-    __slots__ = ("src", "tgt", "basis", "_ph_rref", "_ph_pivots", "_free",
-                 "sdim", "p", "_solve_T")
+    __slots__ = ("src", "tgt", "basis", "sdim", "p", "_solve_T", "_stable_T",
+                 "_lift")
 
     def __init__(self, M: RModule, N: RModule):
         if M.ring != N.ring:
@@ -102,22 +103,18 @@ class StableHomSpace:
         _, _, cover = omega(N)
         lifted = [cover @ u for u in hom_basis(M, cover.src)]
         ph_rows = [self.hom_coords(v) for v in lifted]
-        ph = stack_rows(p, ph_rows, cols=h)
-        Rp, pivots = rref(ph)
-        object.__setattr__(self, "_ph_rref", Rp.a[:len(pivots)].reshape(len(pivots), h))
-        object.__setattr__(self, "_ph_pivots", pivots)
-        object.__setattr__(self, "_free",
-                           [j for j in range(h) if j not in pivots])
-        object.__setattr__(self, "sdim", h - len(pivots))
+        # stable coordinates: hom coordinates, then their class modulo those;
+        # a class lifts to the combination of the basis maps at the free columns
+        Q, free = quotient(stack_rows(p, ph_rows, cols=h))
+        object.__setattr__(self, "_stable_T", Q @ self._solve_T)
+        object.__setattr__(self, "_lift", flat.a[free].reshape(len(free), n))
+        object.__setattr__(self, "sdim", len(free))
 
     def __setattr__(self, *args):
         raise AttributeError("StableHomSpace is immutable")
 
     def hom_coords(self, f) -> np.ndarray:
         A = f.A if isinstance(f, RMap) else f
-        h = len(self.basis)
-        if h == 0:
-            return np.zeros(0, dtype=np.int64)
         return self._solve_T.apply(A.a.reshape(-1))
 
     def _check(self, f: RMap):
@@ -128,23 +125,22 @@ class StableHomSpace:
     def stable_coords(self, f) -> tuple[int, ...]:
         if isinstance(f, RMap):
             self._check(f)
-        c = self.hom_coords(f)
-        for i, pc in enumerate(self._ph_pivots):
-            c = (c - c[pc] * self._ph_rref[i]) % self.p
-        return tuple(int(x) for x in c[self._free])
+            f = f.A
+        return tuple(int(x) for x in self._stable_T.apply(f.a.reshape(-1)))
 
     def from_stable_coords(self, coords) -> RMap:
-        c = np.zeros(len(self.basis), dtype=np.int64)
-        c[self._free] = np.asarray(coords, dtype=np.int64) % self.p
-        A = np.zeros((self.tgt.dim, self.src.dim), dtype=np.int64)
-        for ci, b in zip(c, self.basis):
-            if ci:
-                A = (A + int(ci) * b.A.a) % self.p
-        return RMap(self.src, self.tgt, FpMatrix(self.p, A), check=False)
+        A = (np.asarray(coords, dtype=np.int64) % self.p) @ self._lift
+        return RMap(self.src, self.tgt,
+                    FpMatrix(self.p, A.reshape(self.tgt.dim, self.src.dim)), check=False)
 
     def quotient_basis_maps(self) -> list[RMap]:
         eye = np.eye(self.sdim, dtype=np.int64)
         return [self.from_stable_coords(eye[i]) for i in range(self.sdim)]
+
+    def matrix_to(self, T: "StableHomSpace", fn) -> FpMatrix:
+        """The matrix, in stable coordinates, of a linear map fn from here to T."""
+        cols = [T.stable_coords(fn(u)) for u in self.quotient_basis_maps()]
+        return FpMatrix(self.p, np.array(cols, dtype=np.int64).T.reshape(T.sdim, self.sdim))
 
     def zero(self) -> RMap:
         return zero_map(self.src, self.tgt)
@@ -176,21 +172,13 @@ def stably_equal(f: RMap, g: RMap) -> bool:
 @memo
 def post_matrix(g: RMap, A: RModule) -> FpMatrix:
     """Matrix of g . (-) : T(A, src g) -> T(A, tgt g) in stable coordinates."""
-    S = stable_hom(A, g.src)
-    T = stable_hom(A, g.tgt)
-    cols = [T.stable_coords(g @ u) for u in S.quotient_basis_maps()]
-    arr = np.array(cols, dtype=np.int64).T.reshape(T.sdim, S.sdim)
-    return FpMatrix(g.src.ring.p, arr)
+    return stable_hom(A, g.src).matrix_to(stable_hom(A, g.tgt), lambda u: g @ u)
 
 
 @memo
 def pre_matrix(f: RMap, C: RModule) -> FpMatrix:
     """Matrix of (-) . f : T(tgt f, C) -> T(src f, C) in stable coordinates."""
-    S = stable_hom(f.tgt, C)
-    T = stable_hom(f.src, C)
-    cols = [T.stable_coords(u @ f) for u in S.quotient_basis_maps()]
-    arr = np.array(cols, dtype=np.int64).T.reshape(T.sdim, S.sdim)
-    return FpMatrix(f.src.ring.p, arr)
+    return stable_hom(f.tgt, C).matrix_to(stable_hom(f.src, C), lambda u: u @ f)
 
 
 def solve_post(g: RMap, target: RMap) -> AffineSpace | None:
@@ -209,6 +197,15 @@ def solve_pre(f: RMap, target: RMap) -> AffineSpace | None:
     T = stable_hom(f.src, target.tgt)
     return solve_affine(pre_matrix(f, target.tgt),
                         np.array(T.stable_coords(target), dtype=np.int64))
+
+
+def solve_pre_post(f: RMap, a: RMap, g: RMap, b: RMap) -> AffineSpace | None:
+    """All stable classes u: tgt f -> src g with u . f = a and g . u = b."""
+    if not (a.src == f.src and a.tgt == g.src and b.src == f.tgt and b.tgt == g.tgt):
+        raise StCatError("targets do not fit the two-sided system")
+    mat = np.vstack([pre_matrix(f, g.src).a, post_matrix(g, f.tgt).a])
+    rhs = np.array(stable_coords(a) + stable_coords(b), dtype=np.int64)
+    return solve_affine(FpMatrix(f.src.ring.p, mat), rhs)
 
 
 def classes_from_affine(space: StableHomSpace, sols: AffineSpace,
@@ -317,16 +314,13 @@ def counit_iso(M: RModule) -> RMap:
     """
     SM = sigma_ob(M)
     OSM = omega_ob(SM)
-    space = stable_hom(OSM, M)
-    tgt_space = stable_hom(SM, sigma_ob(OSM))
-    u = unit_iso(SM)
-    cols = [tgt_space.stable_coords(sigma_map(c) @ u)
-            for c in space.quotient_basis_maps()]
-    idc = np.array(stable_hom(SM, SM).stable_coords(identity_map(SM)), dtype=np.int64)
-    # target of the identity lives in T(SM, SM); transport along sigma_ob(OSM)=SM
+    # Sigma(c) . unit_{SM} lands in T(SM, Sigma OSM), which is T(SM, SM)
     if sigma_ob(OSM) != SM:
         raise StCatError("sigma omega sigma does not close up; unexpected")
-    mat = FpMatrix(M.ring.p, np.array(cols, dtype=np.int64).T.reshape(tgt_space.sdim, space.sdim))
+    space, ends = stable_hom(OSM, M), stable_hom(SM, SM)
+    u = unit_iso(SM)
+    mat = space.matrix_to(ends, lambda c: sigma_map(c) @ u)
+    idc = np.array(ends.stable_coords(identity_map(SM)), dtype=np.int64)
     sol = solve_affine(mat, idc)
     if sol is None:
         raise StCatError("no adjoint mate; comparison data inconsistent")
@@ -349,17 +343,10 @@ def sigma_omega_comparison(A: RModule, k: int) -> RMap:
 
 def stable_inverse(f: RMap) -> RMap | None:
     """A two-sided stable inverse of f, or None when f is not invertible."""
-    A, B = f.src, f.tgt
-    S = stable_hom(B, A)
-    m1 = pre_matrix(f, A)    # g -> g . f   in T(A, A)
-    m2 = post_matrix(f, B)   # g -> f . g   in T(B, B)
-    idA = np.array(stable_hom(A, A).stable_coords(identity_map(A)), dtype=np.int64)
-    idB = np.array(stable_hom(B, B).stable_coords(identity_map(B)), dtype=np.int64)
-    stacked = FpMatrix(f.src.ring.p, np.vstack([m1.a, m2.a]))
-    sol = solve_affine(stacked, np.concatenate([idA, idB]))
+    sol = solve_pre_post(f, identity_map(f.src), f, identity_map(f.tgt))
     if sol is None:
         return None
-    return S.from_stable_coords(sol.representative)
+    return stable_hom(f.tgt, f.src).from_stable_coords(sol.representative)
 
 
 # ---------------------------------------------------------------------------
@@ -464,19 +451,9 @@ def is_distinguished(t: Triangle, cap: int = 4096) -> bool:
     checks whether some filler is a stable isomorphism.
     """
     ct = cone_triangle(t.f)
-    C = ct.g.tgt
-    Z = t.g.tgt
-    space = stable_hom(C, Z)
-    SX = sigma_ob(t.f.src)
-    p = t.f.src.ring.p
-    m1 = pre_matrix(ct.g, Z)   # phi -> phi . q     in T(Y, Z)
-    m2 = post_matrix(t.h, C)   # phi -> h . phi     in T(C, SX)
-    rhs = np.concatenate([
-        np.array(stable_hom(ct.g.src, Z).stable_coords(t.g), dtype=np.int64),
-        np.array(stable_hom(C, SX).stable_coords(ct.h), dtype=np.int64),
-    ])
-    stacked = FpMatrix(p, np.vstack([m1.a, m2.a]))
-    sols = solve_affine(stacked, rhs)
+    space = stable_hom(ct.g.tgt, t.g.tgt)
+    # fillers phi . q = g and h . phi = iota, with q, iota the cone's maps
+    sols = solve_pre_post(ct.g, t.g, t.h, ct.h)
     if sols is None:
         return False
     for v in enumerate_points(sols, cap):
@@ -572,6 +549,10 @@ class DirectContext:
     def solve_pre(self, f: RMap, target: RMap) -> AffineSpace | None:
         return solve_pre(f, target)
 
+    def solve_pre_post(self, f: RMap, a: RMap, g: RMap, b: RMap) -> AffineSpace | None:
+        """All classes u with u . f = a and g . u = b."""
+        return solve_pre_post(f, a, g, b)
+
     def is_distinguished(self, a: RMap, b: RMap, c: RMap) -> bool:
         return is_distinguished(Triangle(a, b, c))
 
@@ -633,6 +614,9 @@ class OpContext(DirectContext):
 
     def solve_pre(self, f: RMap, target: RMap) -> AffineSpace | None:
         return solve_post(f, target)
+
+    def solve_pre_post(self, f: RMap, a: RMap, g: RMap, b: RMap) -> AffineSpace | None:
+        return solve_pre_post(g, b, f, a)
 
     def is_distinguished(self, a: RMap, b: RMap, c: RMap) -> bool:
         # reversal rule: the underlying triangle, read backwards and

@@ -262,9 +262,7 @@ def _bracket3_ff(ctx, f3, f2, f1, cap) -> BracketSet:
     delta_space = affine_image(joint, FpMatrix(p, sel))
     ident = ctx.unit_inverse(X3)
     amb = ctx.hom(SX0, X3)
-    cols = [amb.stable_coords(ctx.compose(ident, ctx.sigma_map(b)))
-            for b in sp_d.quotient_basis_maps()]
-    L = FpMatrix(p, np.array(cols, dtype=np.int64).T.reshape(amb.sdim, sp_d.sdim))
+    L = sp_d.matrix_to(amb, lambda b: ctx.compose(ident, ctx.sigma_map(b)))
     img = affine_image(delta_space, L)
     elements = frozenset(tuple(int(x) for x in e)
                          for e in enumerate_points(img, cap))
@@ -464,16 +462,8 @@ def _restricted_octahedron(ctx, tA: CtxTriangle, tB: CtxTriangle,
     ZB1 = ctx.tgt(tB.h)
     gamma = ctx.compose(ctx.sigma_map(tA.k), tB.k)
     # alpha: Sigma Z_A -> W with alpha.kA = q.gB and iota.alpha = -Sigma gA
-    m1 = ctx.pre_matrix(tA.k, W)
-    m2 = ctx.post_matrix(iota, SZA)
-    amb1 = ctx.hom(ctx.src(tA.k), W)
-    amb2 = ctx.hom(SZA, ctx.tgt(iota))
-    rhs = np.concatenate([
-        np.array(amb1.stable_coords(ctx.compose(q, tB.g)), dtype=np.int64),
-        np.array(amb2.stable_coords(ctx.negate(ctx.sigma_map(tA.g))),
-                 dtype=np.int64)])
-    p = ctx.src(c).ring.p
-    alpha_sols = solve_affine(FpMatrix(p, np.vstack([m1.a, m2.a])), rhs)
+    alpha_sols = ctx.solve_pre_post(tA.k, ctx.compose(q, tB.g),
+                                    iota, ctx.negate(ctx.sigma_map(tA.g)))
     beta_sols = ctx.solve_pre(q, tB.h)
     if alpha_sols is None or beta_sols is None:
         raise OctahedronError("no octahedron completion for the factorization")

@@ -14,7 +14,7 @@ from stmodcat.adams import (
     pages,
     sparse_check,
 )
-from stmodcat.linalg import in_span
+from stmodcat.linalg import in_span, rref, solve_affine, stack_rows
 from stmodcat.modrep import (
     Ring,
     block_map,
@@ -120,6 +120,31 @@ def test_pages_e2_is_homology_of_e1(res6):
         kdim = g1.dim - (rank(d_out) if d_out is not None else 0)
         idim = rank(d_in) if d_in is not None else 0
         assert g2.dim == kdim - idim, (s, t)
+
+
+def _class_coords_reference(g, coords):
+    """E_r coordinates as first defined: solve in the Z basis, reduce modulo B."""
+    p, zt = g.Z.p, g.Z.transpose()
+    zc = solve_affine(zt, coords).representative
+    rows = [solve_affine(zt, b).representative for b in g.B.a]
+    R, pivots = rref(stack_rows(p, rows, cols=g.Z.rows))
+    for i, pc in enumerate(pivots):
+        zc = (zc - zc[pc] * R.a[i]) % p
+    return tuple(int(x) for j, x in enumerate(zc) if j not in pivots)
+
+
+@pytest.mark.parametrize("p, m, parts", [(2, 4, [2]), (3, 5, [2, 1])])
+def test_class_coords_matches_reference(p, m, parts):
+    # the prop_a1 resolution, and one at odd p with boundaries on E_2 and E_3
+    ring = Ring(p, m)
+    MM = module_from_partition(ring, parts)
+    res = adams_resolution(MM, ProjectiveClass(module_from_partition(ring, [1])), 6)
+    rng = np.random.default_rng(5)
+    for page in pages(res, MM, 3):
+        for g in page.groups.values():
+            mixed = [rng.integers(0, p, size=g.Z.rows) @ g.Z.a % p for _ in range(8)]
+            for v in list(g.Z.a) + list(g.B.a) + mixed:
+                assert g.class_coords(v) == _class_coords_reference(g, v), (page.r, g.s, g.t)
 
 
 def test_page_differentials_square_to_zero(res6):
@@ -312,8 +337,8 @@ def test_kappa_d1_d1_indeterminacy_subgroup(res6):
 
 
 def test_projective_class_normalizes_generator():
-    from stmodcat.linalg import FpMatrix, rank
-    from stmodcat.modrep import RModule, _invert, direct_sum
+    from stmodcat.linalg import FpMatrix, rank, right_inverse
+    from stmodcat.modrep import RModule, direct_sum
 
     # a conjugated copy of k + R generates the same class as k
     rng = np.random.default_rng(3)
@@ -322,7 +347,7 @@ def test_projective_class_normalizes_generator():
         C = FpMatrix(2, rng.integers(0, 2, size=(base.dim, base.dim)))
         if rank(C) == base.dim:
             break
-    G = RModule(R24, C @ base.X @ _invert(C))
+    G = RModule(R24, C @ base.X @ right_inverse(C))
     cls = ProjectiveClass(G)
     assert jordan_type(cls.generator) == (1,)
     assert cls.period == 2

@@ -171,3 +171,21 @@ def test_run_session_api(tmp_path):
     code = run_session(str(SESSIONS / "c3_negative.toda"), stream=out)
     assert code == 0
     assert "{(2)}" in out.getvalue()
+
+
+@pytest.mark.parametrize("commands", [
+    ["sthom k"], ["cone"], ["adams M gen=k len=2", "dr kappa"], ["adams k len=2"],
+    ["bracket fc f f"], ["heller f f"], ["sparse k 0 2"],
+    ["adams M gen=k len=2", "page x"], ["sparse k x 2"], ["adams k gen=k len=x"],
+    ["nbracket [0, f f f"], ["sthom k M extra"],
+])
+def test_malformed_command_is_a_parse_error(tmp_path, capsys, commands):
+    lines = ["ring p=2 m=4", "module k = [1]", "module M = [2]", "module P = [1,3]",
+             "map f: M -> k = mu(1)", "map kappa: P -> M = blocks [[mu(x), 0]]"]
+    lines += commands
+    bad = tmp_path / "bad.toda"
+    bad.write_text("\n".join(lines) + "\n")
+    assert run_session(str(bad)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {len(lines)}: ")
+    assert "Traceback" not in err

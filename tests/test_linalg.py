@@ -11,9 +11,8 @@ from stmodcat.linalg import (
     ModulusMismatch,
     enumerate_points,
     in_span,
-    lift_quotient_coords,
     nullspace,
-    quotient_coords,
+    quotient,
     rank,
     rref,
     solve_affine,
@@ -84,17 +83,18 @@ def test_enumerate_overflow():
 
 
 def test_quotient_coords_examples():
-    sub = stack_rows(2, [[1, 0]])
-    assert quotient_coords(sub, [1, 1]).tolist() == [1]  # class of (0,1)
-    whole = FpMatrix(2, [[1, 0], [0, 1]])
-    assert quotient_coords(whole, [1, 1]).tolist() == []
-    empty = stack_rows(2, [], cols=2)
-    assert quotient_coords(empty, [1, 1]).tolist() == [1, 1]
+    Q, free = quotient(stack_rows(2, [[1, 0]]))
+    assert Q.apply([1, 1]).tolist() == [1] and free == [1]  # class of (0,1)
+    Q, free = quotient(FpMatrix(2, [[1, 0], [0, 1]]))
+    assert Q.apply([1, 1]).tolist() == [] and free == []
+    Q, free = quotient(stack_rows(2, [], cols=2))
+    assert Q.apply([1, 1]).tolist() == [1, 1] and free == [0, 1]
 
 
 def test_quotient_dimension_mismatch():
+    Q, _ = quotient(stack_rows(2, [[1, 0]]))
     with pytest.raises(DimensionMismatch):
-        quotient_coords(stack_rows(2, [[1, 0]]), [1, 1, 0])
+        Q.apply([1, 1, 0])
 
 
 matrix_strategy = st.tuples(
@@ -137,7 +137,8 @@ def test_quotient_coords_separates_exactly(args):
     sub = FpMatrix(p, rng.integers(0, p, size=(m, n)))
     v = rng.integers(0, p, size=n)
     w = rng.integers(0, p, size=n)
-    same = np.array_equal(quotient_coords(sub, v), quotient_coords(sub, w))
+    Q, _ = quotient(sub)
+    same = np.array_equal(Q.apply(v), Q.apply(w))
     assert same == in_span(sub, (v - w) % p)
 
 
@@ -147,9 +148,11 @@ def test_lift_is_section(args):
     p, m, n, seed = args
     rng = np.random.default_rng(seed)
     sub = FpMatrix(p, rng.integers(0, p, size=(m, n)))
-    v = rng.integers(0, p, size=n)
-    c = quotient_coords(sub, v)
-    assert np.array_equal(quotient_coords(sub, lift_quotient_coords(sub, c)), c)
+    Q, free = quotient(sub)
+    c = Q.apply(rng.integers(0, p, size=n))
+    lift = np.zeros(n, dtype=np.int64)
+    lift[free] = c
+    assert np.array_equal(Q.apply(lift), c)
 
 
 def test_rref_is_idempotent_and_deterministic():
@@ -195,6 +198,15 @@ def test_rref_matches_full_width_reference(M):
     ref, ref_pivots = reference_rref(M)
     assert pivots == ref_pivots
     assert np.array_equal(R.a, ref)
+
+
+@given(fp_matrices())
+@settings(max_examples=150, deadline=None)
+def test_quotient_is_the_nullspace_read_off(sub):
+    Q, free = quotient(sub)
+    assert Q == nullspace(sub)
+    assert np.array_equal(Q.a[:, free], np.eye(len(free), dtype=np.int64))
+    assert not ((sub.a @ Q.a.T) % sub.p).any()  # rows of sub map to class 0
 
 
 @given(fp_matrices(max_rows=8))

@@ -71,8 +71,8 @@ def test_jordan_type_invariant_under_conjugation():
                 C = FpMatrix(p, rng.integers(0, p, size=(M.dim, M.dim)))
                 if rank(C) == M.dim:
                     break
-            from stmodcat.modrep import _invert
-            conj = RModule(ring, C @ M.X @ _invert(C))
+            from stmodcat.linalg import right_inverse
+            conj = RModule(ring, C @ M.X @ right_inverse(C))
             assert jordan_type(conj) == jordan_type(M)
 
 
@@ -225,12 +225,12 @@ def test_canonical_form_round_trip():
     ring = R24
     M0, _, _ = direct_sum([module_from_partition(ring, [3]),
                            module_from_partition(ring, [1])])
-    from stmodcat.modrep import _invert
+    from stmodcat.linalg import right_inverse
     while True:
         C = FpMatrix(2, rng.integers(0, 2, size=(M0.dim, M0.dim)))
         if rank(C) == M0.dim:
             break
-    M = RModule(ring, C @ M0.X @ _invert(C))
+    M = RModule(ring, C @ M0.X @ right_inverse(C))
     canon, to_c, from_c = canonical_form(M)
     assert jordan_type(canon) == (3, 1)
     assert (to_c @ from_c).A == identity_map(canon).A
