@@ -27,11 +27,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
+    DimensionMismatch,
     Echelon,
     EnumerationOverflow,
     FpMatrix,
+    as_vector,
     enumerate_points,
-    in_span,
     nullspace,
     quotient,
     rank,
@@ -185,7 +186,7 @@ class AdamsResolution:
         return self.w[s] @ self.p[s + 1]
 
     def triangle(self, s: int) -> Triangle:
-        return Triangle(self.w[s], self.p[s], self.dbar[s], "fiber")
+        return Triangle(self.w[s], self.p[s], self.dbar[s])
 
 
 def adams_resolution(M: RModule, cls: ProjectiveClass,
@@ -252,19 +253,6 @@ class CoupleChart:
             s, t = s + 1, t + 1
         return out
 
-    def alpha_chain_down(self, s: int, t: int, k: int) -> FpMatrix:
-        """Composite alpha^k : D^{s,t} -> D^{s-k,t-k}.
-
-        The couple is one-sided: below stage 0 the tower is extended by
-        identities, so the chain is clamped at stage 0.
-        """
-        p = self.Y.ring.p
-        d0 = self.D_space(s, t).sdim
-        out = FpMatrix.identity(p, d0)
-        for j in range(min(k, s)):
-            out = self.alpha_mat(s - j - 1, t - j - 1) @ out
-        return out
-
 
 @dataclass
 class PageGroup:
@@ -276,22 +264,23 @@ class PageGroup:
     B: FpMatrix      # rows span the boundaries
     dim: int
 
-    def contains(self, coords) -> bool:
-        return in_span(self.Z, np.asarray(coords, dtype=np.int64))
-
     @functools.cached_property
     def _class_map(self) -> tuple[list[int], FpMatrix]:
-        """(zpiv, Q): Z is in RREF, so a cycle v has Z-coordinates v[zpiv] at
-        the pivots of Z, and its class modulo the boundaries is Q v[zpiv]."""
+        """(zpiv, Q): Z is in RREF, so v lies in its row span exactly when
+        v = v[zpiv] Z, and the class of such a cycle modulo the boundaries
+        is Q v[zpiv]."""
         zpiv = [int(np.flatnonzero(row)[0]) for row in self.Z.a]
         return zpiv, quotient(FpMatrix(self.Z.p, self.B.a[:, zpiv]))[0]
 
     def class_coords(self, coords) -> tuple[int, ...]:
         """Coordinates of an E_1 cycle in the E_r subquotient (complement basis)."""
-        v = np.asarray(coords, dtype=np.int64)
-        if not self.contains(v):
-            raise NotACycle("class does not survive to this page")
+        p = self.Z.p
+        v = as_vector(coords, p)
+        if v.shape[0] != self.Z.cols:
+            raise DimensionMismatch("vector length != E_1 dimension")
         zpiv, Q = self._class_map
+        if ((v[zpiv] @ self.Z.a - v) % p).any():
+            raise NotACycle("class does not survive to this page")
         return tuple(int(x) for x in Q.apply(v[zpiv]))
 
 
@@ -300,10 +289,6 @@ class SSPage:
     r: int
     groups: dict
     differentials: dict
-
-    def dim(self, s: int, t: int) -> int:
-        g = self.groups.get((s, t))
-        return g.dim if g else 0
 
 
 def _zr_rows(chart: CoupleChart, s: int, t: int, r: int) -> FpMatrix:
@@ -324,8 +309,10 @@ def _br_rows(chart: CoupleChart, s: int, t: int, r: int) -> FpMatrix:
     E = chart.E_space(s, t)
     if r == 1:
         return FpMatrix.zeros(p, 0, E.sdim)
-    down = chart.alpha_chain_down(s, t, r - 1)
-    ker = nullspace(down)
+    # alpha^{r-1} out of D^{s,t}; below stage 0 the tower is extended by
+    # identities, so the chain stops at stage 0
+    k = min(r - 1, s)
+    ker = nullspace(chart.alpha_chain_into(s - k, t - k, k))
     beta = chart.beta_mat(s, t)
     img = (ker.a @ beta.a.T) % p
     return row_space_basis(FpMatrix(p, img.reshape(ker.rows, E.sdim)))

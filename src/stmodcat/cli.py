@@ -51,7 +51,7 @@ from .stcat import (
     fiber_triangle,
     stable_hom,
 )
-from .toda import BracketError, BracketSet, bracket3, higher_bracket
+from .toda import BracketError, BracketSet, bracket3, higher_bracket, is_jseq
 from .adams import (
     AdamsError,
     ProjectiveClass,
@@ -112,13 +112,13 @@ def _parse_cell_grid(text: str, lineno: int) -> list[list[str]]:
 
 
 class Session:
-    def __init__(self, max_enumerate=4096):
+    def __init__(self):
         self.ring: Ring | None = None
         self.modules: dict[str, RModule] = {}
         self.partitions: dict[str, list[int] | None] = {}
         self.maps: dict[str, RMap] = {}
         self.commands: list[tuple[int, list[str]]] = []
-        self.cap = max_enumerate
+        self.cap = 4096
         self.resolution = None
         self.resolution_target: RModule | None = None
 
@@ -284,8 +284,7 @@ def bracket_labels(bs: BracketSet) -> list[str]:
 
 
 class Report:
-    def __init__(self, session: Session):
-        self.session = session
+    def __init__(self):
         self.lines: list[str] = []
         self.results: list[dict] = []
 
@@ -364,6 +363,9 @@ def run_command(sess: Session, rep: Report, lineno: int, toks: list[str]):
                   "jordan_type": list(jordan_type(obj))})
     elif cmd == "bracket":
         defn = toks[1]
+        if defn not in ("cc", "fc", "ff"):
+            raise SessionError(
+                lineno, f"bracket definition must be cc, fc or ff, got {defn!r}")
         names = toks[2:5]
         f3, f2, f1 = (sess.get_map(lineno, n) for n in names)
         bs = bracket3(f3, f2, f1, defn=defn, cap=cap)
@@ -379,6 +381,12 @@ def run_command(sess: Session, rep: Report, lineno: int, toks: list[str]):
         else:
             jseq = None
             names = toks[1:]
+        if len(names) < 2:
+            raise SessionError(
+                lineno, f"nbracket needs at least two maps, got {len(names)}")
+        if jseq is not None and not is_jseq(jseq, len(names)):
+            raise SessionError(
+                lineno, f"invalid reduction sequence {jseq} for {len(names)} maps")
         maps = [sess.get_map(lineno, n) for n in names]
         bs = higher_bracket(maps, jseq=jseq, cap=cap)
         rep.emit(_bracket_text(f"nbracket {' '.join(names)}", bs),
@@ -535,7 +543,7 @@ def run_session(path: str, as_json=False, max_enumerate=4096,
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    rep = Report(sess)
+    rep = Report()
     for lineno, toks in sess.commands:
         try:
             run_command(sess, rep, lineno, toks)

@@ -16,8 +16,9 @@ Two computation contexts share this machinery: the direct category and
 the opposite category.  `OpContext` subclasses `DirectContext` and
 overrides only the dualised operations (arrows reversed, sigma and
 omega swapped, cone and fiber swapped, pre- and post-composition
-swapped, unit and counit swapped), so bracket code is written once
-against the context interface and read in either category.
+swapped, unit and counit swapped); the one-sided solves are written
+once against those primitives and inherited.  So bracket code is
+written once against the context interface and read in either category.
 
 Memoized constructions go through `modrep.memo`, keyed by the `key` of
 their module and map arguments.
@@ -181,24 +182,6 @@ def pre_matrix(f: RMap, C: RModule) -> FpMatrix:
     return stable_hom(f.tgt, C).matrix_to(stable_hom(f.src, C), lambda u: u @ f)
 
 
-def solve_post(g: RMap, target: RMap) -> AffineSpace | None:
-    """All stable classes u with g . u = target; None when no lift exists."""
-    if target.tgt != g.tgt:
-        raise StCatError("target does not land in the codomain of g")
-    T = stable_hom(target.src, g.tgt)
-    return solve_affine(post_matrix(g, target.src),
-                        np.array(T.stable_coords(target), dtype=np.int64))
-
-
-def solve_pre(f: RMap, target: RMap) -> AffineSpace | None:
-    """All stable classes u with u . f = target; None when no extension exists."""
-    if target.src != f.src:
-        raise StCatError("target does not start at the domain of f")
-    T = stable_hom(f.src, target.tgt)
-    return solve_affine(pre_matrix(f, target.tgt),
-                        np.array(T.stable_coords(target), dtype=np.int64))
-
-
 def solve_pre_post(f: RMap, a: RMap, g: RMap, b: RMap) -> AffineSpace | None:
     """All stable classes u: tgt f -> src g with u . f = a and g . u = b."""
     if not (a.src == f.src and a.tgt == g.src and b.src == f.tgt and b.tgt == g.tgt):
@@ -206,12 +189,6 @@ def solve_pre_post(f: RMap, a: RMap, g: RMap, b: RMap) -> AffineSpace | None:
     mat = np.vstack([pre_matrix(f, g.src).a, post_matrix(g, f.tgt).a])
     rhs = np.array(stable_coords(a) + stable_coords(b), dtype=np.int64)
     return solve_affine(FpMatrix(f.src.ring.p, mat), rhs)
-
-
-def classes_from_affine(space: StableHomSpace, sols: AffineSpace,
-                        cap: int = 4096) -> list[RMap]:
-    """One representative per stable class in an affine solution set."""
-    return [space.from_stable_coords(v) for v in enumerate_points(sols, cap)]
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +304,30 @@ def counit_iso(M: RModule) -> RMap:
     return space.from_stable_coords(sol.representative)
 
 
+def stable_inverse(f: RMap) -> RMap | None:
+    """A two-sided stable inverse of f, or None when f is not invertible."""
+    sol = solve_pre_post(f, identity_map(f.src), f, identity_map(f.tgt))
+    if sol is None:
+        return None
+    return stable_hom(f.tgt, f.src).from_stable_coords(sol.representative)
+
+
+@memo
+def _unit_inverse(A: RModule) -> RMap:
+    inv = stable_inverse(unit_iso(A))
+    if inv is None:
+        raise StCatError("unit comparison is not a stable isomorphism")
+    return inv
+
+
+@memo
+def _counit_inverse(A: RModule) -> RMap:
+    inv = stable_inverse(counit_iso(A))
+    if inv is None:
+        raise StCatError("counit comparison is not a stable isomorphism")
+    return inv
+
+
 def sigma_omega_comparison(A: RModule, k: int) -> RMap:
     """The iterated identification Sigma^k Omega^k A -> A (stable iso)."""
     if k == 0:
@@ -334,19 +335,8 @@ def sigma_omega_comparison(A: RModule, k: int) -> RMap:
     inner = A
     for _ in range(k - 1):
         inner = omega_ob(inner)
-    u = stable_inverse(unit_iso(inner))
-    if u is None:
-        raise StCatError("unit comparison is not invertible")
-    step = susp_map(u, k - 1)
+    step = susp_map(_unit_inverse(inner), k - 1)
     return sigma_omega_comparison(A, k - 1) @ step
-
-
-def stable_inverse(f: RMap) -> RMap | None:
-    """A two-sided stable inverse of f, or None when f is not invertible."""
-    sol = solve_pre_post(f, identity_map(f.src), f, identity_map(f.tgt))
-    if sol is None:
-        return None
-    return stable_hom(f.tgt, f.src).from_stable_coords(sol.representative)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +350,6 @@ class Triangle:
     f: RMap
     g: RMap
     h: RMap
-    provenance: str = "candidate"
 
     def __post_init__(self):
         if self.f.tgt != self.g.src or self.g.tgt != self.h.src:
@@ -391,7 +380,7 @@ def cone_triangle(f: RMap) -> Triangle:
         # then restrict along the reduction section
         h_raw = quotM.A @ projs[1].A @ right_inverse(cd.raw_proj.A)
         h = RMap(C, SM, h_raw @ cd.red_incl.A)
-    return Triangle(f, q, h, "cone")
+    return Triangle(f, q, h)
 
 
 @memo
@@ -419,18 +408,18 @@ def fiber_triangle(f: RMap) -> Triangle:
                                        FpMatrix(M.ring.p, (embK.A.a @ kd.reduction.a) % p),
                                        compose_right=kd.raw_basis)
         d = RMap(N, SK, quotK.A @ phi.A @ right_inverse(e.A))
-    return Triangle(w, f, d, "fiber")
+    return Triangle(w, f, d)
 
 
 def rotate(t: Triangle) -> Triangle:
-    return Triangle(t.g, t.h, -sigma_map(t.f), "rotation")
+    return Triangle(t.g, t.h, -sigma_map(t.f))
 
 
 def rotate_back(t: Triangle) -> Triangle:
     X, _, Z = t.objects
     a = -(counit_iso(X) @ omega_map(t.h))
     c = unit_iso(Z) @ t.g
-    return Triangle(a, t.f, c, "rotation")
+    return Triangle(a, t.f, c)
 
 
 def rotate_steps(t: Triangle, steps: int) -> Triangle:
@@ -465,22 +454,6 @@ def is_distinguished(t: Triangle, cap: int = 4096) -> bool:
 
 # ---------------------------------------------------------------------------
 # computation contexts: the category and its opposite
-
-
-@memo
-def _unit_inverse(A: RModule) -> RMap:
-    inv = stable_inverse(unit_iso(A))
-    if inv is None:
-        raise StCatError("unit comparison is not a stable isomorphism")
-    return inv
-
-
-@memo
-def _counit_inverse(A: RModule) -> RMap:
-    inv = stable_inverse(counit_iso(A))
-    if inv is None:
-        raise StCatError("counit comparison is not a stable isomorphism")
-    return inv
 
 
 class DirectContext:
@@ -544,10 +517,20 @@ class DirectContext:
         return pre_matrix(f, C)
 
     def solve_post(self, g: RMap, target: RMap) -> AffineSpace | None:
-        return solve_post(g, target)
+        """All classes u with g . u = target; None when no lift exists."""
+        if self.tgt(target) != self.tgt(g):
+            raise StCatError("target does not land in the codomain of g")
+        A = self.src(target)
+        coords = self.hom(A, self.tgt(g)).stable_coords(target)
+        return solve_affine(self.post_matrix(g, A), np.array(coords, dtype=np.int64))
 
     def solve_pre(self, f: RMap, target: RMap) -> AffineSpace | None:
-        return solve_pre(f, target)
+        """All classes u with u . f = target; None when no extension exists."""
+        if self.src(target) != self.src(f):
+            raise StCatError("target does not start at the domain of f")
+        C = self.tgt(target)
+        coords = self.hom(self.src(f), C).stable_coords(target)
+        return solve_affine(self.pre_matrix(f, C), np.array(coords, dtype=np.int64))
 
     def solve_pre_post(self, f: RMap, a: RMap, g: RMap, b: RMap) -> AffineSpace | None:
         """All classes u with u . f = a and g . u = b."""
@@ -558,7 +541,9 @@ class DirectContext:
 
     def classes(self, A: RModule, B: RModule, sols: AffineSpace,
                 cap: int = 4096) -> list[RMap]:
-        return classes_from_affine(self.hom(A, B), sols, cap)
+        """One representative per stable class in an affine solution set."""
+        space = self.hom(A, B)
+        return [space.from_stable_coords(v) for v in enumerate_points(sols, cap)]
 
     def make(self, A: RModule, B: RModule, coords) -> RMap:
         return self.hom(A, B).from_stable_coords(coords)
@@ -608,12 +593,6 @@ class OpContext(DirectContext):
 
     def pre_matrix(self, f: RMap, C: RModule) -> FpMatrix:
         return post_matrix(f, C)
-
-    def solve_post(self, g: RMap, target: RMap) -> AffineSpace | None:
-        return solve_pre(g, target)
-
-    def solve_pre(self, f: RMap, target: RMap) -> AffineSpace | None:
-        return solve_post(f, target)
 
     def solve_pre_post(self, f: RMap, a: RMap, g: RMap, b: RMap) -> AffineSpace | None:
         return solve_pre_post(g, b, f, a)

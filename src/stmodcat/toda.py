@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    AffineSpace,
     EnumerationOverflow,
     FpMatrix,
     affine_image,
@@ -121,11 +120,18 @@ def _empty_reason(alpha_sols, beta_sols) -> str | None:
     return None
 
 
+def _check_pairs(p: int, dim: int, cap: int):
+    """Refuse, before listing either side, p^dim (lift, extension) pairs over cap."""
+    if p ** dim > cap:
+        raise EnumerationOverflow(f"{p ** dim} filler pairs exceed cap {cap}")
+
+
 def toda_family(ctx, f3, f2, f1, cap: int = 4096) -> list[TodaFamilyElement]:
     """All pairs (beta, Sigma alpha) through the canonical cone of f2."""
     C, q, iota, alpha_sols, beta_sols = _family_solutions(ctx, f3, f2, f1)
     if alpha_sols is None or beta_sols is None:
         return []
+    _check_pairs(alpha_sols.p, alpha_sols.dim + beta_sols.dim, cap)
     SX0 = ctx.sigma_ob(ctx.src(f1))
     X3 = ctx.tgt(f3)
     alphas = ctx.classes(SX0, C, alpha_sols, cap)
@@ -186,10 +192,7 @@ def _bracket3_fc(ctx, f3, f2, f1, cap) -> BracketSet:
     if reason:
         return _bracket_from_maps(ctx, SX0, X3, [], reason,
                                   {"defn": "fc"})
-    p = X0.ring.p
-    if p ** (alpha_sols.dim + beta_sols.dim) > cap:
-        raise EnumerationOverflow(
-            f"{p ** (alpha_sols.dim + beta_sols.dim)} filler pairs exceed cap {cap}")
+    _check_pairs(X0.ring.p, alpha_sols.dim + beta_sols.dim, cap)
     alphas = ctx.classes(SX0, C, alpha_sols, cap)
     betas = ctx.classes(C, X3, beta_sols, cap)
     maps = [ctx.compose(b, a) for b in betas for a in alphas]
@@ -197,10 +200,6 @@ def _bracket3_fc(ctx, f3, f2, f1, cap) -> BracketSet:
         ctx, SX0, X3, maps, None,
         {"defn": "fc", "lifts": len(alphas), "extensions": len(betas)},
         indeterminacy_basis(ctx, f3, f2, f1))
-
-
-def _enumerate_coords(sols: AffineSpace, cap: int):
-    return [tuple(int(x) for x in v) for v in enumerate_points(sols, cap)]
 
 
 def _bracket3_cc(ctx, f3, f2, f1, cap) -> BracketSet:
@@ -221,7 +220,8 @@ def _bracket3_cc(ctx, f3, f2, f1, cap) -> BracketSet:
         if psi_sols is None:
             continue
         found_any = True
-        elements.update(_enumerate_coords(psi_sols, cap))
+        elements.update(tuple(int(x) for x in v)
+                        for v in enumerate_points(psi_sols, cap))
     reason = None if found_any else "f3.f2 not stably zero"
     return BracketSet(SX0, X3, ctx.name, frozenset(elements),
                       indeterminacy_basis(ctx, f3, f2, f1),
@@ -309,21 +309,19 @@ def bracket3_restricted(f3, f2, f1, sigma_alpha: RMap | None = None,
     if reason:
         return _bracket_from_maps(ctx, SX0, X3, [], reason,
                                   {"defn": "fc-restricted"})
-    if sigma_alpha is not None:
-        if not ctx.eq(ctx.compose(iota, sigma_alpha),
-                      ctx.negate(ctx.sigma_map(f1))):
-            raise PrescribedMapError(
-                "prescribed lift does not satisfy iota . a = -Sigma f1")
-        alphas = [sigma_alpha]
-    else:
-        alphas = ctx.classes(SX0, C, alpha_sols, cap)
-    if beta is not None:
-        if not ctx.eq(ctx.compose(beta, q), f3):
-            raise PrescribedMapError(
-                "prescribed extension does not satisfy b . q = f3")
-        betas = [beta]
-    else:
-        betas = ctx.classes(C, X3, beta_sols, cap)
+    if sigma_alpha is not None and not ctx.eq(ctx.compose(iota, sigma_alpha),
+                                              ctx.negate(ctx.sigma_map(f1))):
+        raise PrescribedMapError(
+            "prescribed lift does not satisfy iota . a = -Sigma f1")
+    if beta is not None and not ctx.eq(ctx.compose(beta, q), f3):
+        raise PrescribedMapError(
+            "prescribed extension does not satisfy b . q = f3")
+    # only the sides left free are enumerated
+    _check_pairs(X0.ring.p, (alpha_sols.dim if sigma_alpha is None else 0)
+                 + (beta_sols.dim if beta is None else 0), cap)
+    alphas = ([sigma_alpha] if sigma_alpha is not None
+              else ctx.classes(SX0, C, alpha_sols, cap))
+    betas = [beta] if beta is not None else ctx.classes(C, X3, beta_sols, cap)
     maps = [ctx.compose(b, a) for b in betas for a in alphas]
     return _bracket_from_maps(ctx, SX0, X3, maps, None,
                               {"defn": "fc-restricted"})
@@ -333,14 +331,15 @@ def bracket3_restricted(f3, f2, f1, sigma_alpha: RMap | None = None,
 # higher brackets
 
 
-def default_jseq(n: int) -> tuple[int, ...]:
-    return (0,) * (n - 2)
-
-
 def all_jseqs(n: int):
     """All valid reduction sequences (j_1, ..., j_{n-2}) with 0 <= j_i < i."""
     ranges = [range(i) for i in range(1, n - 1)]
     return [tuple(js) for js in itertools.product(*ranges)]
+
+
+def is_jseq(jseq, n: int) -> bool:
+    """Is jseq in all_jseqs(n)?  Decided without listing the (n-2)! sequences."""
+    return len(jseq) == n - 2 and all(0 <= j <= i for i, j in enumerate(jseq))
 
 
 @dataclass
@@ -365,11 +364,8 @@ def higher_bracket(maps, jseq=None, ctx=DIRECT, cap: int = 4096,
     for a, b in zip(maps[1:], maps[:-1]):
         if ctx.tgt(a) != ctx.src(b):
             raise BracketError("maps are not composable")
-    if jseq is None:
-        jseq = default_jseq(n)
-    jseq = tuple(jseq)
-    if len(jseq) != n - 2 or any(not 0 <= j < i + 1
-                                 for i, j in enumerate(jseq)):
+    jseq = (0,) * (n - 2) if jseq is None else tuple(jseq)
+    if not is_jseq(jseq, n):
         raise BracketError(f"invalid reduction sequence {jseq} for n={n}")
     X0, Xn = ctx.src(maps[-1]), ctx.tgt(maps[0])
     Samb = susp_in_ctx(ctx, X0, n - 2)

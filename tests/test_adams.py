@@ -1,7 +1,9 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stmodcat.adams import (
     AdamsError,
@@ -14,7 +16,7 @@ from stmodcat.adams import (
     pages,
     sparse_check,
 )
-from stmodcat.linalg import in_span, rref, solve_affine, stack_rows
+from stmodcat.linalg import DimensionMismatch, in_span, rref, solve_affine, stack_rows
 from stmodcat.modrep import (
     Ring,
     block_map,
@@ -145,6 +147,28 @@ def test_class_coords_matches_reference(p, m, parts):
             mixed = [rng.integers(0, p, size=g.Z.rows) @ g.Z.a % p for _ in range(8)]
             for v in list(g.Z.a) + list(g.B.a) + mixed:
                 assert g.class_coords(v) == _class_coords_reference(g, v), (page.r, g.s, g.t)
+
+
+@functools.cache
+def _prop_a1_groups():
+    return [g for page in pages(adams_resolution(M, GHOST, 6), M, 3)
+            for g in page.groups.values()]
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_class_coords_raises_exactly_off_the_cycles(data):
+    # membership is read off the RREF pivots of Z; it must agree with in_span
+    for g in _prop_a1_groups():
+        v = np.array(data.draw(st.lists(st.integers(0, 1), min_size=g.Z.cols,
+                                        max_size=g.Z.cols)), dtype=np.int64)
+        if in_span(g.Z, v):
+            g.class_coords(v)
+        else:
+            with pytest.raises(NotACycle):
+                g.class_coords(v)
+        with pytest.raises(DimensionMismatch):
+            g.class_coords(np.zeros(g.Z.cols + 1, dtype=np.int64))
 
 
 def test_page_differentials_square_to_zero(res6):

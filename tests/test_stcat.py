@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stmodcat.linalg import FpMatrix, rank, solve_columns
+from stmodcat.linalg import FpMatrix, rank, solve_affine, solve_columns
 from stmodcat.modrep import (
     RMap,
     RModule,
@@ -10,6 +10,7 @@ from stmodcat.modrep import (
     block_map,
     direct_sum,
     free_module,
+    hom_basis,
     identity_map,
     jordan_type,
     module_from_partition,
@@ -28,6 +29,8 @@ from stmodcat.stcat import (
     is_stable_iso,
     is_stably_zero,
     omega_ob,
+    post_matrix,
+    pre_matrix,
     rotate,
     rotate_back,
     sigma_map,
@@ -303,3 +306,45 @@ def test_hom_coords_round_trip(data):
         A = A + ci * b.A.a
     f = RMap(M, N, FpMatrix(ring.p, A))
     assert np.array_equal(S.hom_coords(f), c)
+
+
+def _draw_map(data, A, B) -> RMap:
+    """A random combination of the hom basis, not just a canonical lift."""
+    basis = hom_basis(A, B)
+    c = data.draw(st.lists(st.integers(0, A.ring.p - 1),
+                           min_size=len(basis), max_size=len(basis)))
+    mat = np.zeros((B.dim, A.dim), dtype=np.int64)
+    for ci, b in zip(c, basis):
+        mat = mat + ci * b.A.a
+    return RMap(A, B, FpMatrix(A.ring.p, mat))
+
+
+def _same_solutions(got, want) -> bool:
+    if want is None:
+        return got is None
+    return (got is not None
+            and np.array_equal(got.representative, want.representative)
+            and np.array_equal(got.basis, want.basis))
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_op_one_sided_solves_are_the_dual_direct_solves(data):
+    # OP inherits solve_post/solve_pre from the direct context; they must be
+    # the swapped direct solves, bit for bit, including the None case
+    ring = Ring(data.draw(st.sampled_from([2, 3])), data.draw(st.integers(2, 3)))
+    X, Y, Z = (data.draw(modules(ring)) for _ in range(3))
+    # underlying g: X -> Y; OP.solve_post(g, t) solves u . g = t for u: Y -> Z
+    g = _draw_map(data, X, Y)
+    t = (_draw_map(data, Y, Z) @ g if data.draw(st.booleans())
+         else _draw_map(data, X, Z))
+    want = solve_affine(pre_matrix(g, Z),
+                        np.array(stable_hom(X, Z).stable_coords(t), dtype=np.int64))
+    assert _same_solutions(OP.solve_post(g, t), want)
+    # underlying f: Y -> X; OP.solve_pre(f, t) solves f . u = t for u: Z -> Y
+    f = _draw_map(data, Y, X)
+    t = (f @ _draw_map(data, Z, Y) if data.draw(st.booleans())
+         else _draw_map(data, Z, X))
+    want = solve_affine(post_matrix(f, Z),
+                        np.array(stable_hom(Z, X).stable_coords(t), dtype=np.int64))
+    assert _same_solutions(OP.solve_pre(f, t), want)

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import RINGS, random_module, random_stable_map, random_vanishing_chain
 
-from stmodcat.linalg import FpMatrix, in_span, stack_rows
+from stmodcat.linalg import EnumerationOverflow, FpMatrix, in_span, stack_rows
 from stmodcat.modrep import (
     Ring,
     identity_map,
@@ -32,6 +32,7 @@ from stmodcat.toda import (
     filtered_witness,
     higher_bracket,
     indeterminacy_basis,
+    is_jseq,
     toda_family,
 )
 
@@ -95,6 +96,20 @@ def test_restricted_c3_and_validation():
         bracket3_restricted(MU1, MUX, MU1,
                             sigma_alpha=zero_map(el.sigma_alpha.src,
                                                  el.sigma_alpha.tgt))
+
+
+def test_family_and_restricted_check_the_pair_cap():
+    # f3 = id and f2 = f1 = 0 on R/x^2 + k leave 3^4 lifts and 3^4
+    # extensions: 6561 pairs, refused against a cap of 81 before either
+    # side is listed, as bracket3 refuses them
+    X = module_from_partition(R33, [2, 1])
+    f3, zero = identity_map(X), zero_map(X, X)
+    with pytest.raises(EnumerationOverflow):
+        bracket3(f3, zero, zero, defn="fc", cap=81)
+    with pytest.raises(EnumerationOverflow):
+        toda_family(DIRECT, f3, zero, zero, cap=81)
+    with pytest.raises(EnumerationOverflow):
+        bracket3_restricted(f3, zero, zero, cap=81)
 
 
 def test_restricted_subset_of_full():
@@ -315,6 +330,14 @@ def test_jseq_sign_law_n5_all_six():
 def test_invalid_jseq():
     with pytest.raises(BracketError):
         higher_bracket([MU1, MUX, MU1, MUX][:3], jseq=(1,))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_is_jseq_is_membership_in_all_jseqs(n):
+    valid = set(all_jseqs(n))
+    for length in range(max(n - 3, 0), n):
+        for js in itertools.product(range(-1, n), repeat=length):
+            assert is_jseq(js, n) == (js in valid), js
 
 
 # ---------------------------------------------------------------------------
