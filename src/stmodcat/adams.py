@@ -64,6 +64,7 @@ from .stcat import (
 from .toda import (
     BracketSet,
     CtxTriangle,
+    _composites_after,
     bracket3,
     higher_bracket,
     restricted_higher_bracket,
@@ -522,11 +523,8 @@ def dr_bracket_forms(res: AdamsResolution, Y: RModule, x: RMap, r: int,
             w_elems = frozenset()
         else:
             SB = OP.src(sx)
-            maps = [OP.compose(b, a0)
-                    for a0 in OP.classes(SB, st_last.W, lifts, cap)]
             wbs = BracketSet(SB, OP.tgt(b), "op",
-                             frozenset(OP.hom(SB, OP.tgt(b)).stable_coords(m)
-                                       for m in maps))
+                             _composites_after(OP, b, SB, lifts, cap))
             w_elems = _transport_op_elements(wbs, Y, r - 1)
         equal_w = w_elems == a_set.elements
         # sigma': W_1 -> W_r is minus the composite of the tower maps

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import EnumerationOverflow, FpMatrix, rank
+from .linalg import FpMatrix, rank
 from .modrep import identity_map, module_from_partition
 from .stcat import (
     Triangle,
@@ -23,7 +23,7 @@ from .stcat import (
     post_matrix,
     sigma_ob,
 )
-from .toda import bracket3, bracket3_contains
+from .toda import bracket3_contains
 
 
 @dataclass
@@ -32,7 +32,6 @@ class HellerVerdict:
     exactness_ok: bool
     bracket_ok: bool
     failing_test_object: tuple | None
-    bracket_elements: frozenset
 
     def __bool__(self):
         return self.distinguished
@@ -46,7 +45,11 @@ def _exact_at(into: FpMatrix, out: FpMatrix) -> bool:
 
 
 def heller_check(t: Triangle, cap: int = 4096) -> HellerVerdict:
-    """Apply both recognition conditions to a candidate triangle."""
+    """Apply both recognition conditions to a candidate triangle.
+
+    Bracket membership is decided as a coset test, with nothing
+    enumerated, so `cap` bounds no work here.
+    """
     X, Y, Z = t.objects
     ring = X.ring
     # Sigma^{-1} h, transported through the comparison
@@ -68,14 +71,6 @@ def heller_check(t: Triangle, cap: int = 4096) -> HellerVerdict:
         if not exact:
             break
 
-    bracket_ok = False
-    elements: frozenset = frozenset()
-    if exact:
-        SX = sigma_ob(X)
-        bracket_ok = bracket3_contains(t.h, t.g, t.f, identity_map(SX))
-        try:
-            elements = bracket3(t.h, t.g, t.f, cap=cap).elements
-        except EnumerationOverflow:
-            elements = frozenset()  # evidence only; membership already decided
-    return HellerVerdict(exact and bracket_ok, exact, bracket_ok,
-                         failing, elements)
+    bracket_ok = exact and bracket3_contains(t.h, t.g, t.f,
+                                             identity_map(sigma_ob(X)))
+    return HellerVerdict(exact and bracket_ok, exact, bracket_ok, failing)

@@ -15,6 +15,7 @@ re-reduced for each membership test.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -267,6 +268,30 @@ class AffineSpace:
     def size(self) -> int:
         return self.p ** self.dim
 
+    def generators(self) -> np.ndarray:
+        """The representative over the basis rows."""
+        return np.vstack([self.representative, self.basis])
+
+    def coefficients(self) -> np.ndarray:
+        """Rows (1, c_1, ..., c_d), with (c_1, ..., c_d) running over F_p^d
+        in lexicographic order: point k is row k @ generators() mod p."""
+        d = self.dim
+        c = np.array(list(itertools.product(range(self.p), repeat=d)),
+                     dtype=np.int64).reshape(self.size(), d)
+        return np.hstack([np.ones((self.size(), 1), dtype=np.int64), c])
+
+
+def _affine_space(p: int, representative: np.ndarray,
+                  basis: np.ndarray) -> AffineSpace:
+    """An AffineSpace from arrays already reduced mod p, skipping the rank
+    check: for a basis independent by construction (a kernel basis read
+    off an RREF, or the nonzero rows of one)."""
+    space = object.__new__(AffineSpace)
+    for name, value in (("p", p), ("ambient_dim", representative.shape[0]),
+                        ("representative", representative), ("basis", basis)):
+        object.__setattr__(space, name, value)
+    return space
+
 
 def solve_affine(A: FpMatrix, b) -> AffineSpace | None:
     """Solution set of Ax = b, or None when the system is inconsistent."""
@@ -282,7 +307,7 @@ def solve_affine(A: FpMatrix, b) -> AffineSpace | None:
         rep[pc] = R.a[i, A.cols]
     # pivoting is column by column, so the first A.cols columns of R are rref(A)
     basis, _ = _kernel_from_rref(R.a, pivots, A.cols, A.p)
-    return AffineSpace(A.p, A.cols, rep, basis)
+    return _affine_space(A.p, rep, basis)
 
 
 def enumerate_points(space: AffineSpace, cap: int = 4096) -> list[np.ndarray]:
@@ -291,17 +316,10 @@ def enumerate_points(space: AffineSpace, cap: int = 4096) -> list[np.ndarray]:
     Coefficient tuples (c_1, ..., c_d) run in lexicographic order over
     F_p, so the representative (all zeros) comes first.
     """
-    d = space.dim
-    total = space.p ** d
+    total = space.size()
     if total > cap:
         raise EnumerationOverflow(f"{total} points exceeds cap {cap}")
-    pts = []
-    for idx in np.ndindex(*([space.p] * d)):
-        v = space.representative.copy()
-        for c, row in zip(idx, space.basis):
-            v = (v + c * row) % space.p
-        pts.append(v)
-    return pts
+    return list((space.coefficients() @ space.generators()) % space.p)
 
 
 def affine_image(space: AffineSpace, M: FpMatrix) -> AffineSpace:
@@ -313,7 +331,7 @@ def affine_image(space: AffineSpace, M: FpMatrix) -> AffineSpace:
         dirs = row_space_basis(FpMatrix(space.p, (space.basis @ M.a.T) % space.p))
     else:
         dirs = FpMatrix(space.p, np.zeros((0, M.rows), dtype=np.int64))
-    return AffineSpace(space.p, M.rows, rep, dirs.a)
+    return _affine_space(space.p, rep, dirs.a)
 
 
 def in_span(rows: FpMatrix, v) -> bool:

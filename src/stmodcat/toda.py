@@ -2,8 +2,10 @@
 under arbitrary reduction sequences, restricted brackets, and filtered
 object witnesses.
 
-All computations are exact enumerations of the defining lifting and
-extension problems inside finite stable hom groups, done in a
+All computations are exact: the defining lifting and extension problems
+are solved as affine spaces inside finite stable hom groups, and the
+composites over every pair of solutions are read off bilinearly from the
+generators of the two spaces (`_pair_coords`).  Everything runs in a
 computation context (the category or its opposite), so every bracket
 here can also be evaluated in the opposite category for duality checks.
 
@@ -22,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
+    AffineSpace,
     EnumerationOverflow,
     FpMatrix,
     affine_image,
@@ -128,7 +131,11 @@ def _check_pairs(p: int, dim: int, cap: int):
 
 def toda_family(ctx, f3, f2, f1, cap: int = 4096) -> list[TodaFamilyElement]:
     """All pairs (beta, Sigma alpha) through the canonical cone of f2."""
-    C, q, iota, alpha_sols, beta_sols = _family_solutions(ctx, f3, f2, f1)
+    return _family(ctx, f3, f1, _family_solutions(ctx, f3, f2, f1), cap)
+
+
+def _family(ctx, f3, f1, sols, cap) -> list[TodaFamilyElement]:
+    C, q, iota, alpha_sols, beta_sols = sols
     if alpha_sols is None or beta_sols is None:
         return []
     _check_pairs(alpha_sols.p, alpha_sols.dim + beta_sols.dim, cap)
@@ -138,6 +145,50 @@ def toda_family(ctx, f3, f2, f1, cap: int = 4096) -> list[TodaFamilyElement]:
     betas = ctx.classes(C, X3, beta_sols, cap)
     return [TodaFamilyElement(C, a, b, q, iota)
             for b in betas for a in alphas]
+
+
+def _point(space: AffineSpace, k: int) -> np.ndarray:
+    """Point k of enumerate_points(space)."""
+    return (space.coefficients()[k] @ space.generators()) % space.p
+
+
+def _single(ctx, f) -> AffineSpace:
+    """The 0-dimensional solution space holding the stable class of f alone."""
+    coords = ctx.hom(ctx.src(f), ctx.tgt(f)).stable_coords(f)
+    return AffineSpace(f.src.ring.p, len(coords), np.array(coords, dtype=np.int64),
+                       np.zeros((0, len(coords)), dtype=np.int64))
+
+
+def _pair_coords(ctx, A, C, B, alpha_sols, beta_sols) -> np.ndarray:
+    """Stable coordinates in T(A, B) of every composite b . a, one row per
+    pair, b-major, with a running over alpha_sols in T(A, C) and b over
+    beta_sols in T(C, B), each in enumerate_points order.
+
+    Lifting, composition and stable coordinates are linear mod p and the
+    composite of stable classes does not depend on the lifts, so only the
+    generators of the two spaces are composed: G[k, i] is the composite
+    of beta generator k with alpha generator i, and the pair with
+    coefficient rows w and u has coordinates sum_ki w_k u_i G[k, i].
+    """
+    amb, hom_ac, hom_cb = ctx.hom(A, B), ctx.hom(A, C), ctx.hom(C, B)
+    alphas = [hom_ac.from_stable_coords(v) for v in alpha_sols.generators()]
+    G = np.array([[amb.stable_coords(ctx.compose(hom_cb.from_stable_coords(v), a))
+                   for a in alphas] for v in beta_sols.generators()],
+                 dtype=np.int64).reshape(beta_sols.dim + 1, len(alphas), amb.sdim)
+    out = np.einsum("bk,ai,kis->bas", beta_sols.coefficients(),
+                    alpha_sols.coefficients(), G)
+    return out.reshape(beta_sols.size() * alpha_sols.size(), amb.sdim) % amb.p
+
+
+def _coord_set(rows: np.ndarray) -> frozenset:
+    return frozenset(map(tuple, rows.tolist()))
+
+
+def _composites_after(ctx, b, A, sols, cap) -> frozenset:
+    """Stable coordinates of b . a for every class a: A -> src b in sols."""
+    _check_pairs(sols.p, sols.dim, cap)
+    return _coord_set(_pair_coords(ctx, A, ctx.src(b), ctx.tgt(b), sols,
+                                   _single(ctx, b)))
 
 
 def indeterminacy_basis(ctx, f3, f2, f1) -> tuple:
@@ -156,11 +207,8 @@ def indeterminacy_basis(ctx, f3, f2, f1) -> tuple:
     return tuple(tuple(int(x) for x in r) for r in basis.a)
 
 
-def _bracket_from_maps(ctx, SX0, Xn, maps, reason=None, meta=None,
-                       with_indet=None) -> BracketSet:
-    space = ctx.hom(SX0, Xn)
-    elems = frozenset(space.stable_coords(f) for f in maps)
-    return BracketSet(SX0, Xn, ctx.name, elems, with_indet, reason, meta or {})
+def _empty_bracket(ctx, SX0, Xn, reason, meta) -> BracketSet:
+    return BracketSet(SX0, Xn, ctx.name, frozenset(), None, reason, meta)
 
 
 def bracket3(f3, f2, f1, defn: str = "fc", ctx=DIRECT,
@@ -190,16 +238,13 @@ def _bracket3_fc(ctx, f3, f2, f1, cap) -> BracketSet:
     C, q, iota, alpha_sols, beta_sols = fam
     reason = _empty_reason(alpha_sols, beta_sols)
     if reason:
-        return _bracket_from_maps(ctx, SX0, X3, [], reason,
-                                  {"defn": "fc"})
+        return _empty_bracket(ctx, SX0, X3, reason, {"defn": "fc"})
     _check_pairs(X0.ring.p, alpha_sols.dim + beta_sols.dim, cap)
-    alphas = ctx.classes(SX0, C, alpha_sols, cap)
-    betas = ctx.classes(C, X3, beta_sols, cap)
-    maps = [ctx.compose(b, a) for b in betas for a in alphas]
-    return _bracket_from_maps(
-        ctx, SX0, X3, maps, None,
-        {"defn": "fc", "lifts": len(alphas), "extensions": len(betas)},
-        indeterminacy_basis(ctx, f3, f2, f1))
+    rows = _pair_coords(ctx, SX0, C, X3, alpha_sols, beta_sols)
+    return BracketSet(SX0, X3, ctx.name, _coord_set(rows),
+                      indeterminacy_basis(ctx, f3, f2, f1), None,
+                      {"defn": "fc", "lifts": alpha_sols.size(),
+                       "extensions": beta_sols.size()})
 
 
 def _bracket3_cc(ctx, f3, f2, f1, cap) -> BracketSet:
@@ -208,8 +253,8 @@ def _bracket3_cc(ctx, f3, f2, f1, cap) -> BracketSet:
     C1, q1, iota1 = ctx.cone(f1)
     phi_sols = ctx.solve_pre(q1, f2)
     if phi_sols is None:
-        return _bracket_from_maps(ctx, SX0, X3, [], "f2.f1 not stably zero",
-                                  {"defn": "cc"})
+        return _empty_bracket(ctx, SX0, X3, "f2.f1 not stably zero",
+                              {"defn": "cc"})
     # only the composite f3 . phi matters for the psi-solutions
     comp_space = affine_image(phi_sols, ctx.post_matrix(f3, C1))
     elements: set = set()
@@ -237,8 +282,8 @@ def _bracket3_ff(ctx, f3, f2, f1, cap) -> BracketSet:
     p = X0.ring.p
     gamma_only = ctx.solve_post(v, f2)
     if gamma_only is None:
-        return _bracket_from_maps(ctx, SX0, X3, [], "f3.f2 not stably zero",
-                                  {"defn": "ff"})
+        return _empty_bracket(ctx, SX0, X3, "f3.f2 not stably zero",
+                              {"defn": "ff"})
     # joint system on (gamma, delta): v.gamma = f2 and gamma.f1 = u.delta
     sp_g = ctx.hom(X1, F)
     sp_d = ctx.hom(X0, W)
@@ -253,8 +298,8 @@ def _bracket3_ff(ctx, f3, f2, f1, cap) -> BracketSet:
         np.zeros(m_pre.rows, dtype=np.int64)])
     joint = solve_affine(FpMatrix(p, np.vstack([top, bot])), rhs)
     if joint is None:
-        return _bracket_from_maps(ctx, SX0, X3, [], "f2.f1 not stably zero",
-                                  {"defn": "ff"})
+        return _empty_bracket(ctx, SX0, X3, "f2.f1 not stably zero",
+                              {"defn": "ff"})
     # project onto the delta block, then push through delta -> ident . Sigma delta
     sel = np.hstack([np.zeros((sp_d.sdim, sp_g.sdim), dtype=np.int64),
                      np.eye(sp_d.sdim, dtype=np.int64)]).reshape(
@@ -307,8 +352,7 @@ def bracket3_restricted(f3, f2, f1, sigma_alpha: RMap | None = None,
     C, q, iota, alpha_sols, beta_sols = _family_solutions(ctx, f3, f2, f1)
     reason = _empty_reason(alpha_sols, beta_sols)
     if reason:
-        return _bracket_from_maps(ctx, SX0, X3, [], reason,
-                                  {"defn": "fc-restricted"})
+        return _empty_bracket(ctx, SX0, X3, reason, {"defn": "fc-restricted"})
     if sigma_alpha is not None and not ctx.eq(ctx.compose(iota, sigma_alpha),
                                               ctx.negate(ctx.sigma_map(f1))):
         raise PrescribedMapError(
@@ -316,15 +360,15 @@ def bracket3_restricted(f3, f2, f1, sigma_alpha: RMap | None = None,
     if beta is not None and not ctx.eq(ctx.compose(beta, q), f3):
         raise PrescribedMapError(
             "prescribed extension does not satisfy b . q = f3")
-    # only the sides left free are enumerated
-    _check_pairs(X0.ring.p, (alpha_sols.dim if sigma_alpha is None else 0)
-                 + (beta_sols.dim if beta is None else 0), cap)
-    alphas = ([sigma_alpha] if sigma_alpha is not None
-              else ctx.classes(SX0, C, alpha_sols, cap))
-    betas = [beta] if beta is not None else ctx.classes(C, X3, beta_sols, cap)
-    maps = [ctx.compose(b, a) for b in betas for a in alphas]
-    return _bracket_from_maps(ctx, SX0, X3, maps, None,
-                              {"defn": "fc-restricted"})
+    # a prescribed side is the one point at its stable class
+    if sigma_alpha is not None:
+        alpha_sols = _single(ctx, sigma_alpha)
+    if beta is not None:
+        beta_sols = _single(ctx, beta)
+    _check_pairs(X0.ring.p, alpha_sols.dim + beta_sols.dim, cap)
+    rows = _pair_coords(ctx, SX0, C, X3, alpha_sols, beta_sols)
+    return BracketSet(SX0, X3, ctx.name, _coord_set(rows), None, None,
+                      {"defn": "fc-restricted"})
 
 
 # ---------------------------------------------------------------------------
@@ -369,19 +413,23 @@ def higher_bracket(maps, jseq=None, ctx=DIRECT, cap: int = 4096,
         raise BracketError(f"invalid reduction sequence {jseq} for n={n}")
     X0, Xn = ctx.src(maps[-1]), ctx.tgt(maps[0])
     Samb = susp_in_ctx(ctx, X0, n - 2)
+    if n == 2:
+        c = ctx.hom(Samb, Xn).stable_coords(ctx.compose(*maps))
+        bs = BracketSet(Samb, Xn, ctx.name, frozenset([c]), None, None,
+                        {"n": n, "jseq": jseq, "branches": 1})
+        return (bs, {c: []}) if with_trace else bs
 
     branches = [_Branch(maps, [])]
     reason = None
-    for j in reversed(jseq):
+    # every stage but the last carries each family pair on as a branch
+    for j in reversed(jseq[1:]):
         new_branches: list[_Branch] = []
         for br in branches:
             f3, f2, f1 = br.maps[j], br.maps[j + 1], br.maps[j + 2]
-            fam = toda_family(ctx, f3, f2, f1, cap)
-            if not fam and reason is None:
-                C, q, iota, a_sols, b_sols = _family_solutions(ctx, f3, f2, f1)
-                reason = _empty_reason(a_sols, b_sols) or "empty family"
+            sols = _family_solutions(ctx, f3, f2, f1)
+            reason = reason or _empty_reason(*sols[3:])
             rest = [ctx.sigma_map(g) for g in br.maps[j + 3:]]
-            for el in fam:
+            for el in _family(ctx, f3, f1, sols, cap):
                 new_branches.append(_Branch(
                     br.maps[:j] + [el.beta, el.sigma_alpha] + rest,
                     br.trace + [el]))
@@ -390,18 +438,37 @@ def higher_bracket(maps, jseq=None, ctx=DIRECT, cap: int = 4096,
                 f"{len(new_branches)} bracket branches exceed cap {cap}")
         branches = new_branches
 
-    space = ctx.hom(Samb, Xn)
-    elements = {}
+    # the last stage (j = 0) reads every pair of every branch off
+    # _pair_coords, keeping the first pair giving each element
+    last = []
     for br in branches:
-        g, f = br.maps
-        c = space.stable_coords(ctx.compose(g, f))
-        elements.setdefault(c, br.trace)
-    bs = BracketSet(Samb, Xn, ctx.name, frozenset(elements),
-                    None, None if elements else (reason or "empty"),
-                    {"n": n, "jseq": jseq, "branches": len(branches)})
-    if with_trace:
-        return bs, elements
-    return bs
+        C, q, iota, a, b = sols = _family_solutions(ctx, *br.maps)
+        reason = reason or _empty_reason(a, b)
+        if a is not None and b is not None:
+            _check_pairs(X0.ring.p, a.dim + b.dim, cap)
+            last.append((br, sols))
+    pairs = sum(a.size() * b.size() for _, (_, _, _, a, b) in last)
+    if pairs > cap:
+        raise EnumerationOverflow(f"{pairs} bracket branches exceed cap {cap}")
+    first = {}
+    for br, sols in last:
+        C, q, iota, a, b = sols
+        rows = _pair_coords(ctx, Samb, C, Xn, a, b).tolist()
+        for i, c in enumerate(map(tuple, rows)):
+            if c not in first:
+                first[c] = (br, sols, i)
+    bs = BracketSet(Samb, Xn, ctx.name, frozenset(first), None,
+                    None if first else reason,
+                    {"n": n, "jseq": jseq, "branches": pairs})
+    if not with_trace:
+        return bs
+    traces = {}
+    for c, (br, (C, q, iota, a, b), i) in first.items():
+        bi, ai = divmod(i, a.size())
+        traces[c] = br.trace + [TodaFamilyElement(
+            C, ctx.make(Samb, C, _point(a, ai)), ctx.make(C, Xn, _point(b, bi)),
+            q, iota)]
+    return bs, traces
 
 
 def susp_in_ctx(ctx, M: RModule, k: int) -> RModule:
@@ -488,7 +555,8 @@ def restricted_higher_bracket(triangles, g: RMap, x: RMap, ctx=DIRECT,
     stages: list[RestrictedStage] = []
     if n == 2:
         comp = ctx.compose(g, ctx.compose(triangles[0].h, x))
-        bs = _bracket_from_maps(ctx, B, A, [comp], None, {"n": 2})
+        bs = BracketSet(B, A, ctx.name, frozenset([ctx.hom(B, A).stable_coords(comp)]),
+                        None, None, {"n": 2})
         return (bs, RestrictedTrace(stages)) if with_trace else bs
 
     while True:
@@ -507,11 +575,10 @@ def restricted_higher_bracket(triangles, g: RMap, x: RMap, ctx=DIRECT,
     lift_sols = ctx.solve_post(st.iota, ctx.negate(sx))
     SB = susp_in_ctx(ctx, B, n - 2)
     if lift_sols is None:
-        bs = _bracket_from_maps(ctx, SB, A, [], "x does not lift", {"n": n})
+        bs = _empty_bracket(ctx, SB, A, "x does not lift", {"n": n})
         return (bs, RestrictedTrace(stages)) if with_trace else bs
-    gb = ctx.compose(g, st.beta)
-    maps = [ctx.compose(gb, a) for a in ctx.classes(SB, st.W, lift_sols, cap)]
-    bs = _bracket_from_maps(ctx, SB, A, maps, None, {"n": n})
+    elems = _composites_after(ctx, ctx.compose(g, st.beta), SB, lift_sols, cap)
+    bs = BracketSet(SB, A, ctx.name, elems, None, None, {"n": n})
     return (bs, RestrictedTrace(stages)) if with_trace else bs
 
 

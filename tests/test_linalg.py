@@ -129,6 +129,25 @@ def test_solutions_satisfy_system(args):
         assert np.array_equal(A.apply(v), b)
 
 
+def test_solve_affine_reduces_once(monkeypatch):
+    # the kernel basis comes off the solve's own RREF, independent by
+    # construction, so no second reduction re-checks it
+    import stmodcat.linalg as linalg
+    calls = []
+
+    def counting(M):
+        calls.append(M.a.shape)
+        return rref(M)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    A = FpMatrix(3, [[1, 2, 0, 1], [2, 1, 1, 0]])
+    s = solve_affine(A, [1, 2])
+    assert len(calls) == 1 and s.dim == 2
+    checked = AffineSpace(3, 4, s.representative, s.basis)  # passes the public check
+    assert np.array_equal(checked.representative, s.representative)
+    assert np.array_equal(checked.basis, s.basis)
+
+
 @given(matrix_strategy)
 @settings(max_examples=120, deadline=None)
 def test_quotient_coords_separates_exactly(args):
