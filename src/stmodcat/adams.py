@@ -27,18 +27,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
+    AffineSpace,
     DimensionMismatch,
     Echelon,
     EnumerationOverflow,
     FpMatrix,
+    affine_image,
     as_vector,
     enumerate_points,
     nullspace,
+    preimage,
     quotient,
     rank,
     row_space_basis,
-    solve_affine,
-    stack_rows,
 )
 from .modrep import (
     RMap,
@@ -57,6 +58,7 @@ from .stcat import (
     pre_matrix,
     rotate_back,
     sigma_omega_comparison,
+    stable_coords,
     stable_hom,
     susp_map,
     susp_ob,
@@ -293,16 +295,12 @@ class SSPage:
 
 
 def _zr_rows(chart: CoupleChart, s: int, t: int, r: int) -> FpMatrix:
-    p = chart.Y.ring.p
-    E = chart.E_space(s, t)
     if r == 1:
-        return FpMatrix.identity(p, E.sdim)
-    g = chart.gamma_mat(s, t)
-    A = chart.alpha_chain_into(s + 1, t, r - 1)
-    joint = np.hstack([g.a, (-A.a) % p]).reshape(g.rows, g.cols + A.cols)
-    kern = nullspace(FpMatrix(p, joint))
-    proj = kern.a[:, :E.sdim].reshape(kern.rows, E.sdim)
-    return row_space_basis(FpMatrix(p, proj))
+        return FpMatrix.identity(chart.Y.ring.p, chart.E_space(s, t).sdim)
+    # the cycles e with gamma(e) in the image of alpha^{r-1}: Q gamma(e) = 0
+    # for Q the quotient by that image
+    Q = quotient(chart.alpha_chain_into(s + 1, t, r - 1).transpose())[0]
+    return row_space_basis(nullspace(Q @ chart.gamma_mat(s, t)))
 
 
 def _br_rows(chart: CoupleChart, s: int, t: int, r: int) -> FpMatrix:
@@ -347,10 +345,9 @@ def pages(res: AdamsResolution, Y: RModule, r_max: int,
             tgt = groups.get((s + r, t + r - 1))
             if tgt is None:
                 continue
-            cols = []
-            for row in g.Z.a:
-                img = _dr_one_rep(chart, s, t, r, row)
-                cols.append(np.array(tgt.class_coords(img), dtype=np.int64))
+            beta = chart.beta_mat(s + r, t + r - 1)
+            cols = [tgt.class_coords(beta.apply(_chains(chart, s, t, r, z).representative))
+                    for z in g.Z.a]
             mat = (np.array(cols, dtype=np.int64).T.reshape(tgt.dim, g.Z.rows)
                    if cols else np.zeros((tgt.dim, 0), dtype=np.int64))
             diffs[(s, t)] = FpMatrix(Y.ring.p, mat)
@@ -358,29 +355,33 @@ def pages(res: AdamsResolution, Y: RModule, r_max: int,
     return out
 
 
-def _dr_one_rep(chart: CoupleChart, s: int, t: int, r: int,
-                coords) -> np.ndarray:
-    """One representative of d_r applied to an E_1 cycle, as E_1 coords."""
-    p = chart.Y.ring.p
-    g = chart.gamma_mat(s, t).apply(np.asarray(coords, dtype=np.int64))
-    cur = g
+def _chains(chart: CoupleChart, s: int, t: int, r: int, coords,
+            cap: int | None = None) -> AffineSpace:
+    """Every chain of extensions of gamma(x) through the tower maps, x the
+    E_1 cycle at `coords`: the affine space of the chains' last entries
+    in D^{s+r, t+r-1}, one preimage under alpha per stage."""
+    g = chart.gamma_mat(s, t).apply(coords)
+    space = AffineSpace(chart.Y.ring.p, g.shape[0], g,
+                        np.zeros((0, g.shape[0]), dtype=np.int64))
     for j in range(1, r):
-        sol = solve_affine(chart.alpha_mat(s + j, t + j - 1), cur)
-        if sol is None:
-            raise NotACycle(f"extension fails at stage {j}")
-        cur = sol.representative
-    return chart.beta_mat(s + r, t + r - 1).apply(cur)
+        space = preimage(chart.alpha_mat(s + j, t + j - 1), space)
+        if space is None:
+            raise NotACycle(
+                f"x is not a d_{r-1}-cycle: extension fails at stage {j}")
+        if cap is not None and space.size() > cap:
+            raise EnumerationOverflow(f"{space.size()} chains exceed cap {cap}")
+    return space
 
 
 def dr_set(res: AdamsResolution, Y: RModule, x: RMap, r: int,
            s: int = 0, t: int = 0, cap: int = 4096) -> BracketSet:
     """The full set of E_1 representatives of d_r[x].
 
-    x is a representative Sigma^t P_s -> Y.  Enumerates every chain of
-    extensions through the tower maps and pushes out along p_{s+r}; the
-    result is returned with the subgroup spanned by its differences.  A
-    chain that does not extend is dropped; x is a d_{r-1}-cycle exactly
-    when some chain extends through every stage.
+    x is a representative Sigma^t P_s -> Y.  The chains of extensions
+    through the tower maps form one affine space (`_chains`), and d_r[x]
+    is its image under p_{s+r}, returned with that image's direction
+    basis as the indeterminacy.  x is a d_{r-1}-cycle exactly when some
+    chain extends through every stage.
     """
     if s + r >= res.length:  # the pushout needs p_{s+r}
         raise AdamsError("insufficient resolution length for this differential")
@@ -388,35 +389,13 @@ def dr_set(res: AdamsResolution, Y: RModule, x: RMap, r: int,
     E0 = chart.E_space(s, t)
     if x.src != E0.src or x.tgt != Y:
         raise AdamsError("class does not live in the requested E_1 slot")
-    p = Y.ring.p
-    cur = {tuple(int(v) for v in
-                 chart.gamma_mat(s, t).apply(np.array(E0.stable_coords(x),
-                                                      dtype=np.int64)))}
-    for j in range(1, r):
-        alpha = chart.alpha_mat(s + j, t + j - 1)
-        nxt = set()
-        for c in cur:
-            sol = solve_affine(alpha, np.array(c, dtype=np.int64))
-            if sol is not None:
-                nxt.update(tuple(int(y) for y in v)
-                           for v in enumerate_points(sol, cap))
-        if not nxt:
-            raise NotACycle(
-                f"x is not a d_{r-1}-cycle: extension fails at stage {j}")
-        if len(nxt) > cap:
-            raise EnumerationOverflow(f"{len(nxt)} chains exceed cap {cap}")
-        cur = nxt
-    beta = chart.beta_mat(s + r, t + r - 1)
-    elems = frozenset(tuple(int(y) for y in beta.apply(np.array(c, dtype=np.int64)))
-                      for c in cur)
-    base = next(iter(elems))
-    diffs = [np.array(e, dtype=np.int64) - np.array(base, dtype=np.int64)
-             for e in elems]
-    indet = row_space_basis(stack_rows(p, diffs, cols=len(base)))
+    chains = _chains(chart, s, t, r, E0.stable_coords(x), cap)
+    img = affine_image(chains, chart.beta_mat(s + r, t + r - 1))
+    elems = frozenset(tuple(int(y) for y in v) for v in enumerate_points(img, cap))
     Etgt = chart.E_space(s + r, t + r - 1)
     return BracketSet(Etgt.src, Y, "direct", elems,
-                      tuple(tuple(int(v) for v in row) for row in indet.a),
-                      None, {"r": r, "s": s, "t": t, "chains": len(cur)})
+                      tuple(tuple(int(v) for v in row) for row in img.basis),
+                      None, {"r": r, "s": s, "t": t, "chains": chains.size()})
 
 
 # ---------------------------------------------------------------------------
@@ -452,13 +431,7 @@ def op_adams_data(res: AdamsResolution, r: int, s: int, t: int):
 def _transport_op_elements(bs: BracketSet, Y: RModule, k: int) -> frozenset:
     """Carry op-bracket elements (maps into Omega^k Y) to maps into Y."""
     comp = sigma_omega_comparison(Y, k)
-    out = set()
-    space = None
-    for u in bs.rep_maps(OP):
-        v = comp @ susp_map(u, k)
-        space = stable_hom(v.src, v.tgt)
-        out.add(space.stable_coords(v))
-    return frozenset(out)
+    return frozenset(stable_coords(comp @ susp_map(u, k)) for u in bs.rep_maps(OP))
 
 
 @dataclass

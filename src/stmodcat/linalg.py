@@ -334,6 +334,18 @@ def affine_image(space: AffineSpace, M: FpMatrix) -> AffineSpace:
     return _affine_space(space.p, rep, dirs.a)
 
 
+def preimage(M: FpMatrix, space: AffineSpace) -> AffineSpace | None:
+    """{x : M x in space}, or None when M maps nothing into the space.
+
+    M x - rep lies in the span of the basis exactly when its class in the
+    quotient by that span is zero, so this is one solve against Q M.
+    """
+    if M.rows != space.ambient_dim:
+        raise DimensionMismatch("map does not land in the space's ambient")
+    Q = quotient(FpMatrix(space.p, space.basis))[0]
+    return solve_affine(Q @ M, Q.apply(space.representative))
+
+
 def in_span(rows: FpMatrix, v) -> bool:
     """Is v in the row space of `rows`?"""
     v = as_vector(v, rows.p)

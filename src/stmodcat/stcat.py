@@ -196,29 +196,20 @@ def solve_pre_post(f: RMap, a: RMap, g: RMap, b: RMap) -> AffineSpace | None:
 
 
 def _solve_exact_intertwiner(candidates: list[RMap], rhs: FpMatrix,
-                             compose_left=None, compose_right=None) -> RMap:
-    """Pick c_i with sum c_i * L(B_i) = rhs, L a fixed (pre/post) composition."""
-    p = rhs.p
-    cols = []
-    for B in candidates:
-        A = B.A
-        if compose_right is not None:
-            A = A @ compose_right
-        if compose_left is not None:
-            A = compose_left @ A
-        cols.append(A.a.reshape(-1))
-    mat = FpMatrix(p, np.array(cols, dtype=np.int64).T.reshape(-1, len(candidates))
-                   if candidates else np.zeros((rhs.rows * rhs.cols, 0), dtype=np.int64))
-    sol = solve_affine(mat, rhs.a.reshape(-1))
+                             compose_left=None, compose_right=None) -> FpMatrix:
+    """sum c_i B_i for some c with sum c_i L(B_i) = rhs, L a fixed
+    (pre/post) composition; `candidates` is a nonempty hom basis."""
+    H = np.array([B.A.a for B in candidates])  # h x t x s
+    L = H
+    if compose_right is not None:
+        L = L @ compose_right.a
+    if compose_left is not None:
+        L = compose_left.a @ L
+    sol = solve_affine(FpMatrix(rhs.p, L.reshape(len(candidates), -1).T),
+                       rhs.a.reshape(-1))
     if sol is None:
         raise StCatError("no exact intertwiner; construction is inconsistent")
-    out = None
-    for ci, B in zip(sol.representative, candidates):
-        term = B.scale(int(ci))
-        out = term if out is None else out + term
-    if out is None:
-        raise StCatError("empty candidate basis with nonzero target")
-    return out
+    return FpMatrix(rhs.p, np.tensordot(sol.representative, H, axes=1))
 
 
 def sigma_ob(M: RModule) -> RModule:
@@ -238,7 +229,7 @@ def sigma_map(f: RMap) -> RMap:
         return zero_map(SM, SN)
     F = _solve_exact_intertwiner(hom_basis(embM.tgt, embN.tgt),
                                  embN.A @ f.A, compose_right=embM.A)
-    return RMap(SM, SN, quotN.A @ F.A @ right_inverse(quotM.A))
+    return RMap(SM, SN, quotN.A @ F @ right_inverse(quotM.A))
 
 
 @memo
@@ -251,9 +242,8 @@ def omega_map(f: RMap) -> RMap:
     G = _solve_exact_intertwiner(hom_basis(covM.src, covN.src),
                                  f.A @ covM.A, compose_left=covN.A)
     # restrict G to the kernels
-    GB = FpMatrix(f.src.ring.p, (G.A.a @ inclM.A.a) % f.src.ring.p)
     try:
-        return RMap(OM, ON, solve_columns(inclN.A, GB))
+        return RMap(OM, ON, solve_columns(inclN.A, G @ inclM.A))
     except LinAlgError:
         raise StCatError("cover lift does not preserve kernels")
 
@@ -279,7 +269,7 @@ def unit_iso(M: RModule) -> RMap:
         return zero_map(M, SOM)
     E = _solve_exact_intertwiner(hom_basis(cover.src, embO.tgt),
                                  embO.A, compose_right=incl.A)
-    return RMap(M, SOM, quotO.A @ E.A @ right_inverse(cover.A))
+    return RMap(M, SOM, quotO.A @ E @ right_inverse(cover.A))
 
 
 @memo
@@ -407,7 +397,7 @@ def fiber_triangle(f: RMap) -> Triangle:
         phi = _solve_exact_intertwiner(hom_basis(e.src, embK.tgt),
                                        FpMatrix(M.ring.p, (embK.A.a @ kd.reduction.a) % p),
                                        compose_right=kd.raw_basis)
-        d = RMap(N, SK, quotK.A @ phi.A @ right_inverse(e.A))
+        d = RMap(N, SK, quotK.A @ phi @ right_inverse(e.A))
     return Triangle(w, f, d)
 
 

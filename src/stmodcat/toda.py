@@ -26,12 +26,11 @@ import numpy as np
 from .linalg import (
     AffineSpace,
     EnumerationOverflow,
-    FpMatrix,
     affine_image,
     enumerate_points,
     in_span,
+    preimage,
     row_space_basis,
-    solve_affine,
     stack_rows,
 )
 from .modrep import RMap, RModule, zero_module
@@ -255,63 +254,40 @@ def _bracket3_cc(ctx, f3, f2, f1, cap) -> BracketSet:
     if phi_sols is None:
         return _empty_bracket(ctx, SX0, X3, "f2.f1 not stably zero",
                               {"defn": "cc"})
-    # only the composite f3 . phi matters for the psi-solutions
-    comp_space = affine_image(phi_sols, ctx.post_matrix(f3, C1))
-    elements: set = set()
-    found_any = False
-    for e in enumerate_points(comp_space, cap):
-        target = ctx.make(C1, X3, e)
-        psi_sols = ctx.solve_pre(iota1, target)
-        if psi_sols is None:
-            continue
-        found_any = True
-        elements.update(tuple(int(x) for x in v)
-                        for v in enumerate_points(psi_sols, cap))
-    reason = None if found_any else "f3.f2 not stably zero"
-    return BracketSet(SX0, X3, ctx.name, frozenset(elements),
+    # psi . iota1 = f3 . phi for some extension phi of f2; only the
+    # composite f3 . phi matters, so psi runs over one preimage
+    psi_sols = preimage(ctx.pre_matrix(iota1, X3),
+                        affine_image(phi_sols, ctx.post_matrix(f3, C1)))
+    elements = (frozenset() if psi_sols is None
+                else _coord_set(np.array(enumerate_points(psi_sols, cap))))
+    return BracketSet(SX0, X3, ctx.name, elements,
                       indeterminacy_basis(ctx, f3, f2, f1),
-                      None if elements else reason, {"defn": "cc"})
+                      None if elements else "f3.f2 not stably zero",
+                      {"defn": "cc"})
 
 
 def _bracket3_ff(ctx, f3, f2, f1, cap) -> BracketSet:
-    X0, X1 = ctx.src(f1), ctx.tgt(f1)
-    X3 = ctx.tgt(f3)
+    X0, X3 = ctx.src(f1), ctx.tgt(f3)
     SX0 = ctx.sigma_ob(X0)
     W = ctx.sigma_inv_ob(X3)
     F, u, v = ctx.fiber(f3)
-    p = X0.ring.p
-    gamma_only = ctx.solve_post(v, f2)
-    if gamma_only is None:
+    gamma_sols = ctx.solve_post(v, f2)
+    if gamma_sols is None:
         return _empty_bracket(ctx, SX0, X3, "f3.f2 not stably zero",
                               {"defn": "ff"})
-    # joint system on (gamma, delta): v.gamma = f2 and gamma.f1 = u.delta
-    sp_g = ctx.hom(X1, F)
-    sp_d = ctx.hom(X0, W)
-    m_v = ctx.post_matrix(v, X1)
-    m_pre = ctx.pre_matrix(f1, F)
-    m_u = ctx.post_matrix(u, X0)
-    amb_f2 = ctx.hom(X1, ctx.tgt(f2))
-    top = np.hstack([m_v.a, np.zeros((m_v.rows, sp_d.sdim), dtype=np.int64)])
-    bot = np.hstack([m_pre.a, (-m_u.a) % p])
-    rhs = np.concatenate([
-        np.array(amb_f2.stable_coords(f2), dtype=np.int64),
-        np.zeros(m_pre.rows, dtype=np.int64)])
-    joint = solve_affine(FpMatrix(p, np.vstack([top, bot])), rhs)
-    if joint is None:
+    # u . delta = gamma . f1 for some lift gamma of f2 (v . gamma = f2)
+    delta_space = preimage(ctx.post_matrix(u, X0),
+                           affine_image(gamma_sols, ctx.pre_matrix(f1, F)))
+    if delta_space is None:
         return _empty_bracket(ctx, SX0, X3, "f2.f1 not stably zero",
                               {"defn": "ff"})
-    # project onto the delta block, then push through delta -> ident . Sigma delta
-    sel = np.hstack([np.zeros((sp_d.sdim, sp_g.sdim), dtype=np.int64),
-                     np.eye(sp_d.sdim, dtype=np.int64)]).reshape(
-                         sp_d.sdim, sp_g.sdim + sp_d.sdim)
-    delta_space = affine_image(joint, FpMatrix(p, sel))
+    # push through delta -> ident . Sigma delta
     ident = ctx.unit_inverse(X3)
     amb = ctx.hom(SX0, X3)
-    L = sp_d.matrix_to(amb, lambda b: ctx.compose(ident, ctx.sigma_map(b)))
+    L = ctx.hom(X0, W).matrix_to(amb, lambda b: ctx.compose(ident, ctx.sigma_map(b)))
     img = affine_image(delta_space, L)
-    elements = frozenset(tuple(int(x) for x in e)
-                         for e in enumerate_points(img, cap))
-    return BracketSet(SX0, X3, ctx.name, elements,
+    return BracketSet(SX0, X3, ctx.name,
+                      _coord_set(np.array(enumerate_points(img, cap))),
                       indeterminacy_basis(ctx, f3, f2, f1), None,
                       {"defn": "ff"})
 

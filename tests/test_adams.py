@@ -171,6 +171,27 @@ def test_class_coords_raises_exactly_off_the_cycles(data):
             g.class_coords(np.zeros(g.Z.cols + 1, dtype=np.int64))
 
 
+@pytest.mark.parametrize("p, m, parts", [(2, 4, [2]), (3, 5, [2, 1]), (3, 4, [2])])
+def test_page_differentials_match_dr_set(p, m, parts):
+    # pages reads d_r off one chain per Z row, dr_set enumerates them all:
+    # every element of d_r[z] must have the class in that page's column
+    ring = Ring(p, m)
+    MM = module_from_partition(ring, parts)
+    res = adams_resolution(MM, ProjectiveClass(module_from_partition(ring, [1])), 6)
+    rows = 0
+    for page in pages(res, MM, 3)[1:]:
+        r = page.r
+        for (s, t), mat in page.differentials.items():
+            tgt = page.groups[(s + r, t + r - 1)]
+            E = stable_hom(susp_ob(res.P[s], t), MM)
+            for i, z in enumerate(page.groups[(s, t)].Z.a):
+                d = dr_set(res, MM, E.from_stable_coords(z), r, s, t)
+                for e in d.elements:
+                    assert tgt.class_coords(e) == tuple(mat.a[:, i].tolist()), (r, s, t, i)
+                rows += 1
+    assert rows
+
+
 def test_page_differentials_square_to_zero(res6):
     pgs = pages(res6, M, 3)
     for page in pgs:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +14,10 @@ from stmodcat.linalg import (
     enumerate_points,
     in_span,
     nullspace,
+    preimage,
     quotient,
     rank,
+    row_space_basis,
     rref,
     solve_affine,
     stack_rows,
@@ -249,3 +253,58 @@ def test_in_span_matches_rank(rows, data):
                                     min_size=rows.cols, max_size=rows.cols)))
     grown = stack_rows(rows.p, list(rows.a) + [v], cols=rows.cols)
     assert in_span(rows, v) == (rank(grown) == rank(rows))
+
+
+def test_preimage_of_a_point_is_the_solve():
+    A = FpMatrix(3, [[1, 2, 0], [0, 1, 1]])
+    point = AffineSpace(3, 2, [1, 2], np.zeros((0, 2), dtype=np.int64))
+    got, want = preimage(A, point), solve_affine(A, [1, 2])
+    assert np.array_equal(got.representative, want.representative)
+    assert np.array_equal(got.basis, want.basis)
+
+
+def test_preimage_of_the_whole_ambient_is_everything():
+    A = FpMatrix(2, [[1, 1], [0, 1]])
+    whole = AffineSpace(2, 2, [1, 0], np.eye(2, dtype=np.int64))
+    assert preimage(A, whole).dim == 2
+
+
+def test_preimage_inconsistent_is_none():
+    A = FpMatrix(3, [[1, 0], [1, 0]])     # image is the diagonal
+    line = AffineSpace(3, 2, [1, 0], [[1, 1]])
+    assert preimage(A, line) is None
+
+
+def test_preimage_dimension_mismatch():
+    point = AffineSpace(2, 3, [0, 0, 0], np.zeros((0, 3), dtype=np.int64))
+    with pytest.raises(DimensionMismatch):
+        preimage(FpMatrix(2, [[1, 0], [0, 1]]), point)
+
+
+@st.composite
+def preimage_problems(draw):
+    p = draw(st.sampled_from([2, 3]))
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4))
+    entries = st.integers(0, p - 1)
+    M = draw(st.lists(st.lists(entries, min_size=k, max_size=k),
+                      min_size=n, max_size=n))
+    rep = draw(st.lists(entries, min_size=n, max_size=n))
+    dirs = draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=n))
+    basis = row_space_basis(stack_rows(p, dirs, cols=n))
+    return (FpMatrix(p, np.array(M, dtype=np.int64).reshape(n, k)),
+            AffineSpace(p, n, rep, basis.a))
+
+
+@given(preimage_problems())
+@settings(max_examples=150, deadline=None)
+def test_preimage_matches_brute_force(problem):
+    M, space = problem
+    targets = {tuple(v.tolist()) for v in enumerate_points(space)}
+    expected = {x for x in itertools.product(range(M.p), repeat=M.cols)
+                if tuple(M.apply(x).tolist()) in targets}
+    got = preimage(M, space)
+    if got is None:
+        assert not expected
+    else:
+        assert {tuple(v.tolist()) for v in enumerate_points(got)} == expected

@@ -7,6 +7,7 @@ from conftest import RINGS, random_module, random_stable_map, random_vanishing_c
 
 from stmodcat.linalg import EnumerationOverflow, FpMatrix, in_span, stack_rows
 from stmodcat.modrep import (
+    RMap,
     Ring,
     identity_map,
     jordan_type,
@@ -110,6 +111,24 @@ def test_family_and_restricted_check_the_pair_cap():
         toda_family(DIRECT, f3, zero, zero, cap=81)
     with pytest.raises(EnumerationOverflow):
         bracket3_restricted(f3, zero, zero, cap=81)
+
+
+def test_cc_bracket_checks_the_cap():
+    # k+k --[1 1]--> k --0--> k+k --[1 2]--> k over F_3[x]/x^2: the bracket
+    # is all of T(Sigma(k+k), k), 9 elements, and each definition refuses
+    # them against a cap of 8, the iterated cofiber one included
+    R = Ring(3, 2)
+    k, kk = module_from_partition(R, [1]), module_from_partition(R, [1, 1])
+    f1 = RMap(kk, k, FpMatrix(3, [[1, 1]]))
+    f3 = RMap(kk, k, FpMatrix(3, [[1, 2]]))
+    f2 = zero_map(k, kk)
+    for defn in ("cc", "fc", "ff"):
+        with pytest.raises(EnumerationOverflow):
+            bracket3(f3, f2, f1, defn=defn, cap=8)
+    sets = {defn: bracket3(f3, f2, f1, defn=defn).elements
+            for defn in ("cc", "fc", "ff")}
+    assert len(sets["cc"]) == 9
+    assert sets["cc"] == sets["fc"] == sets["ff"]
 
 
 def test_restricted_subset_of_full():
