@@ -91,14 +91,18 @@ def _parse_mu_term(tok: str):
     return coeff, power
 
 
+def _is_int_list(x) -> bool:
+    """A JSON list of integers: no floats, bools or strings."""
+    return isinstance(x, list) and all(type(v) is int for v in x)
+
+
 def _parse_int_grid(text: str, lineno: int):
     try:
         grid = json.loads(text)
     except json.JSONDecodeError as e:
         raise SessionError(lineno, f"bad matrix literal: {e}")
-    if (not isinstance(grid, list) or not grid
-            or not all(isinstance(r, list) for r in grid)):
-        raise SessionError(lineno, "matrix literal must be a list of rows")
+    if not (isinstance(grid, list) and grid and all(map(_is_int_list, grid))):
+        raise SessionError(lineno, "matrix literal must be a list of integer rows")
     return grid
 
 
@@ -146,8 +150,8 @@ class Session:
                 self.partitions[name] = None
             else:
                 parts = json.loads(rhs)
-                if not isinstance(parts, list):
-                    raise SessionError(lineno, "partition must be a list")
+                if not _is_int_list(parts):
+                    raise SessionError(lineno, "partition must be a list of integers")
                 mod = module_from_partition(self.ring, parts)
                 self.partitions[name] = list(parts)
         except SessionError:
@@ -374,8 +378,10 @@ def run_command(sess: Session, rep: Report, lineno: int, toks: list[str]):
     elif cmd == "nbracket":
         if toks[1].startswith("["):
             try:
-                jseq = [int(j) for j in json.loads(toks[1])]
-            except (ValueError, TypeError):  # JSONDecodeError is a ValueError
+                jseq = json.loads(toks[1])
+            except ValueError:  # JSONDecodeError is a ValueError
+                jseq = None
+            if not _is_int_list(jseq):
                 raise SessionError(lineno, f"bad reduction sequence {toks[1]!r}")
             names = toks[2:]
         else:

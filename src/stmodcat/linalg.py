@@ -39,6 +39,11 @@ class EnumerationOverflow(LinAlgError):
 
 _SMALL_PRIMES = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31}
 
+# Residues are int64.  The widest sums the engine forms add triple products
+# of residues (`toda._pair_coords`); below 2^16 each stays below 2^48, so
+# int64 holds sums of 2^15 of them exactly.
+MAX_MODULUS = 1 << 16
+
 
 def is_prime(p: int) -> bool:
     if p in _SMALL_PRIMES:
@@ -70,8 +75,8 @@ class FpMatrix:
     __slots__ = ("p", "a")
 
     def __init__(self, p: int, entries):
-        if not is_prime(p):
-            raise ModulusMismatch(f"modulus {p} is not prime")
+        if not (p < MAX_MODULUS and is_prime(p)):
+            raise ModulusMismatch(f"modulus {p} is not a prime below {MAX_MODULUS}")
         a = np.asarray(entries, dtype=np.int64)
         if a.ndim == 1:
             a = a.reshape(1, -1)

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    MAX_MODULUS,
     DimensionMismatch,
     Echelon,
     FpMatrix,
@@ -72,8 +73,8 @@ class Ring:
     m: int
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ModRepError(f"{self.p} is not prime")
+        if not (self.p < MAX_MODULUS and is_prime(self.p)):
+            raise ModRepError(f"{self.p} is not a prime below {MAX_MODULUS}")
         if self.m < 1:
             raise ModRepError("truncation exponent must be >= 1")
 

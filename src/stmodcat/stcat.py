@@ -9,8 +9,12 @@ introduces a sign on the suspended map.
 
 Suspension is a strict construction (sigma/omega from modrep), so the
 comparison isomorphisms Sigma Omega = id and Omega Sigma = id are
-stored explicitly (unit and its adjoint mate) and every degree-shifting
-identification routes through them.
+stored explicitly (the unit and the counit, its adjoint mate) and every
+degree-shifting identification routes through them.  These two, Sigma
+and Omega of maps, and the fiber's connecting map are each induced by
+one of two dual steps: extend along a mono and pass to cokernels
+(`_cokernel_map`), or lift through an epi and restrict to kernels
+(`_kernel_map`).
 
 Two computation contexts share this machinery: the direct category and
 the opposite category.  `OpContext` subclasses `DirectContext` and
@@ -114,20 +118,20 @@ class StableHomSpace:
     def __setattr__(self, *args):
         raise AttributeError("StableHomSpace is immutable")
 
-    def hom_coords(self, f) -> np.ndarray:
-        A = f.A if isinstance(f, RMap) else f
-        return self._solve_T.apply(A.a.reshape(-1))
+    def _entries(self, f) -> np.ndarray:
+        """The flat entries of a matrix, or of a map checked to live here."""
+        if isinstance(f, RMap):
+            if not ((f.src is self.src or f.src == self.src)
+                    and (f.tgt is self.tgt or f.tgt == self.tgt)):
+                raise StCatError("map does not live in this hom space")
+            f = f.A
+        return f.a.reshape(-1)
 
-    def _check(self, f: RMap):
-        if not ((f.src is self.src or f.src == self.src)
-                and (f.tgt is self.tgt or f.tgt == self.tgt)):
-            raise StCatError("map does not live in this hom space")
+    def hom_coords(self, f) -> np.ndarray:
+        return self._solve_T.apply(self._entries(f))
 
     def stable_coords(self, f) -> tuple[int, ...]:
-        if isinstance(f, RMap):
-            self._check(f)
-            f = f.A
-        return tuple(int(x) for x in self._stable_T.apply(f.a.reshape(-1)))
+        return tuple(int(x) for x in self._stable_T.apply(self._entries(f)))
 
     def from_stable_coords(self, coords) -> RMap:
         A = (np.asarray(coords, dtype=np.int64) % self.p) @ self._lift
@@ -195,21 +199,38 @@ def solve_pre_post(f: RMap, a: RMap, g: RMap, b: RMap) -> AffineSpace | None:
 # suspension of maps and the comparison isomorphisms
 
 
-def _solve_exact_intertwiner(candidates: list[RMap], rhs: FpMatrix,
-                             compose_left=None, compose_right=None) -> FpMatrix:
-    """sum c_i B_i for some c with sum c_i L(B_i) = rhs, L a fixed
-    (pre/post) composition; `candidates` is a nonempty hom basis."""
-    H = np.array([B.A.a for B in candidates])  # h x t x s
-    L = H
-    if compose_right is not None:
-        L = L @ compose_right.a
-    if compose_left is not None:
-        L = compose_left.a @ L
-    sol = solve_affine(FpMatrix(rhs.p, L.reshape(len(candidates), -1).T),
-                       rhs.a.reshape(-1))
+def _combination(H: np.ndarray, L: np.ndarray, rhs: FpMatrix) -> FpMatrix:
+    """sum c_k H[k] for some c with sum c_k L[k] = rhs: H stacks a hom
+    basis and L its images under a fixed composition."""
+    sol = solve_affine(FpMatrix(rhs.p, L.reshape(len(L), -1).T), rhs.a.reshape(-1))
     if sol is None:
         raise StCatError("no exact intertwiner; construction is inconsistent")
     return FpMatrix(rhs.p, np.tensordot(sol.representative, H, axes=1))
+
+
+def _cokernel_map(i: FpMatrix, rhs: FpMatrix, c: RMap, q: RMap) -> RMap:
+    """The map tgt c -> tgt q induced by q . F, for some F: src c -> src q
+    extending rhs along the mono i (F . i = rhs); c is onto with kernel
+    im i, so the induced map is q . F . c^-1."""
+    if c.tgt.dim == 0 or q.tgt.dim == 0:
+        return zero_map(c.tgt, q.tgt)
+    H = np.array([B.A.a for B in hom_basis(c.src, q.src)])
+    F = _combination(H, H @ i.a, rhs)
+    return RMap(c.tgt, q.tgt, q.A @ F @ right_inverse(c.A))
+
+
+def _kernel_map(c: RMap, rhs: FpMatrix, j: RMap, k: RMap) -> RMap:
+    """The map src j -> src k restricting some G: tgt j -> src c that
+    lifts rhs through the epi c (c . G = rhs); k is the kernel inclusion
+    of c, so G . j lands in its image."""
+    if j.src.dim == 0 or k.src.dim == 0:
+        return zero_map(j.src, k.src)
+    H = np.array([B.A.a for B in hom_basis(j.tgt, c.src)])
+    G = _combination(H, c.A.a @ H, rhs)
+    try:
+        return RMap(j.src, k.src, solve_columns(k.A, G @ j.A))
+    except LinAlgError:
+        raise StCatError("lift does not preserve kernels")
 
 
 def sigma_ob(M: RModule) -> RModule:
@@ -223,29 +244,17 @@ def omega_ob(M: RModule) -> RModule:
 @memo
 def sigma_map(f: RMap) -> RMap:
     """Suspend a map through the chosen injective envelopes."""
-    SM, embM, quotM = sigma(f.src)
-    SN, embN, quotN = sigma(f.tgt)
-    if SM.dim == 0 or SN.dim == 0:
-        return zero_map(SM, SN)
-    F = _solve_exact_intertwiner(hom_basis(embM.tgt, embN.tgt),
-                                 embN.A @ f.A, compose_right=embM.A)
-    return RMap(SM, SN, quotN.A @ F @ right_inverse(quotM.A))
+    _, embM, quotM = sigma(f.src)
+    _, embN, quotN = sigma(f.tgt)
+    return _cokernel_map(embM.A, embN.A @ f.A, quotM, quotN)
 
 
 @memo
 def omega_map(f: RMap) -> RMap:
     """Desuspend a map through the chosen projective covers."""
-    OM, inclM, covM = omega(f.src)
-    ON, inclN, covN = omega(f.tgt)
-    if OM.dim == 0 or ON.dim == 0:
-        return zero_map(OM, ON)
-    G = _solve_exact_intertwiner(hom_basis(covM.src, covN.src),
-                                 f.A @ covM.A, compose_left=covN.A)
-    # restrict G to the kernels
-    try:
-        return RMap(OM, ON, solve_columns(inclN.A, G @ inclM.A))
-    except LinAlgError:
-        raise StCatError("cover lift does not preserve kernels")
+    _, inclM, covM = omega(f.src)
+    _, inclN, covN = omega(f.tgt)
+    return _kernel_map(covN, f.A @ covM.A, inclM, inclN)
 
 
 def susp_ob(M: RModule, n: int) -> RModule:
@@ -264,34 +273,23 @@ def susp_map(f: RMap, n: int) -> RMap:
 def unit_iso(M: RModule) -> RMap:
     """The comparison M -> Sigma Omega M (a stable isomorphism)."""
     OM, incl, cover = omega(M)
-    SOM, embO, quotO = sigma(OM)
-    if M.dim == 0 or SOM.dim == 0:
-        return zero_map(M, SOM)
-    E = _solve_exact_intertwiner(hom_basis(cover.src, embO.tgt),
-                                 embO.A, compose_right=incl.A)
-    return RMap(M, SOM, quotO.A @ E @ right_inverse(cover.A))
+    _, embO, quotO = sigma(OM)
+    return _cokernel_map(incl.A, embO.A, cover, quotO)
 
 
 @memo
 def counit_iso(M: RModule) -> RMap:
-    """The comparison Omega Sigma M -> M: the adjoint mate of the unit.
+    """The comparison Omega Sigma M -> M, built as the unit's dual.
 
-    Defined by the triangle identity Sigma(counit_M) . unit_{Sigma M} =
-    id_{Sigma M} in the stable category, which pins its stable class.
+    Lift the cover of Sigma M through the envelope quotient I(M) -> Sigma M
+    and restrict the lift to Omega Sigma M -> M; the result is the adjoint
+    mate of the unit (Sigma(counit_M) . unit_{Sigma M} = id_{Sigma M}),
+    returned as the canonical representative of its stable class.
     """
-    SM = sigma_ob(M)
-    OSM = omega_ob(SM)
-    # Sigma(c) . unit_{SM} lands in T(SM, Sigma OSM), which is T(SM, SM)
-    if sigma_ob(OSM) != SM:
-        raise StCatError("sigma omega sigma does not close up; unexpected")
-    space, ends = stable_hom(OSM, M), stable_hom(SM, SM)
-    u = unit_iso(SM)
-    mat = space.matrix_to(ends, lambda c: sigma_map(c) @ u)
-    idc = np.array(ends.stable_coords(identity_map(SM)), dtype=np.int64)
-    sol = solve_affine(mat, idc)
-    if sol is None:
-        raise StCatError("no adjoint mate; comparison data inconsistent")
-    return space.from_stable_coords(sol.representative)
+    SM, emb, quot = sigma(M)
+    _, incl, cover = omega(SM)
+    c = _kernel_map(quot, cover.A, incl, emb)
+    return stable_hom(c.src, M).from_stable_coords(stable_coords(c))
 
 
 def stable_inverse(f: RMap) -> RMap | None:
@@ -303,18 +301,11 @@ def stable_inverse(f: RMap) -> RMap | None:
 
 
 @memo
-def _unit_inverse(A: RModule) -> RMap:
-    inv = stable_inverse(unit_iso(A))
+def _comparison_inverse(f: RMap) -> RMap:
+    """The stable inverse of a comparison isomorphism (unit or counit)."""
+    inv = stable_inverse(f)
     if inv is None:
-        raise StCatError("unit comparison is not a stable isomorphism")
-    return inv
-
-
-@memo
-def _counit_inverse(A: RModule) -> RMap:
-    inv = stable_inverse(counit_iso(A))
-    if inv is None:
-        raise StCatError("counit comparison is not a stable isomorphism")
+        raise StCatError("comparison is not a stable isomorphism")
     return inv
 
 
@@ -325,7 +316,7 @@ def sigma_omega_comparison(A: RModule, k: int) -> RMap:
     inner = A
     for _ in range(k - 1):
         inner = omega_ob(inner)
-    step = susp_map(_unit_inverse(inner), k - 1)
+    step = susp_map(_comparison_inverse(unit_iso(inner)), k - 1)
     return sigma_omega_comparison(A, k - 1) @ step
 
 
@@ -388,16 +379,10 @@ def fiber_triangle(f: RMap) -> Triangle:
     kd = KernelData(e)
     K = kd.kernel
     w = pM @ kd.incl
-    SK, embK, quotK = sigma(K)
-    if K.dim == 0 or N.dim == 0:
-        d = zero_map(N, SK)
-    else:
-        # the extension must be pinned on the whole kernel subspace, with the
-        # stripped free part mapped through the reduction
-        phi = _solve_exact_intertwiner(hom_basis(e.src, embK.tgt),
-                                       FpMatrix(M.ring.p, (embK.A.a @ kd.reduction.a) % p),
-                                       compose_right=kd.raw_basis)
-        d = RMap(N, SK, quotK.A @ phi @ right_inverse(e.A))
+    _, embK, quotK = sigma(K)
+    # the extension must be pinned on the whole kernel subspace, with the
+    # stripped free part mapped through the reduction
+    d = _cokernel_map(kd.raw_basis, embK.A @ kd.reduction, e, quotK)
     return Triangle(w, f, d)
 
 
@@ -498,7 +483,7 @@ class DirectContext:
 
     def unit_inverse(self, A: RModule) -> RMap:
         """The identification Sigma(SigmaInv A) -> A."""
-        return _unit_inverse(A)
+        return _comparison_inverse(unit_iso(A))
 
     def post_matrix(self, g: RMap, A: RModule) -> FpMatrix:
         return post_matrix(g, A)
@@ -576,7 +561,7 @@ class OpContext(DirectContext):
         return C, iota, q
 
     def unit_inverse(self, A: RModule) -> RMap:
-        return _counit_inverse(A)
+        return _comparison_inverse(counit_iso(A))
 
     def post_matrix(self, g: RMap, A: RModule) -> FpMatrix:
         return pre_matrix(g, A)

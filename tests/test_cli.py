@@ -191,3 +191,32 @@ def test_malformed_command_is_a_parse_error(tmp_path, capsys, commands):
     err = capsys.readouterr().err
     assert err.startswith(f"error: line {len(lines)}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("line", [
+    "module X = matrix [[2.9]]",                # float entry
+    "module X = matrix [[false]]",              # bool entry
+    'module X = matrix [["0"]]',                # numeric string entry
+    "module X = [1.0]",                         # float part
+    "module X = [true]",                        # bool part
+    'module X = ["1"]',                         # numeric string part
+    "map g: k -> k = matrix [[1.5]]",           # float map entry
+    "nbracket [0.0] f f f",                     # float reduction index
+    "nbracket [false] f f f",                   # bool reduction index
+])
+def test_non_integer_literals_are_parse_errors(tmp_path, capsys, line):
+    lines = ["ring p=2 m=4", "module k = [1]", "module M = [2]",
+             "map f: M -> k = mu(1)", line]
+    bad = tmp_path / "bad.toda"
+    bad.write_text("\n".join(lines) + "\n")
+    assert run_session(str(bad)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {len(lines)}: ")
+    assert "Traceback" not in err
+
+
+def test_modulus_beyond_the_int64_bound_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.toda"
+    bad.write_text("ring p=4294967291 m=2\nmodule k = [1]\n")
+    assert run_session(str(bad)) == 2
+    assert capsys.readouterr().err.startswith("error: line 1: ")

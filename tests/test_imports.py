@@ -1,8 +1,12 @@
-"""Every name a stmodcat module imports is used in that module.
+"""Every name a stmodcat module imports is used in that module, and
+every private module-level definition is referenced somewhere.
 
-`__init__` re-exports the public names, so it is left out.  A name
-counts as used when it is read anywhere in the module, as a bare name or
-as the base of an attribute, annotations included.
+`__init__` re-exports the public names, so it is left out of the import
+check.  A name counts as used when it is read anywhere in the module, as
+a bare name or as the base of an attribute, annotations included.  A
+private function, class or constant counts as referenced when a
+top-level statement other than its own definition, in any engine module,
+names it (as a bare name, an attribute or an imported name).
 """
 
 import ast
@@ -34,3 +38,39 @@ def test_every_import_is_used(module):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(set(_imported(tree)) - used)
     assert not unused, f"{module} imports {unused} without using them"
+
+
+def _private_names(stmt):
+    """The private names a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _referenced(stmt):
+    out = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def test_every_private_definition_is_referenced():
+    stmts = [(path.name, stmt) for path in sorted(SRC.glob("*.py"))
+             for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
+    defined = [(module, name, stmt) for module, stmt in stmts
+               for name in _private_names(stmt)]
+    assert len(defined) > 30  # the walk found the engine's private helpers
+    unreferenced = sorted(
+        f"{module}:{name}" for module, name, own in defined
+        if not any(name in _referenced(stmt) for _, stmt in stmts if stmt is not own))
+    assert not unreferenced, f"private definitions nobody references: {unreferenced}"

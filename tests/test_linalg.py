@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stmodcat.linalg import (
+    MAX_MODULUS,
     AffineSpace,
     DimensionMismatch,
     Echelon,
@@ -29,6 +30,19 @@ def test_modulus_must_be_prime():
         FpMatrix(4, [[1]])
     with pytest.raises(ModulusMismatch):
         FpMatrix(1, [[0]])
+
+
+def test_modulus_is_bounded_so_products_stay_exact():
+    # at p = 4294967291 one int64 dot product of two residues wraps around
+    big = 4294967291
+    with pytest.raises(ModulusMismatch):
+        FpMatrix(big, [[big - 1, big - 1]])
+    p = 65521  # the largest prime below MAX_MODULUS
+    assert p < MAX_MODULUS
+    row = FpMatrix(p, [[p - 1, p - 1]])
+    assert (row @ row.transpose()).a.tolist() == [[2]]
+    with pytest.raises(ModulusMismatch):
+        FpMatrix(65537, [[1]])  # prime, but above the bound
 
 
 def test_entries_reduced():

@@ -276,6 +276,17 @@ def test_stable_coords_rejects_a_map_from_another_hom_space():
     assert stable_hom(k4, k).stable_coords(f) == (1, 1, 1, 1)
 
 
+def test_hom_coords_rejects_a_map_from_another_hom_space():
+    # k^4 -> k has as many entries as an endomorphism of R/x^2
+    R = Ring(2, 3)
+    k4 = module_from_partition(R, [1] * 4)
+    f = RMap(k4, module_from_partition(R, [1]), FpMatrix(2, [[1, 1, 1, 1]]))
+    M = module_from_partition(R, [2])
+    with pytest.raises(StCatError):
+        stable_hom(M, M).hom_coords(f)
+    assert list(stable_hom(k4, f.tgt).hom_coords(f)) == [1, 1, 1, 1]
+
+
 @st.composite
 def modules(draw, ring):
     """A module of dim <= 5, optionally moved off canonical layout by a change of basis."""
@@ -286,10 +297,49 @@ def modules(draw, ring):
         return M
     n, p = M.dim, ring.p
     entries = st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n)
-    L = np.tril(np.array(draw(entries)).reshape(n, n), -1) + np.eye(n, dtype=np.int64)
-    U = np.triu(np.array(draw(entries)).reshape(n, n), 1) + np.eye(n, dtype=np.int64)
-    C = FpMatrix(p, L @ U)  # unit triangular factors, so C is invertible
-    return RModule(ring, C @ M.X @ solve_columns(C, FpMatrix.identity(p, n)))
+    return _change_basis(M, np.array(draw(entries)).reshape(n, n),
+                         np.array(draw(entries)).reshape(n, n))
+
+
+def _change_basis(M: RModule, lower, upper) -> RModule:
+    """M moved off canonical layout by C = L U, with L and U the unit
+    triangular matrices taken from below and above the diagonals of
+    `lower` and `upper`; so C is invertible."""
+    n, p = M.dim, M.ring.p
+    L = np.tril(lower, -1) + np.eye(n, dtype=np.int64)
+    U = np.triu(upper, 1) + np.eye(n, dtype=np.int64)
+    C = FpMatrix(p, L @ U)
+    return RModule(M.ring, C @ M.X @ solve_columns(C, FpMatrix.identity(p, n)))
+
+
+def _adjoint_mate(M: RModule) -> RMap:
+    """The counit by its defining property: the one stable class c in
+    T(Omega Sigma M, M) with Sigma(c) . unit_{Sigma M} = id_{Sigma M},
+    solved for by suspending every basis class."""
+    SM = sigma_ob(M)
+    space, ends = stable_hom(omega_ob(SM), M), stable_hom(SM, SM)
+    u = unit_iso(SM)
+    mat = space.matrix_to(ends, lambda c: sigma_map(c) @ u)
+    sol = solve_affine(mat, np.array(ends.stable_coords(identity_map(SM)), dtype=np.int64))
+    assert sol is not None and sol.dim == 0
+    return space.from_stable_coords(sol.representative)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_counit_is_the_adjoint_mate_of_the_unit(p):
+    # counit_iso is built as the unit's dual; it must be the mate, bit for
+    # bit, in canonical layout and off it (free summands included)
+    rng = np.random.default_rng(p)
+    for m, parts in [(2, [1]), (2, [2, 1]), (3, [2]), (3, [3, 1]), (3, [2, 1, 1]),
+                     (4, [3, 2]), (4, [4, 2, 1]), (5, [4, 3, 1]), (5, [3, 2, 2])]:
+        M = module_from_partition(Ring(p, m), parts)
+        n = M.dim
+        for X in (M, _change_basis(M, rng.integers(0, p, (n, n)),
+                                   rng.integers(0, p, (n, n)))):
+            c = counit_iso(X)
+            assert c == _adjoint_mate(X)
+            SX = sigma_ob(X)
+            assert stably_equal(sigma_map(c) @ unit_iso(SX), identity_map(SX))
 
 
 @given(st.data())
