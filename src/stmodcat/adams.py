@@ -215,6 +215,14 @@ def adams_resolution(M: RModule, cls: ProjectiveClass,
 # the exact couple and its pages
 
 
+def _connecting_map(res: AdamsResolution, s: int, t: int) -> RMap:
+    """(-1)^t Sigma^t dbar_s: the connecting map of the t-th suspension of
+    stage s's triangle, since suspending a distinguished triangle negates
+    its connecting map."""
+    sd = susp_map(res.dbar[s], t)
+    return -sd if t % 2 else sd
+
+
 class CoupleChart:
     """Cached groups and structure maps of the exact couple for T(-, Y)."""
 
@@ -237,14 +245,8 @@ class CoupleChart:
         return pre_matrix(susp_map(self.res.p[s], t), self.Y)
 
     def alpha_mat(self, s: int, t: int) -> FpMatrix:
-        """D^{s+1,t+1} -> D^{s,t}: precompose (-1)^t times the suspended dbar_s.
-
-        Suspending a distinguished triangle negates its connecting map, so
-        the t-th suspension of the stage triangle has connecting map
-        (-1)^t Sigma^t dbar_s (the sign `_op_stage_triangle` applies too).
-        """
-        mat = pre_matrix(susp_map(self.res.dbar[s], t), self.Y)
-        return -mat if t % 2 else mat
+        """D^{s+1,t+1} -> D^{s,t}: precompose the signed connecting map."""
+        return pre_matrix(_connecting_map(self.res, s, t), self.Y)
 
     def alpha_chain_into(self, s1: int, t1: int, k: int) -> FpMatrix:
         """Composite alpha^k : D^{s1+k, t1+k} -> D^{s1,t1}."""
@@ -406,10 +408,7 @@ def _op_stage_triangle(res: AdamsResolution, a: int, level: int) -> CtxTriangle:
     """Stage-a fiber triangle, suspended to `level`, read in the opposite category."""
     sw = susp_map(res.w[a], level)
     sp = susp_map(res.p[a], level)
-    sd = susp_map(res.dbar[a], level)
-    if level % 2 == 1:
-        sd = -sd
-    t = rotate_back(Triangle(sw, sp, sd))
+    t = rotate_back(Triangle(sw, sp, _connecting_map(res, a, level)))
     # op-triangle X_a -> P_a -> X_{a+1} -> Sigma_op X_a at this level
     return CtxTriangle(sp, sw, t.f)
 

@@ -72,23 +72,19 @@ class SessionError(Exception):
         self.lineno = lineno
 
 
-_MU_RE = re.compile(r"^(?:(\d+)\*)?mu\((?:1|x(?:\^(\d+))?)\)$")
+# a JSON integer: ASCII digits only, no '+', digit-group '_' or leading zero
+_INT = r"-?(?:0|[1-9][0-9]*)"
+_MU_RE = re.compile(rf"(?:({_INT})\*)?mu\((1|x(?:\^({_INT}))?)\)")
 
 
 def _parse_mu_term(tok: str):
     """(coeff, power) of a 'c*mu(x^j)' term, or None when it is not one."""
-    m = _MU_RE.match(tok.strip())
+    m = _MU_RE.fullmatch(tok.strip())
     if not m:
         return None
-    coeff = int(m.group(1)) if m.group(1) else 1
-    body = tok[tok.index("(") + 1:-1]
-    if body == "1":
-        power = 0
-    elif m.group(2) is not None:
-        power = int(m.group(2))
-    else:
-        power = 1
-    return coeff, power
+    coeff, body, power = m.groups()
+    return (int(coeff) if coeff else 1,
+            0 if body == "1" else int(power) if power else 1)
 
 
 def _is_int_list(x) -> bool:
@@ -132,9 +128,10 @@ class Session:
         kv = dict(a.split("=", 1) for a in args if "=" in a)
         if set(kv) != {"p", "m"}:
             raise SessionError(lineno, "ring needs p=<prime> m=<int>")
+        p, m = _int_arg(lineno, "p", kv["p"], 2), _int_arg(lineno, "m", kv["m"], 1)
         try:
-            self.ring = Ring(int(kv["p"]), int(kv["m"]))
-        except (ValueError, ModRepError) as e:
+            self.ring = Ring(p, m)
+        except ModRepError as e:
             raise SessionError(lineno, str(e))
 
     def declare_module(self, lineno, name, rhs):
@@ -329,11 +326,10 @@ _ARITY = {"sthom": (2, 2), "cone": (1, 1), "fiber": (1, 1), "bracket": (4, 4),
 
 
 def _int_arg(lineno: int, what: str, tok: str, least: int) -> int:
-    """An integer operand of at least `least`, else a line-numbered error."""
-    try:
-        value = int(tok)
-    except ValueError:
+    """A JSON integer operand of at least `least`, else a line-numbered error."""
+    if not re.fullmatch(_INT, tok):
         raise SessionError(lineno, f"{what} must be an integer, got {tok!r}")
+    value = int(tok)
     if value < least:
         raise SessionError(lineno, f"{what} must be at least {least}, got {value}")
     return value

@@ -2,11 +2,11 @@
 
 A module is a vector space with a nilpotent operator X (the action of
 x); maps are matrices intertwining the operators.  Partitions of block
-sizes classify modules up to isomorphism, so Jordan chain bases drive
-everything structural: isomorphism tests, projective covers (free on
-the chain tops), injective envelopes (each length-l chain embeds in R
-by multiplication by x^{m-l}), and the syzygy operators omega and
-sigma.
+sizes classify modules up to isomorphism, so one Jordan chain basis per
+module (`_jordan_basis`) drives everything structural: the type, the
+canonical and reduced forms, isomorphism tests, projective covers (free
+on the chain tops), injective envelopes (each length-l chain embeds in
+R by multiplication by x^{m-l}), and the syzygy operators omega and sigma.
 
 Kernel and cokernel constructions return modules in reduced canonical
 form (Jordan blocks sorted descending, free blocks stripped) together
@@ -33,7 +33,6 @@ from .linalg import (
     is_prime,
     nullspace,
     quotient,
-    rank,
     right_inverse,
     solve_columns,
 )
@@ -199,19 +198,8 @@ def free_module(ring: Ring, rank_: int) -> RModule:
 
 
 def jordan_type(M: RModule) -> tuple[int, ...]:
-    """Multiset of block sizes, sorted descending, from ranks of powers."""
-    ranks = []
-    P = FpMatrix.identity(M.ring.p, M.dim)
-    for _ in range(M.ring.m + 1):
-        ranks.append(rank(P))
-        P = P @ M.X
-    # blocks of size >= j: rank(X^{j-1}) - rank(X^j); exact size j by differencing
-    ranks.append(ranks[-1])
-    parts = []
-    for j in range(1, M.ring.m + 1):
-        count = (ranks[j - 1] - ranks[j]) - (ranks[j] - ranks[j + 1])
-        parts.extend([j] * count)
-    return tuple(sorted(parts, reverse=True))
+    """Multiset of block sizes, sorted descending: the Jordan chain lengths."""
+    return tuple(len(chain) for chain in jordan_chains(M))
 
 
 def jordan_chains(M: RModule) -> list[list[np.ndarray]]:
@@ -245,17 +233,22 @@ def jordan_chains(M: RModule) -> list[list[np.ndarray]]:
     return chains
 
 
+def _jordan_basis(M: RModule) -> tuple[list[int], FpMatrix, FpMatrix]:
+    """(chain lengths, C, C^-1), C holding the Jordan chain vectors as columns.
+
+    The one place a module's Jordan basis is built: C^-1 takes M to the
+    canonical module of its chain lengths, and C takes it back.
+    """
+    chains = jordan_chains(M)
+    cols = [v for chain in chains for v in chain]
+    C = FpMatrix(M.ring.p, np.array(cols, dtype=np.int64).reshape(M.dim, M.dim).T)
+    return [len(chain) for chain in chains], C, right_inverse(C)
+
+
 def canonical_form(M: RModule) -> tuple[RModule, RMap, RMap]:
     """(canonical module, iso M -> canon, inverse iso)."""
-    chains = jordan_chains(M)
-    parts = [len(c) for c in chains]
+    parts, C, Cinv = _jordan_basis(M)
     canon = module_from_partition(M.ring, parts)
-    if M.dim == 0:
-        z = identity_map(M)
-        return canon, z, z
-    cols = [v for chain in chains for v in chain]
-    C = FpMatrix(M.ring.p, np.array(cols, dtype=np.int64).T)
-    Cinv = right_inverse(C)
     return canon, RMap(M, canon, Cinv), RMap(canon, M, C)
 
 
@@ -265,31 +258,22 @@ def reduce_module(M: RModule) -> tuple[RModule, RMap, RMap]:
     proj . incl is the identity on M_red; incl . proj differs from the
     identity of M by a map through a free module.
     """
-    canon, to_c, from_c = canonical_form(M)
-    parts = jordan_type(canon)
-    kept: list[int] = []
-    off = 0
-    red_parts = []
-    for l in parts:
-        if l < M.ring.m:
-            kept.extend(range(off, off + l))
-            red_parts.append(l)
-        off += l
-    red = module_from_partition(M.ring, red_parts)
-    sel = np.zeros((len(kept), canon.dim), dtype=np.int64)
-    for i, j in enumerate(kept):
-        sel[i, j] = 1
-    proj = RMap(canon, red, FpMatrix(M.ring.p, sel), check=False)
-    incl = RMap(red, canon, FpMatrix(M.ring.p, sel.T), check=False)
-    return red, proj @ to_c, from_c @ incl
+    parts, C, Cinv = _jordan_basis(M)
+    free = parts.count(M.ring.m)  # free chains are the tallest, so they lead
+    red = module_from_partition(M.ring, parts[free:])
+    cut, p = free * M.ring.m, M.ring.p
+    return (red, RMap(M, red, FpMatrix(p, Cinv.a[cut:]), check=False),
+            RMap(red, M, FpMatrix(p, C.a[:, cut:]), check=False))
 
 
 def module_iso(M: RModule, N: RModule) -> RMap | None:
     """An explicit isomorphism M -> N, or None when the types differ."""
-    if M.ring != N.ring or jordan_type(M) != jordan_type(N):
+    if M.ring != N.ring:
         return None
-    _, to_cm, _ = canonical_form(M)
-    _, _, from_cn = canonical_form(N)
+    canon_m, to_cm, _ = canonical_form(M)
+    canon_n, _, from_cn = canonical_form(N)
+    if canon_m != canon_n:
+        return None
     return RMap(M, N, from_cn.A @ to_cm.A)
 
 
@@ -374,7 +358,6 @@ def direct_sum(modules) -> tuple[RModule, list[RMap], list[RMap]]:
     X = np.zeros((n, n), dtype=np.int64)
     off = 0
     incls, projs = [], []
-    S = None
     offs = []
     for M in modules:
         if M.ring != ring:
@@ -413,38 +396,26 @@ def block_map(src_summands, tgt_summands, entries) -> RMap:
 
 def projective_cover(M: RModule) -> tuple[RModule, RMap]:
     """Free cover on the chain tops: P free of rank dim(M/xM), p surjective."""
-    ring = M.ring
+    m = M.ring.m
     chains = jordan_chains(M)
-    P = free_module(ring, len(chains))
+    P = free_module(M.ring, len(chains))
+    # the basis x^j of block i goes to X^j of chain i's top, zero past its end
     A = np.zeros((M.dim, P.dim), dtype=np.int64)
     for i, chain in enumerate(chains):
-        top = chain[0]
-        v = top
-        for jj in range(ring.m):
-            A[:, i * ring.m + jj] = v
-            v = M.X.apply(v)
-    return P, RMap(P, M, FpMatrix(ring.p, A))
+        A[:, i * m:i * m + len(chain)] = np.array(chain, dtype=np.int64).T
+    return P, RMap(P, M, FpMatrix(M.ring.p, A))
 
 
 def injective_envelope(M: RModule) -> tuple[RModule, RMap]:
     """Free hull on the socle: each length-l chain embeds via mu_{x^{m-l}}."""
-    ring = M.ring
-    chains = jordan_chains(M)
-    I = free_module(ring, len(chains))
-    if M.dim == 0:
-        return I, RMap(M, I, FpMatrix.zeros(ring.p, 0, 0), check=False)
+    m = M.ring.m
+    parts, _, Cinv = _jordan_basis(M)
+    I = free_module(M.ring, len(parts))
     # chain vector X^j v of a length-l chain maps to x^{m-l+j} in its block
-    cols = []
-    for i, chain in enumerate(chains):
-        l = len(chain)
-        for jj in range(l):
-            e = np.zeros(I.dim, dtype=np.int64)
-            e[i * ring.m + (ring.m - l + jj)] = 1
-            cols.append(e)
-    E = np.array(cols, dtype=np.int64).T  # chain coords -> I
-    C = np.array([v for chain in chains for v in chain], dtype=np.int64).T
-    A = (E @ right_inverse(FpMatrix(ring.p, C)).a) % ring.p
-    return I, RMap(M, I, FpMatrix(ring.p, A))
+    rows = [i * m + m - l + j for i, l in enumerate(parts) for j in range(l)]
+    A = np.zeros((I.dim, M.dim), dtype=np.int64)
+    A[rows] = Cinv.a
+    return I, RMap(M, I, FpMatrix(M.ring.p, A))
 
 
 class KernelData:

@@ -26,6 +26,7 @@ import numpy as np
 from .linalg import (
     AffineSpace,
     EnumerationOverflow,
+    FpMatrix,
     affine_image,
     enumerate_points,
     in_span,
@@ -191,18 +192,12 @@ def _composites_after(ctx, b, A, sols, cap) -> frozenset:
 
 
 def indeterminacy_basis(ctx, f3, f2, f1) -> tuple:
-    """Basis (rows of stable coordinates) of the indeterminacy subgroup."""
-    X0, X1 = ctx.src(f1), ctx.tgt(f1)
-    X2, X3 = ctx.tgt(f2), ctx.tgt(f3)
-    SX0, SX1 = ctx.sigma_ob(X0), ctx.sigma_ob(X1)
-    amb = ctx.hom(SX0, X3)
-    sf1 = ctx.sigma_map(f1)
-    rows = []
-    for u in ctx.hom(SX0, X2).quotient_basis_maps():
-        rows.append(amb.stable_coords(ctx.compose(f3, u)))
-    for v in ctx.hom(SX1, X3).quotient_basis_maps():
-        rows.append(amb.stable_coords(ctx.compose(v, sf1)))
-    basis = row_space_basis(stack_rows(X0.ring.p, rows, cols=amb.sdim))
+    """Basis (rows of stable coordinates) of the indeterminacy subgroup
+    f3 . T(Sigma X0, X2) + T(Sigma X1, X3) . Sigma f1: the row space of the
+    stacked transposes of the two composition matrices."""
+    post = ctx.post_matrix(f3, ctx.sigma_ob(ctx.src(f1)))
+    pre = ctx.pre_matrix(ctx.sigma_map(f1), ctx.tgt(f3))
+    basis = row_space_basis(FpMatrix(post.p, np.vstack([post.a.T, pre.a.T])))
     return tuple(tuple(int(x) for x in r) for r in basis.a)
 
 

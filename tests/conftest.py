@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
-from stmodcat.modrep import Ring, module_from_partition
-from stmodcat.stcat import DIRECT, stable_hom
+from stmodcat.linalg import FpMatrix, solve_columns
+from stmodcat.modrep import RModule, Ring, module_from_partition
+from stmodcat.stcat import DIRECT, OP, stable_hom
 
 # every property draws the same examples on every run, and none is
 # replayed from a local example database
@@ -62,3 +63,25 @@ def random_vanishing_chain(rng, ring, length, max_dim=6):
         mat = pre_matrix(maps[i - 1], objs[i + 1])
         maps[i] = random_in_kernel(rng, mat, space)
     return list(reversed(maps))  # bracket order: f_length first
+
+
+@st.composite
+def vanishing_triples(draw):
+    """A ring, a seeded vanishing 3-chain, and a context (the chain in its order)."""
+    ring = draw(st.sampled_from(RINGS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    maps = random_vanishing_chain(rng, ring, 3, max_dim=4)
+    if draw(st.booleans()):
+        return OP, list(reversed(maps))
+    return DIRECT, maps
+
+
+def change_basis(M: RModule, lower, upper) -> RModule:
+    """M moved off canonical layout by C = L U, with L and U the unit
+    triangular matrices taken from below and above the diagonals of
+    `lower` and `upper`; so C is invertible."""
+    n, p = M.dim, M.ring.p
+    L = np.tril(lower, -1) + np.eye(n, dtype=np.int64)
+    U = np.triu(upper, 1) + np.eye(n, dtype=np.int64)
+    C = FpMatrix(p, L @ U)
+    return RModule(M.ring, C @ M.X @ solve_columns(C, FpMatrix.identity(p, n)))

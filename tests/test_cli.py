@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from stmodcat.cli import main, run_session
+from stmodcat.cli import main, parse_session, run_session
 
 ROOT = Path(__file__).resolve().parents[1]
 SESSIONS = ROOT / "sessions"
@@ -220,3 +220,38 @@ def test_modulus_beyond_the_int64_bound_is_a_parse_error(tmp_path, capsys):
     bad.write_text("ring p=4294967291 m=2\nmodule k = [1]\n")
     assert run_session(str(bad)) == 2
     assert capsys.readouterr().err.startswith("error: line 1: ")
+
+
+_SESSION = ["ring p=3 m=3", "module k = [1]", "module M = [2]",
+            "map f: M -> k = mu(1)", "adams M gen=k len=3", "page 1"]
+
+
+@pytest.mark.parametrize("lineno,line", [
+    (1, "ring p=1_1 m=2"),                    # digit-group underscore
+    (1, "ring p=+3 m=3"),                     # leading plus sign
+    (1, "ring p=3 m=03"),                     # leading zero
+    (5, "adams M gen=k len=0_2"),             # underscore in an operand
+    (6, "page 0_1"),                          # underscore in an operand
+    (6, "page ٢"),                       # non-ASCII digit operand
+    (4, "map f: M -> k = ٢*mu(1)"),      # non-ASCII mu coefficient
+    (4, "map f: k -> M = mu(x^١)"),      # non-ASCII mu power
+])
+def test_integer_tokens_follow_the_json_grammar(tmp_path, capsys, lineno, line):
+    lines = list(_SESSION)
+    lines[lineno - 1] = line
+    bad = tmp_path / "bad.toda"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run_session(str(bad)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {lineno}: ")
+    assert "Traceback" not in err
+
+
+def test_mu_terms_read_coefficient_and_power(tmp_path, capsys):
+    f = tmp_path / "mu.toda"
+    f.write_text("ring p=3 m=3\nmodule k = [1]\nmodule M = [3]\n"
+                 "map f: k -> M = 2*mu(x^2)\nmap g: M -> k = -1*mu(1)\nsthom k M\n")
+    assert run_session(str(f)) == 0
+    maps = parse_session(str(f)).maps
+    assert maps["f"].A.a.tolist() == [[0], [0], [2]]
+    assert maps["g"].A.a.tolist() == [[2, 0, 0]]  # -1 is 2 mod 3

@@ -3,7 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from stmodcat.linalg import FpMatrix, rank
+from conftest import change_basis
+
+from stmodcat.linalg import FpMatrix, rank, right_inverse
 from stmodcat.modrep import (
     KernelData,
     ModRepError,
@@ -17,6 +19,7 @@ from stmodcat.modrep import (
     hom_basis,
     identity_map,
     injective_envelope,
+    jordan_chains,
     jordan_type,
     module_from_partition,
     module_iso,
@@ -66,13 +69,9 @@ def test_jordan_type_invariant_under_conjugation():
     for p, m in [(2, 4), (3, 3)]:
         ring = Ring(p, m)
         M = module_from_partition(ring, [min(m, 3), 1, 2][: m - 1] or [1])
+        n = M.dim
         for _ in range(10):
-            while True:
-                C = FpMatrix(p, rng.integers(0, p, size=(M.dim, M.dim)))
-                if rank(C) == M.dim:
-                    break
-            from stmodcat.linalg import right_inverse
-            conj = RModule(ring, C @ M.X @ right_inverse(C))
+            conj = change_basis(M, rng.integers(0, p, (n, n)), rng.integers(0, p, (n, n)))
             assert jordan_type(conj) == jordan_type(M)
 
 
@@ -225,12 +224,8 @@ def test_canonical_form_round_trip():
     ring = R24
     M0, _, _ = direct_sum([module_from_partition(ring, [3]),
                            module_from_partition(ring, [1])])
-    from stmodcat.linalg import right_inverse
-    while True:
-        C = FpMatrix(2, rng.integers(0, 2, size=(M0.dim, M0.dim)))
-        if rank(C) == M0.dim:
-            break
-    M = RModule(ring, C @ M0.X @ right_inverse(C))
+    n = M0.dim
+    M = change_basis(M0, rng.integers(0, 2, (n, n)), rng.integers(0, 2, (n, n)))
     canon, to_c, from_c = canonical_form(M)
     assert jordan_type(canon) == (3, 1)
     assert (to_c @ from_c).A == identity_map(canon).A
@@ -292,3 +287,107 @@ def test_stable_hom_dims_closed_form():
                     got = stable_hom(module_from_partition(ring, [a]),
                                      module_from_partition(ring, [b])).sdim
                     assert got == max(0, min(a, b, m - a, m - b)), (p, m, a, b)
+
+
+# Reference algorithms: the type from the ranks of the powers of X, which
+# reads no chain basis, and every structural map through its own canonical
+# form and its own inverse of the chain matrix.
+
+def _ref_jordan_type(M):
+    ranks = []
+    P = FpMatrix.identity(M.ring.p, M.dim)
+    for _ in range(M.ring.m + 1):
+        ranks.append(rank(P))
+        P = P @ M.X
+    ranks.append(ranks[-1])
+    parts = []
+    for j in range(1, M.ring.m + 1):
+        parts.extend([j] * ((ranks[j - 1] - ranks[j]) - (ranks[j] - ranks[j + 1])))
+    return tuple(sorted(parts, reverse=True))
+
+
+def _ref_canonical_form(M):
+    chains = jordan_chains(M)
+    canon = module_from_partition(M.ring, [len(c) for c in chains])
+    if M.dim == 0:
+        return canon, identity_map(M), identity_map(M)
+    C = FpMatrix(M.ring.p, np.array([v for c in chains for v in c], dtype=np.int64).T)
+    return canon, RMap(M, canon, right_inverse(C)), RMap(canon, M, C)
+
+
+def _ref_reduce_module(M):
+    canon, to_c, from_c = _ref_canonical_form(M)
+    kept, red_parts, off = [], [], 0
+    for l in _ref_jordan_type(canon):
+        if l < M.ring.m:
+            kept.extend(range(off, off + l))
+            red_parts.append(l)
+        off += l
+    red = module_from_partition(M.ring, red_parts)
+    sel = np.zeros((len(kept), canon.dim), dtype=np.int64)
+    sel[range(len(kept)), kept] = 1
+    proj = RMap(canon, red, FpMatrix(M.ring.p, sel), check=False)
+    incl = RMap(red, canon, FpMatrix(M.ring.p, sel.T), check=False)
+    return red, proj @ to_c, from_c @ incl
+
+
+def _ref_module_iso(M, N):
+    if M.ring != N.ring or _ref_jordan_type(M) != _ref_jordan_type(N):
+        return None
+    return RMap(M, N, _ref_canonical_form(N)[2].A @ _ref_canonical_form(M)[1].A)
+
+
+def _ref_projective_cover(M):
+    m = M.ring.m
+    chains = jordan_chains(M)
+    P = free_module(M.ring, len(chains))
+    A = np.zeros((M.dim, P.dim), dtype=np.int64)
+    for i, chain in enumerate(chains):
+        v = chain[0]
+        for j in range(m):
+            A[:, i * m + j] = v
+            v = M.X.apply(v)
+    return P, RMap(P, M, FpMatrix(M.ring.p, A))
+
+
+def _ref_injective_envelope(M):
+    m, p = M.ring.m, M.ring.p
+    chains = jordan_chains(M)
+    I = free_module(M.ring, len(chains))
+    if M.dim == 0:
+        return I, RMap(M, I, FpMatrix.zeros(p, 0, 0), check=False)
+    cols = []
+    for i, chain in enumerate(chains):
+        for j in range(len(chain)):
+            e = np.zeros(I.dim, dtype=np.int64)
+            e[i * m + m - len(chain) + j] = 1
+            cols.append(e)
+    E = np.array(cols, dtype=np.int64).T
+    C = FpMatrix(p, np.array([v for c in chains for v in c], dtype=np.int64).T)
+    return I, RMap(M, I, FpMatrix(p, (E @ right_inverse(C).a) % p))
+
+
+def test_jordan_basis_matches_the_reference_algorithms():
+    # every structural construction reads one Jordan basis; each must give
+    # its reference's output bit for bit, on and off canonical layout
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for p in (2, 3, 5):
+        for m in range(1, 6):
+            ring = Ring(p, m)
+            for blocks in range(4):
+                for _ in range(2 if blocks else 1):
+                    M = module_from_partition(ring, rng.integers(1, m + 1, blocks).tolist())
+                    n = M.dim
+                    X, Y = (change_basis(M, rng.integers(0, p, (n, n)),
+                                         rng.integers(0, p, (n, n))) for _ in range(2))
+                    assert module_iso(X, module_from_partition(ring, [1] * (n + 1))) is None
+                    for Z in (M, X):
+                        assert jordan_type(Z) == _ref_jordan_type(Z)
+                        assert canonical_form(Z) == _ref_canonical_form(Z)
+                        assert reduce_module(Z) == _ref_reduce_module(Z)
+                        assert projective_cover(Z) == _ref_projective_cover(Z)
+                        assert injective_envelope(Z) == _ref_injective_envelope(Z)
+                        assert module_iso(Z, Y) == _ref_module_iso(Z, Y)
+                        checked += 1
+    assert checked == 210

@@ -7,9 +7,9 @@ brackets built on it, to the per-pair compose loop it replaced.
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings
 
-from conftest import RINGS, random_vanishing_chain
+from conftest import RINGS, random_vanishing_chain, vanishing_triples
 
 import stmodcat.toda as toda
 from stmodcat.linalg import EnumerationOverflow
@@ -41,17 +41,6 @@ MUX = mu_map(R33, 1, 2, 1)   # k -> M
 ZERO_DIM_SIDES = (DIRECT, [MU1, MUX, MU1])
 # into a free module: T(Sigma M, F) = 0 and T(C, F) = 0
 ZERO_AMBIENT = (DIRECT, [zero_map(M33, F33), MUX, MU1])
-
-
-@st.composite
-def vanishing_triples(draw):
-    """A ring, a seeded vanishing chain as conftest draws one, and a context."""
-    ring = draw(st.sampled_from(RINGS))
-    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    maps = random_vanishing_chain(rng, ring, 3, max_dim=4)
-    if draw(st.booleans()):
-        return OP, list(reversed(maps))
-    return DIRECT, maps
 
 
 def _family_spaces(ctx, f3, f2, f1):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stmodcat.linalg import FpMatrix, rank, solve_affine, solve_columns
+from conftest import change_basis
+
+from stmodcat.linalg import FpMatrix, solve_affine
 from stmodcat.modrep import (
     RMap,
     RModule,
@@ -297,19 +299,8 @@ def modules(draw, ring):
         return M
     n, p = M.dim, ring.p
     entries = st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n)
-    return _change_basis(M, np.array(draw(entries)).reshape(n, n),
-                         np.array(draw(entries)).reshape(n, n))
-
-
-def _change_basis(M: RModule, lower, upper) -> RModule:
-    """M moved off canonical layout by C = L U, with L and U the unit
-    triangular matrices taken from below and above the diagonals of
-    `lower` and `upper`; so C is invertible."""
-    n, p = M.dim, M.ring.p
-    L = np.tril(lower, -1) + np.eye(n, dtype=np.int64)
-    U = np.triu(upper, 1) + np.eye(n, dtype=np.int64)
-    C = FpMatrix(p, L @ U)
-    return RModule(M.ring, C @ M.X @ solve_columns(C, FpMatrix.identity(p, n)))
+    return change_basis(M, np.array(draw(entries)).reshape(n, n),
+                        np.array(draw(entries)).reshape(n, n))
 
 
 def _adjoint_mate(M: RModule) -> RMap:
@@ -334,8 +325,8 @@ def test_counit_is_the_adjoint_mate_of_the_unit(p):
                      (4, [3, 2]), (4, [4, 2, 1]), (5, [4, 3, 1]), (5, [3, 2, 2])]:
         M = module_from_partition(Ring(p, m), parts)
         n = M.dim
-        for X in (M, _change_basis(M, rng.integers(0, p, (n, n)),
-                                   rng.integers(0, p, (n, n)))):
+        for X in (M, change_basis(M, rng.integers(0, p, (n, n)),
+                                  rng.integers(0, p, (n, n)))):
             c = counit_iso(X)
             assert c == _adjoint_mate(X)
             SX = sigma_ob(X)

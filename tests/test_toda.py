@@ -2,8 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
-from conftest import RINGS, random_module, random_stable_map, random_vanishing_chain
+from conftest import (
+    RINGS,
+    random_module,
+    random_stable_map,
+    random_vanishing_chain,
+    vanishing_triples,
+)
 
 from stmodcat.linalg import EnumerationOverflow, FpMatrix, in_span, stack_rows
 from stmodcat.modrep import (
@@ -189,6 +196,30 @@ def test_bracket_is_coset_of_indeterminacy():
         for e in bs.elements:
             diff = (np.array(e) - np.array(base)) % p
             assert in_span(sub, diff)
+
+
+@given(vanishing_triples())
+@settings(max_examples=40, deadline=None)
+def test_definitions_agree_on_a_coset_of_the_indeterminacy(chain):
+    # in both contexts: cc, fc and ff give one bracket with one
+    # indeterminacy I, and a nonempty bracket is the whole coset b0 + I
+    ctx, maps = chain
+    try:
+        sets = [bracket3(*maps, defn=d, ctx=ctx) for d in ("cc", "fc", "ff")]
+    except EnumerationOverflow:
+        assume(False)
+    assert sets[0].elements == sets[1].elements == sets[2].elements
+    bs = sets[1]
+    if bs.is_empty():
+        return
+    assert sets[0].indeterminacy == bs.indeterminacy == sets[2].indeterminacy
+    p = maps[0].src.ring.p
+    b0 = np.array(min(bs.elements), dtype=np.int64)
+    k = len(bs.indeterminacy)
+    indet = np.array(bs.indeterminacy, dtype=np.int64).reshape(k, len(b0))
+    coeffs = np.array(list(itertools.product(range(p), repeat=k)),
+                      dtype=np.int64).reshape(p**k, k)
+    assert bs.elements == {tuple(r) for r in ((b0 + coeffs @ indet) % p).tolist()}
 
 
 def test_juggling_inclusions():
