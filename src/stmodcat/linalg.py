@@ -343,10 +343,13 @@ def preimage(M: FpMatrix, space: AffineSpace) -> AffineSpace | None:
     """{x : M x in space}, or None when M maps nothing into the space.
 
     M x - rep lies in the span of the basis exactly when its class in the
-    quotient by that span is zero, so this is one solve against Q M.
+    quotient by that span is zero, so this is one solve against Q M.  On a
+    point the quotient is the identity, and the solve is M x = rep itself.
     """
     if M.rows != space.ambient_dim:
         raise DimensionMismatch("map does not land in the space's ambient")
+    if not space.dim:
+        return solve_affine(M, space.representative)
     Q = quotient(FpMatrix(space.p, space.basis))[0]
     return solve_affine(Q @ M, Q.apply(space.representative))
 

@@ -5,9 +5,13 @@ object witnesses.
 All computations are exact: the defining lifting and extension problems
 are solved as affine spaces inside finite stable hom groups, and the
 composites over every pair of solutions are read off bilinearly from the
-generators of the two spaces (`_pair_coords`).  Everything runs in a
-computation context (the category or its opposite), so every bracket
-here can also be evaluated in the opposite category for duality checks.
+generators of the two spaces (`_pair_coords`).  The last stage of an
+n-fold bracket is read per group of branches sharing its middle map:
+their differing side is one affine preimage, so a group costs one cone,
+two solves and one `_pair_coords`, however many branches it holds.
+Everything runs in a computation context (the category or its
+opposite), so every bracket here can also be evaluated in the opposite
+category for duality checks.
 
 Conventions: the fiber-cofiber bracket of (f3, f2, f1) collects the
 composites beta . Sigma(alpha) where, for the fixed cone triangle
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +37,8 @@ from .linalg import (
     in_span,
     preimage,
     row_space_basis,
+    rref,
+    solve_affine,
     stack_rows,
 )
 from .modrep import RMap, RModule, zero_module
@@ -147,9 +154,9 @@ def _family(ctx, f3, f1, sols, cap) -> list[TodaFamilyElement]:
             for b in betas for a in alphas]
 
 
-def _point(space: AffineSpace, k: int) -> np.ndarray:
-    """Point k of enumerate_points(space)."""
-    return (space.coefficients()[k] @ space.generators()) % space.p
+def _points(space: AffineSpace) -> np.ndarray:
+    """enumerate_points(space) as rows, uncapped."""
+    return (space.coefficients() @ space.generators()) % space.p
 
 
 def _single(ctx, f) -> AffineSpace:
@@ -363,6 +370,123 @@ class _Branch:
     trace: list         # per-stage (C, q, iota, beta, sigma_alpha)
 
 
+@dataclass(frozen=True)
+class _Varying:
+    """The outer side of a last-stage group that runs over the classes of
+    `space` in T(src, tgt): class a asks its branch's solve for the target
+    L a (a itself when L is None), and `targets` holds those targets."""
+
+    space: AffineSpace
+    src: RModule
+    tgt: RModule
+    L: FpMatrix | None = None
+
+    @cached_property
+    def targets(self) -> AffineSpace:
+        return self.space if self.L is None else affine_image(self.space, self.L)
+
+    def make(self, ctx, k: int) -> RMap:
+        return ctx.make(self.src, self.tgt, _points(self.space)[k])
+
+
+@dataclass(frozen=True)
+class _Group:
+    """The last-stage branches (f3, mid, f1) sharing their middle map.
+
+    One of f3, f1 is a map; the other is `_Varying`, the side the children
+    of family `fam` (the stage before the last; None when n = 3) differ in.
+    `parent` and `k` place the group in the per-branch order: the family's
+    index, and the index of mid in the family's own solution space.
+    """
+
+    parent: int
+    br: _Branch
+    fam: tuple | None
+    k: int
+    f3: RMap | _Varying
+    mid: RMap
+    f1: RMap | _Varying
+
+
+def _family_groups(ctx, parent, j, br, fam, Samb, cap) -> list[_Group]:
+    """The children (beta, sigma_alpha) of branch br through its family
+    fam = (C, q, iota, A, B), grouped by the last stage's middle map."""
+    C, q, iota, A, B = fam
+    X3, SX = ctx.tgt(br.maps[j]), ctx.sigma_ob(ctx.src(br.maps[j + 2]))
+    if j == 0:
+        # children (beta, sigma_alpha, Sigma f1): extensions of every beta at once
+        sf1 = ctx.sigma_map(br.maps[3])
+        return [_Group(parent, br, fam, k, _Varying(B, C, X3), a, sf1)
+                for k, a in enumerate(ctx.classes(SX, C, A, cap))]
+    # children (f4, beta, sigma_alpha): lifts of every -Sigma(sigma_alpha) at once
+    N = ctx.hom(SX, C).matrix_to(ctx.hom(Samb, ctx.sigma_ob(C)),
+                                 lambda u: ctx.negate(ctx.sigma_map(u)))
+    lifts = _Varying(A, SX, C, N)
+    return [_Group(parent, br, fam, k, br.maps[0], b, lifts)
+            for k, b in enumerate(ctx.classes(C, X3, B, cap))]
+
+
+def _last_stage(ctx, grp: _Group, Samb, Xn):
+    """(C, q, iota, lifts, extensions) of the group through one cone of its
+    middle map.  The fixed side is one one-sided solve; the varying side is
+    one preimage, the union of its branches' disjoint solution sets, solved
+    only when the fixed side has a solution (else None)."""
+    C, q, iota = ctx.cone(grp.mid)
+    if isinstance(grp.f3, _Varying):
+        lifts = ctx.solve_post(iota, ctx.negate(ctx.sigma_map(grp.f1)))
+        exts = (None if lifts is None
+                else preimage(ctx.pre_matrix(q, Xn), grp.f3.targets))
+    else:
+        exts = ctx.solve_pre(q, grp.f3)
+        lifts = (None if exts is None
+                 else preimage(ctx.post_matrix(iota, Samb), grp.f1.targets))
+    return C, q, iota, lifts, exts
+
+
+def _first_reason(ctx, grp: _Group, sols, Samb) -> str | None:
+    """The empty reason of the group's first branch, at the first class of
+    its varying side."""
+    C, q, iota, lifts, exts = sols
+    if exts is None and isinstance(grp.f1, _Varying):
+        # the lifts were left unsolved: solve the first class's own
+        lifts = solve_affine(ctx.post_matrix(iota, Samb),
+                             grp.f1.targets.representative)
+    return _empty_reason(lifts, exts)
+
+
+def _branch_keys(var: _Varying, M: FpMatrix, X: np.ndarray):
+    """For each row x of X, a point of preimage(M, var.targets): the index
+    in var.space of the class a with M x = L a, and the index of x in its
+    own branch's solve_affine(M, M x).
+
+    That solve puts 0 at the free columns of rref(M) in its representative
+    and the identity there in its kernel basis, so the coefficients of x,
+    whose lexicographic rank is its index, are x read at those columns."""
+    p = M.p
+    targets = _points(var.space)
+    if var.L is not None:
+        targets = (targets @ var.L.a.T) % p
+    index = {t: i for i, t in enumerate(map(tuple, targets.tolist()))}
+    classes = [index[t] for t in map(tuple, ((X @ M.a.T) % p).tolist())]
+    pivots = rref(M)[1]
+    free = [c for c in range(M.cols) if c not in pivots]
+    return classes, X[:, free] @ p ** np.arange(len(free) - 1, -1, -1, dtype=np.int64)
+
+
+def _pair_keys(ctx, grp: _Group, sols, Samb, Xn) -> list[tuple]:
+    """Per row of the group's _pair_coords, its place in the per-branch
+    order: (family, b, a, b', a'), b and a indexing the family's children,
+    b' and a' the branch's own extensions and lifts."""
+    C, q, iota, lifts, exts = sols
+    if isinstance(grp.f3, _Varying):
+        b, bb = _branch_keys(grp.f3, ctx.pre_matrix(q, Xn), _points(exts))
+        return [(grp.parent, b[e], grp.k, bb[e], l)
+                for e in range(exts.size()) for l in range(lifts.size())]
+    a, aa = _branch_keys(grp.f1, ctx.post_matrix(iota, Samb), _points(lifts))
+    return [(grp.parent, grp.k, a[l], e, aa[l])
+            for e in range(exts.size()) for l in range(lifts.size())]
+
+
 def higher_bracket(maps, jseq=None, ctx=DIRECT, cap: int = 4096,
                    with_trace: bool = False):
     """n-fold Toda bracket of maps = (f_n, ..., f_1), leftmost first.
@@ -371,6 +495,19 @@ def higher_bracket(maps, jseq=None, ctx=DIRECT, cap: int = 4096,
     (0 <= j_i < i, applied innermost last); all zeros is the standard
     bracket.  Returns a BracketSet, plus per-element traces when
     with_trace is set.
+
+    Every stage but the last two carries each pair of its families on as
+    a branch.  The stage before the last (j = jseq[1]) makes one family
+    (C, q, iota, A, B) per branch, and its children (beta, sigma_alpha)
+    are read in groups sharing the last stage's middle map: sigma_alpha
+    when j = 0, beta when j = 1.  A group costs one cone, one one-sided
+    solve for its fixed side, one preimage for the side its children vary
+    in (every extension b' with b' . q' in B, or every lift of -Sigma a
+    for a in A), and one `_pair_coords`.  For n = 3 the one group has no
+    family: its varying side is the class of f3 alone.  The solution sets
+    of different groups' children are disjoint, so `branches` counts the
+    per-branch pairs and the cap refuses them before any is listed; a
+    trace keeps each element's first pair in the per-branch order.
     """
     maps = list(maps)
     n = len(maps)
@@ -392,8 +529,8 @@ def higher_bracket(maps, jseq=None, ctx=DIRECT, cap: int = 4096,
 
     branches = [_Branch(maps, [])]
     reason = None
-    # every stage but the last carries each family pair on as a branch
-    for j in reversed(jseq[1:]):
+    # every stage but the last two carries each family pair on as a branch
+    for j in reversed(jseq[2:]):
         new_branches: list[_Branch] = []
         for br in branches:
             f3, f2, f1 = br.maps[j], br.maps[j + 1], br.maps[j + 2]
@@ -409,37 +546,65 @@ def higher_bracket(maps, jseq=None, ctx=DIRECT, cap: int = 4096,
                 f"{len(new_branches)} bracket branches exceed cap {cap}")
         branches = new_branches
 
-    # the last stage (j = 0) reads every pair of every branch off
-    # _pair_coords, keeping the first pair giving each element
-    last = []
-    for br in branches:
-        C, q, iota, a, b = sols = _family_solutions(ctx, *br.maps)
-        reason = reason or _empty_reason(a, b)
-        if a is not None and b is not None:
-            _check_pairs(X0.ring.p, a.dim + b.dim, cap)
-            last.append((br, sols))
-    pairs = sum(a.size() * b.size() for _, (_, _, _, a, b) in last)
+    # the last stage, one group of branches per middle map
+    if n == 3:
+        f3 = _Varying(_single(ctx, maps[0]), ctx.src(maps[0]), Xn)
+        groups = [_Group(0, branches[0], None, 0, f3, maps[1], maps[2])]
+    else:
+        j = jseq[1]
+        fams = []
+        for br in branches:
+            sols = _family_solutions(ctx, *br.maps[j:j + 3])
+            reason = reason or _empty_reason(*sols[3:])
+            if sols[3] is not None and sols[4] is not None:
+                fams.append((br, sols))
+        children = sum(A.size() * B.size() for _, (_, _, _, A, B) in fams)
+        if children > cap:
+            raise EnumerationOverflow(f"{children} bracket branches exceed cap {cap}")
+        groups = [grp for i, (br, fam) in enumerate(fams)
+                  for grp in _family_groups(ctx, i, j, br, fam, Samb, cap)]
+    last = [(grp, _last_stage(ctx, grp, Samb, Xn)) for grp in groups]
+    if reason is None and last:
+        reason = _first_reason(ctx, *last[0], Samb)
+    last = [(grp, sols) for grp, sols in last
+            if sols[3] is not None and sols[4] is not None]
+    pairs = sum(sols[3].size() * sols[4].size() for _, sols in last)
     if pairs > cap:
         raise EnumerationOverflow(f"{pairs} bracket branches exceed cap {cap}")
-    first = {}
-    for br, sols in last:
-        C, q, iota, a, b = sols
-        rows = _pair_coords(ctx, Samb, C, Xn, a, b).tolist()
-        for i, c in enumerate(map(tuple, rows)):
-            if c not in first:
-                first[c] = (br, sols, i)
+
+    first: dict = {}
+    for grp, sols in last:
+        C, _, _, lifts, exts = sols
+        rows = map(tuple, _pair_coords(ctx, Samb, C, Xn, lifts, exts).tolist())
+        if not with_trace:
+            first.update(dict.fromkeys(rows))
+            continue
+        for r, (key, c) in enumerate(zip(_pair_keys(ctx, grp, sols, Samb, Xn), rows)):
+            if c not in first or key < first[c][0]:
+                first[c] = (key, grp, sols, r)
     bs = BracketSet(Samb, Xn, ctx.name, frozenset(first), None,
                     None if first else reason,
                     {"n": n, "jseq": jseq, "branches": pairs})
     if not with_trace:
         return bs
-    traces = {}
-    for c, (br, (C, q, iota, a, b), i) in first.items():
-        bi, ai = divmod(i, a.size())
-        traces[c] = br.trace + [TodaFamilyElement(
-            C, ctx.make(Samb, C, _point(a, ai)), ctx.make(C, Xn, _point(b, bi)),
-            q, iota)]
-    return bs, traces
+    return bs, {c: _trace(ctx, *entry, Samb, Xn) for c, entry in first.items()}
+
+
+def _trace(ctx, key, grp: _Group, sols, r, Samb, Xn) -> list:
+    """The stages of the pair at row r of the group's _pair_coords, whose
+    place in the per-branch order is key."""
+    C, q, iota, lifts, exts = sols
+    e, l = divmod(r, lifts.size())
+    last = TodaFamilyElement(C, ctx.make(Samb, C, _points(lifts)[l]),
+                             ctx.make(C, Xn, _points(exts)[e]), q, iota)
+    if grp.fam is None:
+        return grp.br.trace + [last]
+    Cf, qf, iotaf = grp.fam[:3]
+    if isinstance(grp.f3, _Varying):
+        child = TodaFamilyElement(Cf, grp.mid, grp.f3.make(ctx, key[1]), qf, iotaf)
+    else:
+        child = TodaFamilyElement(Cf, grp.f1.make(ctx, key[2]), grp.mid, qf, iotaf)
+    return grp.br.trace + [child, last]
 
 
 def susp_in_ctx(ctx, M: RModule, k: int) -> RModule:

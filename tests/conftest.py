@@ -1,12 +1,12 @@
 """Shared helpers: random modules, random maps, vanishing chains."""
 
 import numpy as np
-import pytest
 from hypothesis import settings, strategies as st
 
 from stmodcat.linalg import FpMatrix, solve_columns
 from stmodcat.modrep import RModule, Ring, module_from_partition
 from stmodcat.stcat import DIRECT, OP, stable_hom
+from stmodcat.toda import all_jseqs
 
 # every property draws the same examples on every run, and none is
 # replayed from a local example database
@@ -52,7 +52,7 @@ def random_vanishing_chain(rng, ring, length, max_dim=6):
     relevant composition operator, so the vanishing is exact by
     construction.
     """
-    from stmodcat.stcat import post_matrix, pre_matrix
+    from stmodcat.stcat import pre_matrix
 
     objs = [random_module(rng, ring, max_dim) for _ in range(length + 1)]
     maps = [None] * length  # maps[i] : objs[i] -> objs[i+1], f_{i+1} in bracket order
@@ -66,14 +66,19 @@ def random_vanishing_chain(rng, ring, length, max_dim=6):
 
 
 @st.composite
-def vanishing_triples(draw):
-    """A ring, a seeded vanishing 3-chain, and a context (the chain in its order)."""
+def vanishing_chains(draw, length):
+    """A context, a seeded vanishing chain of `length` maps in that context's
+    order, over a drawn ring, and a reduction sequence from all_jseqs."""
     ring = draw(st.sampled_from(RINGS))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    maps = random_vanishing_chain(rng, ring, 3, max_dim=4)
-    if draw(st.booleans()):
-        return OP, list(reversed(maps))
-    return DIRECT, maps
+    maps = random_vanishing_chain(rng, ring, length, max_dim=4)
+    ctx, maps = (OP, list(reversed(maps))) if draw(st.booleans()) else (DIRECT, maps)
+    return ctx, maps, draw(st.sampled_from(all_jseqs(length)))
+
+
+def vanishing_triples():
+    """A context and a vanishing 3-chain in its order."""
+    return vanishing_chains(3).map(lambda chain: chain[:2])
 
 
 def change_basis(M: RModule, lower, upper) -> RModule:

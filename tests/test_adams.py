@@ -21,7 +21,6 @@ from stmodcat.modrep import (
     Ring,
     block_map,
     free_module,
-    identity_map,
     jordan_type,
     module_from_partition,
     mu_map,

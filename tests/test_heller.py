@@ -1,14 +1,12 @@
 import numpy as np
-import pytest
 
 from conftest import RINGS, random_module, random_stable_map
 
 from stmodcat.heller import heller_check
-from stmodcat.modrep import Ring, module_from_partition, mu_map, zero_map
+from stmodcat.modrep import Ring, mu_map, zero_map
 from stmodcat.stcat import (
     Triangle,
     cone_triangle,
-    fiber_triangle,
     is_distinguished,
     is_stably_zero,
     rotate,

@@ -1,5 +1,6 @@
-"""Every name a stmodcat module imports is used in that module, and
-every private module-level definition is referenced somewhere.
+"""Every name a stmodcat module or a test file imports is used in that
+file, and every private module-level definition of the engine is
+referenced somewhere.
 
 `__init__` re-exports the public names, so it is left out of the import
 check.  A name counts as used when it is read anywhere in the module, as
@@ -14,8 +15,12 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "stmodcat"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "stmodcat"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+# engine modules by bare name, test files as tests/<name>
+SCANNED = {**{m: SRC / m for m in MODULES},
+           **{f"tests/{p.name}": p for p in TESTS.glob("*.py")}}
 
 
 def _imported(tree):
@@ -30,11 +35,12 @@ def _imported(tree):
 
 def test_modules_found():
     assert "linalg.py" in MODULES and "adams.py" in MODULES
+    assert "tests/conftest.py" in SCANNED and "tests/test_toda.py" in SCANNED
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", sorted(SCANNED))
 def test_every_import_is_used(module):
-    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    tree = ast.parse(SCANNED[module].read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(set(_imported(tree)) - used)
     assert not unused, f"{module} imports {unused} without using them"

@@ -277,6 +277,31 @@ def test_preimage_of_a_point_is_the_solve():
     assert np.array_equal(got.basis, want.basis)
 
 
+def test_preimage_of_a_point_is_one_solve(monkeypatch):
+    # on a point the quotient is the identity: no rref of the 0-row basis,
+    # no identity product, just the solve itself, bit for bit
+    import stmodcat.linalg as linalg
+    shapes = []
+
+    def recording(M):
+        shapes.append(M.a.shape)
+        return rref(M)
+
+    monkeypatch.setattr(linalg, "rref", recording)
+    A = FpMatrix(5, [[1, 2, 0, 4], [0, 1, 1, 3], [2, 4, 0, 3]])
+    for rhs in ([1, 2, 2], [1, 2, 3]):
+        point = AffineSpace(5, 3, rhs, np.zeros((0, 3), dtype=np.int64))
+        got, want = preimage(A, point), solve_affine(A, rhs)
+        if want is None:
+            assert got is None
+            continue
+        assert got.ambient_dim == want.ambient_dim
+        for a, b in ((got.representative, want.representative),
+                     (got.basis, want.basis)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert len(shapes) == 4 and all(rows for rows, _ in shapes)
+
+
 def test_preimage_of_the_whole_ambient_is_everything():
     A = FpMatrix(2, [[1, 1], [0, 1]])
     whole = AffineSpace(2, 2, [1, 0], np.eye(2, dtype=np.int64))

@@ -7,9 +7,9 @@ brackets built on it, to the per-pair compose loop it replaced.
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import RINGS, random_vanishing_chain, vanishing_triples
+from conftest import RINGS, random_vanishing_chain, vanishing_chains, vanishing_triples
 
 import stmodcat.toda as toda
 from stmodcat.linalg import EnumerationOverflow
@@ -22,6 +22,8 @@ from stmodcat.modrep import (
 )
 from stmodcat.stcat import DIRECT, OP
 from stmodcat.toda import (
+    _empty_reason,
+    _family,
     _family_solutions,
     _pair_coords,
     all_jseqs,
@@ -78,16 +80,27 @@ def test_pair_coords_match_the_composite_loop(chain):
 # higher_bracket against the per-pair loop
 
 
-def _loop_bracket(maps, jseq, ctx):
-    """Every branch built and composed, keeping each element's first trace."""
+def _loop_bracket(maps, jseq, ctx, cap=10**6, reasons=None):
+    """Every branch built and composed, keeping each element's first trace.
+
+    A stage of more than `cap` branches raises EnumerationOverflow, and the
+    empty reason of every failing family is appended to `reasons`, in order.
+    """
     branches = [(list(maps), [])]
     for j in reversed(jseq):
         nxt = []
         for bm, trace in branches:
+            f3, f2, f1 = bm[j:j + 3]
+            sols = _family_solutions(ctx, f3, f2, f1)
+            reason = _empty_reason(*sols[3:])
+            if reason and reasons is not None:
+                reasons.append(reason)
             rest = [ctx.sigma_map(g) for g in bm[j + 3:]]
-            for el in toda_family(ctx, *bm[j:j + 3], cap=10**6):
+            for el in _family(ctx, f3, f1, sols, cap):
                 nxt.append((bm[:j] + [el.beta, el.sigma_alpha] + rest,
                             trace + [el]))
+        if len(nxt) > cap:
+            raise EnumerationOverflow(f"{len(nxt)} branches exceed cap {cap}")
         branches = nxt
     space = ctx.hom(susp_in_ctx(ctx, ctx.src(maps[-1]), len(maps) - 2),
                     ctx.tgt(maps[0]))
@@ -145,3 +158,65 @@ def test_empty_reason_solves_each_family_once(monkeypatch):
     bs = higher_bracket([MU1, MUX, identity_map(k33), MU1])
     assert bs.is_empty() and bs.empty_reason == "f2.f1 not stably zero"
     assert len(calls) == 1
+
+
+def _assert_matches_the_loop(ctx, maps, jseq, cap):
+    """higher_bracket, traced and not, against the loop: elements, traces,
+    branch count, empty reason, and whether the cap refuses the bracket."""
+    reasons = []
+    try:
+        first, pairs = _loop_bracket(maps, jseq, ctx, cap, reasons)
+    except EnumerationOverflow:
+        for with_trace in (False, True):
+            with pytest.raises(EnumerationOverflow):
+                higher_bracket(maps, jseq, ctx=ctx, cap=cap, with_trace=with_trace)
+        return None
+    bs, traces = higher_bracket(maps, jseq, ctx=ctx, cap=cap, with_trace=True)
+    assert traces == first
+    for got in (bs, higher_bracket(maps, jseq, ctx=ctx, cap=cap)):
+        assert got.elements == frozenset(first)
+        assert got.metadata["branches"] == pairs
+        assert got.empty_reason == (None if first else reasons[0])
+    return bs
+
+
+LOOP_CAP = 64
+
+
+@pytest.mark.parametrize("length", [3, 4, 5])
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_higher_bracket_matches_the_loop_in_every_order(length, data):
+    ctx, maps, jseq = data.draw(vanishing_chains(length))
+    _assert_matches_the_loop(ctx, maps, jseq, LOOP_CAP)
+
+
+def _last_stage_by_beta(maps):
+    """Under jseq (0, 1), per class beta of the first family: does any of
+    its children (f4, beta, sigma_alpha) have a nonempty last stage?"""
+    out = {}
+    for el in toda_family(DIRECT, *maps[1:], cap=10**6):
+        sols = _family_solutions(DIRECT, maps[0], el.beta, el.sigma_alpha)
+        key = el.beta.A.a.tobytes()
+        out[key] = out.get(key, False) or _empty_reason(*sols[3:]) is None
+    return list(out.values())
+
+
+def test_beta_groups_keep_the_first_branch_reason_and_the_cap():
+    # the j = 1 groups share a beta: here one of four has a nonempty last
+    # stage, and the rest fail, on a missing lift or extension
+    mixed = random_vanishing_chain(np.random.default_rng(51), RINGS[0], 4, max_dim=4)
+    assert sorted(_last_stage_by_beta(mixed)) == [False, False, False, True]
+    bs = _assert_matches_the_loop(DIRECT, mixed, (0, 1), 10**6)
+    branches = bs.metadata["branches"]
+    assert bs.elements and bs.empty_reason is None and branches == 16
+    for cap in (branches, branches - 1):
+        _assert_matches_the_loop(DIRECT, mixed, (0, 1), cap)
+    with pytest.raises(EnumerationOverflow):
+        higher_bracket(mixed, (0, 1), cap=branches - 1)
+    # every group fails: the first group's beta has no extension, yet its
+    # first sigma_alpha lifts, so the first branch names f3.f2
+    empty = random_vanishing_chain(np.random.default_rng(110), RINGS[1], 4, max_dim=4)
+    assert _last_stage_by_beta(empty) == [False, False]
+    bs = _assert_matches_the_loop(DIRECT, empty, (0, 1), 10**6)
+    assert bs.is_empty() and bs.empty_reason == "f3.f2 not stably zero"

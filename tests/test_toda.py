@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings
 from conftest import (
     RINGS,
     random_module,
-    random_stable_map,
     random_vanishing_chain,
     vanishing_triples,
 )
@@ -17,7 +16,6 @@ from stmodcat.modrep import (
     RMap,
     Ring,
     identity_map,
-    jordan_type,
     module_from_partition,
     mu_map,
     zero_map,
@@ -39,7 +37,6 @@ from stmodcat.toda import (
     bracket3_restricted,
     filtered_witness,
     higher_bracket,
-    indeterminacy_basis,
     is_jseq,
     toda_family,
 )
