@@ -29,17 +29,18 @@ import numpy as np
 from .linalg import (
     AffineSpace,
     DimensionMismatch,
-    Echelon,
     EnumerationOverflow,
     FpMatrix,
     affine_image,
     as_vector,
     enumerate_points,
+    extending,
     nullspace,
     preimage,
     quotient,
     rank,
     row_space_basis,
+    stack_rows,
 )
 from .modrep import (
     RMap,
@@ -134,33 +135,32 @@ def ghost_cover(M: RModule, cls: ProjectiveClass) -> tuple[RModule, RMap]:
     """A cover P -> M built on module generators of the graded stable groups.
 
     One summand Sigma^n G per generator of +_n T(Sigma^n G, M) over the
-    graded stable endomorphism ring of G (classes reachable from earlier
-    generators by precomposition are skipped).  The tautological map is
-    epic for the class by construction, and that is verified.
+    graded stable endomorphism ring of G.  Quotient basis map i has stable
+    coordinates e_i, so a shift's generators are the rows of the identity
+    extending the classes reached from earlier ones by precomposition.  The
+    tautological map is epic for the class by construction, and verified.
     """
-    G = cls.generator
     shifts = cls.shifts()
+    p = M.ring.p
     chosen: list[tuple[int, RMap]] = []
     for n, Gn in enumerate(shifts):
         S = stable_hom(Gn, M)
         if S.sdim == 0:
             continue
-        reach = Echelon(M.ring.p, S.sdim)
-        for d, rep in chosen:
-            for e in stable_hom(Gn, shifts[d]).quotient_basis_maps():
-                reach.add(S.stable_coords(rep @ e))
-        for b in S.quotient_basis_maps():
-            if reach.add(S.stable_coords(b)):
-                chosen.append((n, b))
+        reached = [S.stable_coords(rep @ e) for d, rep in chosen
+                   for e in stable_hom(Gn, shifts[d]).quotient_basis_maps()]
+        basis = S.quotient_basis_maps()
+        chosen += [(n, basis[i]) for i in extending(
+            stack_rows(p, reached, cols=S.sdim), FpMatrix.identity(p, S.sdim))]
     if not chosen:
         P = zero_module(M.ring)
         return P, zero_map(P, M)
-    P, incls, _ = direct_sum([shifts[d] for d, _ in chosen])
+    P, _, _ = direct_sum([shifts[d] for d, _ in chosen])
     A = np.hstack([rep.A.a for _, rep in chosen]).reshape(M.dim, P.dim)
-    p = RMap(P, M, FpMatrix(M.ring.p, A))
-    if not cls.is_epic(p):
+    cover = RMap(P, M, FpMatrix(p, A))
+    if not cls.is_epic(cover):
         raise AdamsError("tautological cover is not epic for the class")
-    return P, p
+    return P, cover
 
 
 @dataclass

@@ -125,6 +125,8 @@ class Session:
     # -- declaration handling ------------------------------------------------
 
     def declare_ring(self, lineno, args):
+        if self.ring is not None:
+            raise SessionError(lineno, "ring declared twice; a session has one ring")
         kv = dict(a.split("=", 1) for a in args if "=" in a)
         if set(kv) != {"p", "m"}:
             raise SessionError(lineno, "ring needs p=<prime> m=<int>")

@@ -8,15 +8,16 @@ here with deterministic reduced row echelon form.  Pivoting is fixed
 bit-reproducible across runs and platforms.
 
 One elimination per query: each function reduces one matrix once and
-reads every part of its answer from that reduction, and a span that
-grows one vector at a time is kept in an `Echelon` rather than
-re-reduced for each membership test.
+reads every part of its answer from that reduction.  Even a greedy
+selection, the first vectors in order that extend a span, is one
+reduction (`extending`): they are the pivot columns of one rref.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,10 +57,6 @@ def is_prime(p: int) -> bool:
             return False
         d += 1
     return True
-
-
-def _inv_mod(a: int, p: int) -> int:
-    return pow(int(a) % p, p - 2, p)
 
 
 def as_vector(v, p: int) -> np.ndarray:
@@ -188,7 +185,7 @@ def rref(M: FpMatrix) -> tuple[FpMatrix, list[int]]:
         if i != r:
             A[[r, i]] = A[[i, r]]
         # row r is zero left of c, so only the columns from c on change
-        A[r, c:] = (A[r, c:] * _inv_mod(A[r, c], p)) % p
+        A[r, c:] = (A[r, c:] * pow(int(A[r, c]), p - 2, p)) % p
         col = A[:, c].copy()
         col[r] = 0
         A[:, c:] = (A[:, c:] - np.outer(col, A[r, c:])) % p
@@ -273,6 +270,11 @@ class AffineSpace:
     def size(self) -> int:
         return self.p ** self.dim
 
+    @cached_property
+    def _class_map(self) -> FpMatrix:
+        """Q with Q v the class of v modulo the basis span, reduced once."""
+        return quotient(FpMatrix(self.p, self.basis))[0]
+
     def generators(self) -> np.ndarray:
         """The representative over the basis rows."""
         return np.vstack([self.representative, self.basis])
@@ -350,8 +352,17 @@ def preimage(M: FpMatrix, space: AffineSpace) -> AffineSpace | None:
         raise DimensionMismatch("map does not land in the space's ambient")
     if not space.dim:
         return solve_affine(M, space.representative)
-    Q = quotient(FpMatrix(space.p, space.basis))[0]
+    Q = space._class_map
     return solve_affine(Q @ M, Q.apply(space.representative))
+
+
+def extending(span: FpMatrix, cands: FpMatrix) -> list[int]:
+    """Indices of the rows of `cands` that, in order, lie outside the row
+    space of `span` and the earlier rows of `cands`: a column of rref is a
+    pivot exactly when it is outside the span of the columns before it, so
+    these are the pivot columns past span.rows of [span; cands] transposed."""
+    pivots = rref(FpMatrix(span.p, np.vstack([span.a, cands.a]).T))[1]
+    return [c - span.rows for c in pivots if c >= span.rows]
 
 
 def in_span(rows: FpMatrix, v) -> bool:
@@ -359,49 +370,7 @@ def in_span(rows: FpMatrix, v) -> bool:
     v = as_vector(v, rows.p)
     if v.shape[0] != rows.cols:
         raise DimensionMismatch("vector length != row length")
-    aug = FpMatrix(rows.p, np.hstack([rows.a.T, v.reshape(-1, 1)]))
-    return rows.rows not in rref(aug)[1]
-
-
-class Echelon:
-    """A growing subspace of F_p^n, kept in reduced row echelon form.
-
-    `add` answers whether a vector was new to the span and, if so, takes
-    it in; a run of membership tests against a growing span costs one
-    reduction per vector rather than one elimination of the whole span.
-    """
-
-    __slots__ = ("p", "n", "_rows", "_pivots")
-
-    def __init__(self, p: int, n: int):
-        self.p = p
-        self.n = n
-        self._rows = np.zeros((0, n), dtype=np.int64)
-        self._pivots: list[int] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self._pivots)
-
-    def reduce(self, v) -> np.ndarray:
-        """v minus its part in the span: zero exactly when v is in the span."""
-        v = as_vector(v, self.p)
-        if v.shape[0] != self.n:
-            raise DimensionMismatch("vector length != ambient dimension")
-        return (v - v[self._pivots] @ self._rows) % self.p
-
-    def add(self, v) -> bool:
-        """Take v into the span; True when the rank grew."""
-        w = self.reduce(v)
-        nz = np.flatnonzero(w)
-        if nz.size == 0:
-            return False
-        c = int(nz[0])
-        w = (w * _inv_mod(w[c], self.p)) % self.p
-        rows = (self._rows - np.outer(self._rows[:, c], w)) % self.p
-        self._rows = np.vstack([rows, w])
-        self._pivots.append(c)
-        return True
+    return not extending(rows, FpMatrix(rows.p, v))
 
 
 def solve_columns(A: FpMatrix, B: FpMatrix) -> FpMatrix:

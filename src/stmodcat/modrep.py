@@ -27,9 +27,9 @@ import numpy as np
 from .linalg import (
     MAX_MODULUS,
     DimensionMismatch,
-    Echelon,
     FpMatrix,
     LinAlgError,
+    extending,
     is_prime,
     nullspace,
     quotient,
@@ -205,8 +205,9 @@ def jordan_type(M: RModule) -> tuple[int, ...]:
 def jordan_chains(M: RModule) -> list[list[np.ndarray]]:
     """A Jordan chain basis: chains [v, Xv, ..., X^{l-1}v], lengths descending.
 
-    Deterministic: chain tops are chosen greedily from the canonical
-    kernel bases of the powers of X, tallest chains first.
+    Deterministic: the tops of height h, tallest first, are the rows of the
+    canonical basis of ker X^h that, in order, extend ker X^{h-1} and the
+    level-h vectors of the taller chains (one `extending` call).
     """
     p, n = M.ring.p, M.dim
     if n == 0:
@@ -219,17 +220,10 @@ def jordan_chains(M: RModule) -> list[list[np.ndarray]]:
 
     chains: list[list[np.ndarray]] = []
     for h in range(hmax, 0, -1):
-        span = Echelon(p, n)
-        for row in kernels[h - 1].a:
-            span.add(row)
-        for chain in chains:  # all have length > h here
-            span.add(chain[len(chain) - h])
-        for v in kernels[h].a:
-            if span.add(v):
-                chain = [v % p]
-                for _ in range(h - 1):
-                    chain.append(M.X.apply(chain[-1]))
-                chains.append(chain)
+        # every chain found so far is taller than h
+        span = np.vstack([kernels[h - 1].a] + [c[len(c) - h] for c in chains])
+        for i in extending(FpMatrix(p, span), kernels[h]):
+            chains.append([powers[j].apply(kernels[h].a[i]) for j in range(h)])
     return chains
 
 

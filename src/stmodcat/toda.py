@@ -36,8 +36,8 @@ from .linalg import (
     enumerate_points,
     in_span,
     preimage,
+    quotient,
     row_space_basis,
-    rref,
     solve_affine,
     stack_rows,
 )
@@ -415,8 +415,8 @@ def _family_groups(ctx, parent, j, br, fam, Samb, cap) -> list[_Group]:
     X3, SX = ctx.tgt(br.maps[j]), ctx.sigma_ob(ctx.src(br.maps[j + 2]))
     if j == 0:
         # children (beta, sigma_alpha, Sigma f1): extensions of every beta at once
-        sf1 = ctx.sigma_map(br.maps[3])
-        return [_Group(parent, br, fam, k, _Varying(B, C, X3), a, sf1)
+        sf1, exts = ctx.sigma_map(br.maps[3]), _Varying(B, C, X3)
+        return [_Group(parent, br, fam, k, exts, a, sf1)
                 for k, a in enumerate(ctx.classes(SX, C, A, cap))]
     # children (f4, beta, sigma_alpha): lifts of every -Sigma(sigma_alpha) at once
     N = ctx.hom(SX, C).matrix_to(ctx.hom(Samb, ctx.sigma_ob(C)),
@@ -468,8 +468,7 @@ def _branch_keys(var: _Varying, M: FpMatrix, X: np.ndarray):
         targets = (targets @ var.L.a.T) % p
     index = {t: i for i, t in enumerate(map(tuple, targets.tolist()))}
     classes = [index[t] for t in map(tuple, ((X @ M.a.T) % p).tolist())]
-    pivots = rref(M)[1]
-    free = [c for c in range(M.cols) if c not in pivots]
+    free = quotient(M)[1]
     return classes, X[:, free] @ p ** np.arange(len(free) - 1, -1, -1, dtype=np.int64)
 
 

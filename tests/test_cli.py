@@ -179,7 +179,7 @@ def test_run_session_api(tmp_path):
     ["adams M gen=k len=2", "page x"], ["sparse k x 2"], ["adams k gen=k len=x"],
     ["nbracket [0, f f f"], ["sthom k M extra"],
     ["map g: k -> M = mu(x)", "bracket xx f g f"], ["nbracket [0] f"],
-    ["map g: k -> M = mu(x)", "nbracket [5] f g f"],
+    ["map g: k -> M = mu(x)", "nbracket [5] f g f"], ["ring p=3 m=3"],
 ])
 def test_malformed_command_is_a_parse_error(tmp_path, capsys, commands):
     lines = ["ring p=2 m=4", "module k = [1]", "module M = [2]", "module P = [1,3]",

@@ -8,11 +8,11 @@ from stmodcat.linalg import (
     MAX_MODULUS,
     AffineSpace,
     DimensionMismatch,
-    Echelon,
     EnumerationOverflow,
     FpMatrix,
     ModulusMismatch,
     enumerate_points,
+    extending,
     in_span,
     nullspace,
     preimage,
@@ -246,18 +246,20 @@ def test_quotient_is_the_nullspace_read_off(sub):
     assert not ((sub.a @ Q.a.T) % sub.p).any()  # rows of sub map to class 0
 
 
-@given(fp_matrices(max_rows=8))
+@given(fp_matrices(max_rows=4), st.data())
 @settings(max_examples=150, deadline=None)
-def test_echelon_add_reports_rank_growth(M):
-    span = Echelon(M.p, M.cols)
-    for k, v in enumerate(M.a):
-        before = rank(stack_rows(M.p, M.a[:k], cols=M.cols))
-        after = rank(stack_rows(M.p, M.a[:k + 1], cols=M.cols))
-        assert (not span.reduce(v).any()) == (after == before)
-        assert span.add(v) == (after > before)
-        assert span.rank == after
-    for v in M.a:
-        assert not span.reduce(v).any()
+def test_extending_keeps_the_rows_that_grow_the_prefix_rank(span, data):
+    rows = data.draw(st.lists(st.lists(st.integers(0, span.p - 1), min_size=span.cols,
+                                       max_size=span.cols), max_size=6))
+    cands = stack_rows(span.p, rows, cols=span.cols)
+    got = extending(span, cands)
+    want = []
+    for k in range(cands.rows):
+        before = rank(stack_rows(span.p, [*span.a, *cands.a[:k]], cols=span.cols))
+        after = rank(stack_rows(span.p, [*span.a, *cands.a[:k + 1]], cols=span.cols))
+        if after > before:
+            want.append(k)
+    assert got == want
 
 
 @given(fp_matrices(), st.data())

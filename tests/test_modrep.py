@@ -2,10 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import change_basis
 
-from stmodcat.linalg import FpMatrix, rank, right_inverse
+from stmodcat.linalg import FpMatrix, nullspace, rank, right_inverse, stack_rows
 from stmodcat.modrep import (
     KernelData,
     ModRepError,
@@ -391,3 +392,33 @@ def test_jordan_basis_matches_the_reference_algorithms():
                         assert module_iso(Z, Y) == _ref_module_iso(Z, Y)
                         checked += 1
     assert checked == 210
+
+
+def _greedy_chains(M):
+    """Jordan chains by the greedy rule, membership read off prefix ranks:
+    from the top height down, a row of the canonical basis of ker X^h starts
+    a chain when it raises the rank of ker X^(h-1), the level-h vectors of
+    the taller chains and the tops taken before it at this height."""
+    p, n = M.ring.p, M.dim
+    chains = []
+    for h in range(M.ring.m, 0, -1):
+        span = [*nullspace(M.X.power(h - 1)).a] + [c[len(c) - h] for c in chains]
+        for v in nullspace(M.X.power(h)).a:
+            if rank(stack_rows(p, span + [v], cols=n)) > rank(stack_rows(p, span, cols=n)):
+                span.append(v)
+                chains.append([v])
+                for _ in range(h - 1):
+                    chains[-1].append(M.X.apply(chains[-1][-1]))
+    return chains
+
+
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 6), st.data())
+@settings(max_examples=100, deadline=None)
+def test_jordan_chains_are_the_greedy_prefix_rank_choice(p, m, data):
+    M = module_from_partition(Ring(p, m), data.draw(st.lists(st.integers(1, m), max_size=4)))
+    n = M.dim
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    Z = change_basis(M, rng.integers(0, p, (n, n)), rng.integers(0, p, (n, n)))
+    for Y in (M, Z):
+        got, want = jordan_chains(Y), _greedy_chains(Y)
+        assert [[v.tolist() for v in c] for c in got] == [[v.tolist() for v in c] for c in want]
