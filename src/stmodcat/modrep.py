@@ -20,6 +20,7 @@ and in `stcat` is keyed by the `key` of its module and map arguments.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,12 +84,12 @@ class RModule:
 
     __slots__ = ("ring", "dim", "X", "key")
 
-    def __init__(self, ring: Ring, X: FpMatrix):
+    def __init__(self, ring: Ring, X: FpMatrix, check: bool = True):
         if X.p != ring.p:
             raise RingMismatch("matrix modulus differs from ring characteristic")
         if X.rows != X.cols:
             raise ModRepError("action matrix must be square")
-        if not X.power(ring.m).is_zero():
+        if check and not X.power(ring.m).is_zero():
             raise ModRepError(f"x^{ring.m} does not act as zero")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "dim", X.rows)
@@ -190,7 +191,8 @@ def module_from_partition(ring: Ring, parts) -> RModule:
         for i in range(l - 1):
             X[off + i + 1, off + i] = 1
         off += l
-    return RModule(ring, FpMatrix(ring.p, X))
+    # every part is at most m, so x^m acts as zero by construction
+    return RModule(ring, FpMatrix(ring.p, X), check=False)
 
 
 def free_module(ring: Ring, rank_: int) -> RModule:
@@ -288,13 +290,22 @@ def partition_layout(M: RModule) -> list[int] | None:
     return parts
 
 
+def _hom_blocks(sparts, tparts) -> list[tuple[int, int, int, int, int]]:
+    """(row offset, column offset, a, b, j) of each hom basis map mu(x^j):
+    R/x^a -> R/x^b, max(0, b-a) <= j < b, between two block layouts."""
+    roffs = itertools.accumulate(tparts, initial=0)
+    coffs = list(itertools.accumulate(sparts, initial=0))
+    return [(roff, coff, a, b, j) for roff, b in zip(roffs, tparts)
+            for coff, a in zip(coffs, sparts) for j in range(max(0, b - a), b)]
+
+
 @memo
 def hom_basis(M: RModule, N: RModule) -> list[RMap]:
     """Basis of the F_p-space of R-linear maps M -> N, deterministic order.
 
-    Between canonical-layout modules the basis is assembled blockwise
-    from multiplication maps (one basis element per block pair and
-    eligible power); otherwise the commuting-matrix system is solved.
+    Between canonical-layout modules the basis is the multiplication maps
+    listed by `_hom_blocks` (one per block pair and eligible power);
+    otherwise the commuting-matrix system is solved.
     """
     if M.ring != N.ring:
         raise RingMismatch("hom between modules over different rings")
@@ -302,22 +313,14 @@ def hom_basis(M: RModule, N: RModule) -> list[RMap]:
     if s == 0 or t == 0:
         return []
     p = M.ring.p
-    sparts = partition_layout(M)
-    tparts = partition_layout(N)
+    sparts, tparts = partition_layout(M), partition_layout(N)
     if sparts is not None and tparts is not None:
         out = []
-        roff = 0
-        for b in tparts:
-            coff = 0
-            for a in sparts:
-                for j in range(max(0, b - a), b):
-                    A = np.zeros((t, s), dtype=np.int64)
-                    for i in range(a):
-                        if i + j < b:
-                            A[roff + i + j, coff + i] = 1
-                    out.append(RMap(M, N, FpMatrix(p, A), check=False))
-                coff += a
-            roff += b
+        for roff, coff, a, b, j in _hom_blocks(sparts, tparts):
+            A = np.zeros((t, s), dtype=np.int64)
+            i = np.arange(min(a, b - j))
+            A[roff + j + i, coff + i] = 1
+            out.append(RMap(M, N, FpMatrix(p, A), check=False))
         return out
     Is = np.eye(s, dtype=np.int64)
     It = np.eye(t, dtype=np.int64)

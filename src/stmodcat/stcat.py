@@ -1,6 +1,7 @@
 """The stable module category as a triangulated category.
 
-Hom groups are taken modulo maps factoring through a projective.  The
+Hom groups are taken modulo maps factoring through a projective; between
+canonical layouts their coordinates are read off, with no elimination.  The
 triangulation is fixed once and for all: the cone of f: M -> N is the
 cokernel of the stabilized monomorphism (f, emb): M -> N + I(M), with
 the connecting map induced by the projection onto I(M)/M; the fiber is
@@ -53,11 +54,13 @@ from .modrep import (
     RMap,
     RModule,
     RingMismatch,
+    _hom_blocks,
     direct_sum,
     hom_basis,
     identity_map,
     memo,
     omega,
+    partition_layout,
     sigma,
     zero_map,
 )
@@ -76,7 +79,11 @@ class StableHomSpace:
 
     Quotient coordinates are fixed by the RREF complement of the
     projectively-trivial subspace inside the chosen hom basis, so every
-    stable class has one canonical coordinate vector.
+    stable class has one canonical coordinate vector.  Between canonical
+    layouts both eliminations are selections, equal entry for entry: basis
+    map mu(x^j): R/x^a -> R/x^b alone is nonzero at its first flat entry (so
+    the stacked basis is reduced up to row order), and it is projectively
+    trivial (through R/x^a -> R, 1 -> x^(m-a)) exactly when j >= m - a.
     """
 
     __slots__ = ("src", "tgt", "basis", "sdim", "p", "_solve_T", "_stable_T",
@@ -93,25 +100,34 @@ class StableHomSpace:
         object.__setattr__(self, "tgt", N)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "p", p)
-        # precompute a solver for coordinates in the hom basis:
-        # rref([flat | I_h]) = [E flat | E] with (E flat)[:, piv] = I_h, so a
-        # combination v = c flat has c = v[piv] E; _solve_T applies that.
         n, h = M.dim * N.dim, len(basis)
-        aug = FpMatrix(p, np.hstack([flat.a, np.eye(h, dtype=np.int64)]))
-        R, piv = rref(aug)
-        if len([j for j in piv if j < n]) != h:
-            raise StCatError("hom basis is not independent")
-        T = np.zeros((h, n), dtype=np.int64)
-        T[:, piv] = R.a[:, n:].T
-        object.__setattr__(self, "_solve_T", FpMatrix(p, T))
-        # maps factoring through a projective = maps lifting along the cover of N
-        _, _, cover = omega(N)
-        lifted = [cover @ u for u in hom_basis(M, cover.src)]
-        ph_rows = [self.hom_coords(v) for v in lifted]
-        # stable coordinates: hom coordinates, then their class modulo those;
-        # a class lifts to the combination of the basis maps at the free columns
-        Q, free = quotient(stack_rows(p, ph_rows, cols=h))
-        object.__setattr__(self, "_stable_T", Q @ self._solve_T)
+        sparts, tparts = partition_layout(M), partition_layout(N)
+        if sparts is not None and tparts is not None:
+            blocks = _hom_blocks(sparts, tparts)
+            T = np.zeros((h, n), dtype=np.int64)
+            T[range(h), [(r + j) * M.dim + c for r, c, _, _, j in blocks]] = 1
+            free = [k for k, (_, _, a, _, j) in enumerate(blocks) if j < M.ring.m - a]
+            object.__setattr__(self, "_solve_T", FpMatrix(p, T))
+            object.__setattr__(self, "_stable_T", FpMatrix(p, T[free]))
+        else:
+            # precompute a solver for coordinates in the hom basis:
+            # rref([flat | I_h]) = [E flat | E] with (E flat)[:, piv] = I_h, so a
+            # combination v = c flat has c = v[piv] E; _solve_T applies that.
+            aug = FpMatrix(p, np.hstack([flat.a, np.eye(h, dtype=np.int64)]))
+            R, piv = rref(aug)
+            if len([j for j in piv if j < n]) != h:
+                raise StCatError("hom basis is not independent")
+            T = np.zeros((h, n), dtype=np.int64)
+            T[:, piv] = R.a[:, n:].T
+            object.__setattr__(self, "_solve_T", FpMatrix(p, T))
+            # maps factoring through a projective = maps lifting along the cover of N
+            _, _, cover = omega(N)
+            lifted = [cover @ u for u in hom_basis(M, cover.src)]
+            ph_rows = [self.hom_coords(v) for v in lifted]
+            # stable coordinates: hom coordinates, then their class modulo those;
+            # a class lifts to the combination of the basis maps at the free columns
+            Q, free = quotient(stack_rows(p, ph_rows, cols=h))
+            object.__setattr__(self, "_stable_T", Q @ self._solve_T)
         object.__setattr__(self, "_lift", flat.a[free].reshape(len(free), n))
         object.__setattr__(self, "sdim", len(free))
 

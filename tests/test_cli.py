@@ -215,6 +215,13 @@ def test_non_integer_literals_are_parse_errors(tmp_path, capsys, line):
     assert "Traceback" not in err
 
 
+def test_non_nilpotent_matrix_module_is_refused(tmp_path, capsys):
+    bad = tmp_path / "bad.toda"
+    bad.write_text("ring p=2 m=3\nmodule X = matrix [[0,1],[1,0]]\n")
+    assert run_session(str(bad)) == 2
+    assert capsys.readouterr().err.startswith("error: line 2: ")
+
+
 def test_modulus_beyond_the_int64_bound_is_a_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.toda"
     bad.write_text("ring p=4294967291 m=2\nmodule k = [1]\n")

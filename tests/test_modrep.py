@@ -60,6 +60,12 @@ def test_partition_part_out_of_range():
         module_from_partition(R24, [5])
 
 
+def test_public_constructor_refuses_a_non_nilpotent_action():
+    # module_from_partition skips the x^m = 0 check; RModule itself keeps it
+    with pytest.raises(ModRepError):
+        RModule(Ring(2, 3), FpMatrix(2, [[0, 1], [1, 0]]))
+
+
 def test_jordan_type_zero_action():
     M = RModule(Ring(5, 2), FpMatrix.zeros(5, 3, 3))
     assert jordan_type(M) == (1, 1, 1)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import change_basis
 
-from stmodcat.linalg import FpMatrix, solve_affine
+from stmodcat import linalg, stcat
+from stmodcat.linalg import FpMatrix, quotient, rref, solve_affine, stack_rows
 from stmodcat.modrep import (
     RMap,
     RModule,
@@ -17,11 +18,13 @@ from stmodcat.modrep import (
     jordan_type,
     module_from_partition,
     mu_map,
+    omega,
     zero_map,
 )
 from stmodcat.stcat import (
     DIRECT,
     OP,
+    StableHomSpace,
     StCatError,
     Triangle,
     cone_triangle,
@@ -389,3 +392,69 @@ def test_op_one_sided_solves_are_the_dual_direct_solves(data):
     want = solve_affine(post_matrix(f, Z),
                         np.array(stable_hom(Z, X).stable_coords(t), dtype=np.int64))
     assert _same_solutions(OP.solve_pre(f, t), want)
+
+
+# ---------------------------------------------------------------------------
+# stable homs between canonical layouts: a selection, checked against the
+# elimination every other layout takes
+
+
+def _eliminated(M, N):
+    """(_solve_T, _stable_T, _lift, sdim) of T(M, N) by elimination, for any
+    layouts: the hom solver from rref([flat | I_h]), then the quotient by the
+    hom coordinates of the maps lifting along the projective cover of N."""
+    p, n = M.ring.p, M.dim * N.dim
+    basis = hom_basis(M, N)
+    h = len(basis)
+    flat = stack_rows(p, [b.A.a.reshape(-1) for b in basis], cols=n)
+    R, piv = rref(FpMatrix(p, np.hstack([flat.a, np.eye(h, dtype=np.int64)])))
+    T = np.zeros((h, n), dtype=np.int64)
+    T[:, piv] = R.a[:, n:].T
+    _, _, cover = omega(N)
+    trivial = [(T @ (cover @ u).A.a.reshape(-1)) % p for u in hom_basis(M, cover.src)]
+    Q, free = quotient(stack_rows(p, trivial, cols=h))
+    return T, (Q.a @ T) % p, flat.a[free].reshape(len(free), n), len(free)
+
+
+def _closed_sdim(m, sparts, tparts) -> int:
+    return sum(min(a, b, m - a, m - b) for a in sparts for b in tparts)
+
+
+@st.composite
+def canonical_pairs(draw):
+    ring = Ring(draw(st.sampled_from([2, 3, 5])), draw(st.integers(1, 6)))
+    parts = st.lists(st.integers(1, ring.m), max_size=4)
+    return ring, draw(parts), draw(parts)
+
+
+@given(canonical_pairs())
+@example((Ring(2, 1), [1, 1], [1]))
+@example((Ring(3, 4), [], [4, 2, 1]))
+@example((Ring(5, 3), [3, 1], []))
+@settings(max_examples=120, deadline=None)
+def test_canonical_stable_hom_is_the_elimination(pair):
+    # full arrays, not just values on maps of the space
+    ring, sparts, tparts = pair
+    M, N = module_from_partition(ring, sparts), module_from_partition(ring, tparts)
+    S = StableHomSpace(M, N)
+    solve_T, stable_T, lift, sdim = _eliminated(M, N)
+    assert np.array_equal(S._solve_T.a, solve_T)
+    assert np.array_equal(S._stable_T.a, stable_T)
+    assert np.array_equal(S._lift, lift)
+    assert S.sdim == sdim == _closed_sdim(ring.m, sparts, tparts)
+
+
+def test_canonical_stable_homs_eliminate_nothing(monkeypatch):
+    # a canonical pair must never fall back to elimination
+    def refuse(M):
+        raise AssertionError("rref on a canonical pair")
+
+    for mod in (linalg, stcat):
+        monkeypatch.setattr(mod, "rref", refuse)
+    for ring, types in [(Ring(3, 5), [[5, 5, 4, 3, 2, 1], [5, 4, 3, 1], [4, 3, 2, 1],
+                                      [2], []]),
+                        (Ring(2, 1), [[1, 1], [1], []])]:
+        mods = [module_from_partition(ring, t) for t in types]
+        for M, s in zip(mods, types):
+            for N, t in zip(mods, types):
+                assert StableHomSpace(M, N).sdim == _closed_sdim(ring.m, s, t)

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 
 from conftest import (
     RINGS,
+    change_basis,
     random_module,
     random_vanishing_chain,
     vanishing_triples,
@@ -17,7 +18,9 @@ from stmodcat.modrep import (
     Ring,
     identity_map,
     module_from_partition,
+    module_iso,
     mu_map,
+    partition_layout,
     zero_map,
 )
 from stmodcat.stcat import (
@@ -588,3 +591,31 @@ def test_self_duality_n5_once():
         assert op_transport(opbs, maps[0].tgt, 5) == direct.elements
         return
     pytest.skip("no nonempty instance found in budget")
+
+
+# vanishing 3-chains whose fc bracket is a coset missing 0, with middle
+# objects that a change of basis moves off canonical layout
+_MOVABLE_SEEDS = [149, 293, 332, 347, 383]
+
+
+@pytest.mark.parametrize("ctx", [DIRECT, OP], ids=lambda c: c.name)
+@pytest.mark.parametrize("seed", _MOVABLE_SEEDS)
+def test_bracket3_is_natural_in_the_middle_objects(seed, ctx):
+    # moving X1 and X2 of a vanishing chain X0 -> X1 -> X2 -> X3 off
+    # canonical layout sends every stable hom touching them down the
+    # eliminating path; the ends are unchanged, so each definition must
+    # give exactly the same subset of T(Sigma X0, X3)
+    rng = np.random.default_rng(seed)
+    f3, f2, f1 = random_vanishing_chain(rng, RINGS[seed % len(RINGS)], 3, max_dim=4)
+    X1, X2 = f1.tgt, f2.tgt
+    Y1, Y2 = (change_basis(X, rng.integers(1, X.ring.p, (X.dim, X.dim)),
+                           rng.integers(1, X.ring.p, (X.dim, X.dim))) for X in (X1, X2))
+    assert partition_layout(Y1) is None and partition_layout(Y2) is None
+    chains = [(f3, f2, f1), (f3 @ module_iso(Y2, X2),
+                             module_iso(X2, Y2) @ f2 @ module_iso(Y1, X1),
+                             module_iso(X1, Y1) @ f1)]
+    if ctx is OP:
+        chains = [chain[::-1] for chain in chains]
+    for defn in ("cc", "fc", "ff"):
+        want, got = (bracket3(*chain, defn=defn, ctx=ctx) for chain in chains)
+        assert want.elements and got.equal_sets(want), defn
