@@ -137,8 +137,9 @@ def ghost_cover(M: RModule, cls: ProjectiveClass) -> tuple[RModule, RMap]:
     One summand Sigma^n G per generator of +_n T(Sigma^n G, M) over the
     graded stable endomorphism ring of G.  Quotient basis map i has stable
     coordinates e_i, so a shift's generators are the rows of the identity
-    extending the classes reached from earlier ones by precomposition.  The
-    tautological map is epic for the class by construction, and verified.
+    extending the classes reached from earlier ones by precomposition: the
+    columns of their memoized `post_matrix`.  The tautological map is epic
+    for the class by construction, and verified.
     """
     shifts = cls.shifts()
     p = M.ring.p
@@ -147,8 +148,7 @@ def ghost_cover(M: RModule, cls: ProjectiveClass) -> tuple[RModule, RMap]:
         S = stable_hom(Gn, M)
         if S.sdim == 0:
             continue
-        reached = [S.stable_coords(rep @ e) for d, rep in chosen
-                   for e in stable_hom(Gn, shifts[d]).quotient_basis_maps()]
+        reached = [row for _, rep in chosen for row in post_matrix(rep, Gn).a.T]
         basis = S.quotient_basis_maps()
         chosen += [(n, basis[i]) for i in extending(
             stack_rows(p, reached, cols=S.sdim), FpMatrix.identity(p, S.sdim))]

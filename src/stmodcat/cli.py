@@ -25,11 +25,10 @@ Exit codes: 0 success, 1 engine error, 2 parse/validation error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
-
-import numpy as np
 
 from .linalg import EnumerationOverflow, FpMatrix
 from .modrep import (
@@ -37,6 +36,7 @@ from .modrep import (
     RMap,
     RModule,
     Ring,
+    _hom_blocks,
     block_map,
     jordan_type,
     module_from_partition,
@@ -231,48 +231,22 @@ class Session:
 # labels
 
 
-def _format_block(sub: np.ndarray, p: int) -> str:
-    """Express one block of a map between canonical blocks in mu terms."""
-    b, a = sub.shape
-    terms = []
-    for j in range(max(a, b) + 1):
-        diag = [sub[i + j, i] for i in range(a) if i + j < b]
-        if not diag:
-            continue
-        c = diag[0]
-        if any(d != c for d in diag):
-            return "?"
-        if c:
-            if j == 0:
-                base = "mu(1)"
-            elif j == 1:
-                base = "mu(x)"
-            else:
-                base = f"mu(x^{j})"
-            terms.append(base if c == 1 else f"{c}*{base}")
-    # entries off the mu diagonals (above the main one) must vanish
-    if (np.triu(sub, 1) % p).any():
-        return "?"
-    return "+".join(terms) if terms else "0"
-
-
 def mu_label(f: RMap) -> str:
-    """A mu-basis label for a map between canonical-form modules."""
-    sparts = partition_layout(f.src)
-    tparts = partition_layout(f.tgt)
+    """A mu-basis label for a map between canonical-form modules: each block
+    sums c*mu(x^j) over f's nonzero hom coordinates c at that block's basis
+    maps (`_hom_blocks`), or is "0"."""
+    sparts, tparts = partition_layout(f.src), partition_layout(f.tgt)
     if sparts is None or tparts is None:
         return "?"
-    rows = []
-    roff = 0
-    for bt in tparts:
-        cols = []
-        coff = 0
-        for bs in sparts:
-            sub = f.A.a[roff:roff + bt, coff:coff + bs]
-            cols.append(_format_block(sub, f.src.ring.p))
-            coff += bs
-        rows.append(cols)
-        roff += bt
+    terms: dict[tuple[int, int], list[str]] = {}
+    coords = stable_hom(f.src, f.tgt).hom_coords(f)
+    for c, (roff, coff, _, _, j) in zip(coords, _hom_blocks(sparts, tparts)):
+        if c:
+            base = "mu(1)" if j == 0 else "mu(x)" if j == 1 else f"mu(x^{j})"
+            terms.setdefault((roff, coff), []).append(base if c == 1 else f"{c}*{base}")
+    coffs = list(itertools.accumulate(sparts, initial=0))
+    rows = [["+".join(terms.get((roff, coff), ["0"])) for coff, _ in zip(coffs, sparts)]
+            for roff, _ in zip(itertools.accumulate(tparts, initial=0), tparts)]
     if len(rows) == 1 and len(rows[0]) == 1:
         return rows[0][0]
     return "[" + "; ".join(" ".join(r) for r in rows) + "]"

@@ -300,35 +300,32 @@ def _hom_blocks(sparts, tparts) -> list[tuple[int, int, int, int, int]]:
 
 
 @memo
-def hom_basis(M: RModule, N: RModule) -> list[RMap]:
+def hom_basis(M: RModule, N: RModule) -> np.ndarray:
     """Basis of the F_p-space of R-linear maps M -> N, deterministic order.
 
-    Between canonical-layout modules the basis is the multiplication maps
-    listed by `_hom_blocks` (one per block pair and eligible power);
-    otherwise the commuting-matrix system is solved.
+    One read-only (shared) int64 array of shape (h, dim N, dim M), entry k
+    the matrix of basis map k.  Between canonical-layout modules the basis
+    is the multiplication maps listed by `_hom_blocks` (one per block pair
+    and eligible power); otherwise the commuting-matrix system is solved.
     """
     if M.ring != N.ring:
         raise RingMismatch("hom between modules over different rings")
     s, t = M.dim, N.dim
-    if s == 0 or t == 0:
-        return []
-    p = M.ring.p
-    sparts, tparts = partition_layout(M), partition_layout(N)
+    # a zero side lists no block pairs
+    sparts, tparts = (partition_layout(M), partition_layout(N)) if s and t else ([], [])
     if sparts is not None and tparts is not None:
-        out = []
-        for roff, coff, a, b, j in _hom_blocks(sparts, tparts):
-            A = np.zeros((t, s), dtype=np.int64)
+        blocks = _hom_blocks(sparts, tparts)
+        H = np.zeros((len(blocks), t, s), dtype=np.int64)
+        for k, (roff, coff, a, b, j) in enumerate(blocks):
             i = np.arange(min(a, b - j))
-            A[roff + j + i, coff + i] = 1
-            out.append(RMap(M, N, FpMatrix(p, A), check=False))
-        return out
-    Is = np.eye(s, dtype=np.int64)
-    It = np.eye(t, dtype=np.int64)
-    system = FpMatrix(p, np.kron(It, M.X.a.T) - np.kron(N.X.a, Is))
-    return [
-        RMap(M, N, FpMatrix(p, row.reshape(t, s)), check=False)
-        for row in nullspace(system).a
-    ]
+            H[k, roff + j + i, coff + i] = 1
+    else:
+        Is = np.eye(s, dtype=np.int64)
+        It = np.eye(t, dtype=np.int64)
+        system = FpMatrix(M.ring.p, np.kron(It, M.X.a.T) - np.kron(N.X.a, Is))
+        H = nullspace(system).a.reshape(-1, t, s)
+    H.setflags(write=False)
+    return H
 
 
 def mu_map(ring: Ring, a: int, b: int, j: int, coeff: int = 1) -> RMap:
@@ -373,8 +370,8 @@ def direct_sum(modules) -> tuple[RModule, list[RMap], list[RMap]]:
 
 def block_map(src_summands, tgt_summands, entries) -> RMap:
     """Assemble a map between direct sums from a grid of RMaps (or None)."""
-    S, s_incl, _ = direct_sum(src_summands)
-    T, _, t_proj = direct_sum(tgt_summands)
+    S = direct_sum(src_summands)[0]
+    T = direct_sum(tgt_summands)[0]
     p = S.ring.p
     A = np.zeros((T.dim, S.dim), dtype=np.int64)
     roff = 0

@@ -46,7 +46,6 @@ from .linalg import (
     rref,
     solve_affine,
     solve_columns,
-    stack_rows,
 )
 from .modrep import (
     KernelData,
@@ -78,29 +77,27 @@ class StableHomSpace:
     """Hom(M, N) with the subspace of projectively-trivial maps split off.
 
     Quotient coordinates are fixed by the RREF complement of the
-    projectively-trivial subspace inside the chosen hom basis, so every
-    stable class has one canonical coordinate vector.  Between canonical
-    layouts both eliminations are selections, equal entry for entry: basis
-    map mu(x^j): R/x^a -> R/x^b alone is nonzero at its first flat entry (so
-    the stacked basis is reduced up to row order), and it is projectively
-    trivial (through R/x^a -> R, 1 -> x^(m-a)) exactly when j >= m - a.
+    projectively-trivial subspace inside the hom basis, read as the rows of
+    the flattened `hom_basis` array, so every stable class has one canonical
+    coordinate vector.  Between canonical layouts both eliminations are
+    selections, equal entry for entry: basis map mu(x^j): R/x^a -> R/x^b
+    alone is nonzero at its first flat entry (so the flat rows are reduced
+    up to row order), and it is projectively trivial (through R/x^a -> R,
+    1 -> x^(m-a)) exactly when j >= m - a.
     """
 
-    __slots__ = ("src", "tgt", "basis", "sdim", "p", "_solve_T", "_stable_T",
-                 "_lift")
+    __slots__ = ("src", "tgt", "sdim", "p", "_solve_T", "_stable_T", "_lift")
 
     def __init__(self, M: RModule, N: RModule):
         if M.ring != N.ring:
             raise RingMismatch("stable hom between different rings")
         p = M.ring.p
-        basis = hom_basis(M, N)
-        flat = stack_rows(p, [b.A.a.reshape(-1) for b in basis],
-                          cols=M.dim * N.dim)
+        H = hom_basis(M, N)
+        h, n = len(H), M.dim * N.dim
+        flat = H.reshape(h, n)
         object.__setattr__(self, "src", M)
         object.__setattr__(self, "tgt", N)
-        object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "p", p)
-        n, h = M.dim * N.dim, len(basis)
         sparts, tparts = partition_layout(M), partition_layout(N)
         if sparts is not None and tparts is not None:
             blocks = _hom_blocks(sparts, tparts)
@@ -113,7 +110,7 @@ class StableHomSpace:
             # precompute a solver for coordinates in the hom basis:
             # rref([flat | I_h]) = [E flat | E] with (E flat)[:, piv] = I_h, so a
             # combination v = c flat has c = v[piv] E; _solve_T applies that.
-            aug = FpMatrix(p, np.hstack([flat.a, np.eye(h, dtype=np.int64)]))
+            aug = FpMatrix(p, np.hstack([flat, np.eye(h, dtype=np.int64)]))
             R, piv = rref(aug)
             if len([j for j in piv if j < n]) != h:
                 raise StCatError("hom basis is not independent")
@@ -122,13 +119,12 @@ class StableHomSpace:
             object.__setattr__(self, "_solve_T", FpMatrix(p, T))
             # maps factoring through a projective = maps lifting along the cover of N
             _, _, cover = omega(N)
-            lifted = [cover @ u for u in hom_basis(M, cover.src)]
-            ph_rows = [self.hom_coords(v) for v in lifted]
+            lifted = (cover.A.a @ hom_basis(M, cover.src)) % p
             # stable coordinates: hom coordinates, then their class modulo those;
             # a class lifts to the combination of the basis maps at the free columns
-            Q, free = quotient(stack_rows(p, ph_rows, cols=h))
+            Q, free = quotient(FpMatrix(p, lifted.reshape(len(lifted), n) @ T.T))
             object.__setattr__(self, "_stable_T", Q @ self._solve_T)
-        object.__setattr__(self, "_lift", flat.a[free].reshape(len(free), n))
+        object.__setattr__(self, "_lift", flat[free].reshape(len(free), n))
         object.__setattr__(self, "sdim", len(free))
 
     def __setattr__(self, *args):
@@ -230,7 +226,7 @@ def _cokernel_map(i: FpMatrix, rhs: FpMatrix, c: RMap, q: RMap) -> RMap:
     im i, so the induced map is q . F . c^-1."""
     if c.tgt.dim == 0 or q.tgt.dim == 0:
         return zero_map(c.tgt, q.tgt)
-    H = np.array([B.A.a for B in hom_basis(c.src, q.src)])
+    H = hom_basis(c.src, q.src)
     F = _combination(H, H @ i.a, rhs)
     return RMap(c.tgt, q.tgt, q.A @ F @ right_inverse(c.A))
 
@@ -241,7 +237,7 @@ def _kernel_map(c: RMap, rhs: FpMatrix, j: RMap, k: RMap) -> RMap:
     of c, so G . j lands in its image."""
     if j.src.dim == 0 or k.src.dim == 0:
         return zero_map(j.src, k.src)
-    H = np.array([B.A.a for B in hom_basis(j.tgt, c.src)])
+    H = hom_basis(j.tgt, c.src)
     G = _combination(H, c.A.a @ H, rhs)
     try:
         return RMap(j.src, k.src, solve_columns(k.A, G @ j.A))

@@ -4,9 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from stmodcat.cli import main, parse_session, run_session
+from stmodcat.cli import main, mu_label, parse_session, run_session
+from stmodcat.linalg import FpMatrix
+from stmodcat.modrep import RMap, Ring, hom_basis, module_from_partition, partition_layout
 
 ROOT = Path(__file__).resolve().parents[1]
 SESSIONS = ROOT / "sessions"
@@ -262,3 +266,71 @@ def test_mu_terms_read_coefficient_and_power(tmp_path, capsys):
     maps = parse_session(str(f)).maps
     assert maps["f"].A.a.tolist() == [[0], [0], [2]]
     assert maps["g"].A.a.tolist() == [[2, 0, 0]]  # -1 is 2 mod 3
+
+
+def _scan_block(sub: np.ndarray, p: int) -> str:
+    """One block of a map between canonical blocks in mu terms, read by
+    scanning its diagonals; "?" when they are not constant."""
+    b, a = sub.shape
+    terms = []
+    for j in range(max(a, b) + 1):
+        diag = [sub[i + j, i] for i in range(a) if i + j < b]
+        if not diag:
+            continue
+        c = diag[0]
+        if any(d != c for d in diag):
+            return "?"
+        if c:
+            base = "mu(1)" if j == 0 else "mu(x)" if j == 1 else f"mu(x^{j})"
+            terms.append(base if c == 1 else f"{c}*{base}")
+    # entries off the mu diagonals (above the main one) must vanish
+    if (np.triu(sub, 1) % p).any():
+        return "?"
+    return "+".join(terms) if terms else "0"
+
+
+def _scanned_label(f: RMap) -> str:
+    """The label of f read block by block off its matrix: the reference
+    for `mu_label`, which reads hom coordinates instead."""
+    sparts, tparts = partition_layout(f.src), partition_layout(f.tgt)
+    rows, roff = [], 0
+    for bt in tparts:
+        cols, coff = [], 0
+        for bs in sparts:
+            cols.append(_scan_block(f.A.a[roff:roff + bt, coff:coff + bs], f.src.ring.p))
+            coff += bs
+        rows.append(cols)
+        roff += bt
+    if len(rows) == 1 and len(rows[0]) == 1:
+        return rows[0][0]
+    return "[" + "; ".join(" ".join(r) for r in rows) + "]"
+
+
+@st.composite
+def canonical_hom_draws(draw):
+    """(ring, source parts, target parts, coefficients on the hom basis)."""
+    ring = Ring(draw(st.sampled_from([2, 3, 5])), draw(st.integers(1, 6)))
+    parts = st.lists(st.integers(1, ring.m), max_size=4)
+    sparts, tparts = draw(parts), draw(parts)
+    h = sum(min(a, b) for a in sparts for b in tparts)
+    return ring, sparts, tparts, draw(st.lists(st.integers(0, ring.p - 1),
+                                               min_size=h, max_size=h))
+
+
+@given(canonical_hom_draws())
+@example((Ring(3, 3), [], [2, 1], []))
+@example((Ring(2, 4), [3], [], []))
+@example((Ring(2, 2), [], [], []))
+@example((Ring(5, 3), [3], [3], [4, 2, 3]))
+@example((Ring(5, 4), [2, 1], [3], [2, 0, 3]))
+@example((Ring(3, 5), [4, 2], [1, 5], [2, 1, 0, 1, 2, 2, 0, 2]))
+@settings(max_examples=200, deadline=None)
+def test_mu_label_is_the_diagonal_scan(draw):
+    # labels read off hom coordinates over the block list must be the strings
+    # the diagonal scan gave, including zero blocks on either side
+    ring, sparts, tparts, coeffs = draw
+    M, N = module_from_partition(ring, sparts), module_from_partition(ring, tparts)
+    H = hom_basis(M, N)
+    A = np.tensordot(np.array(coeffs, dtype=np.int64), H, axes=1)
+    f = RMap(M, N, FpMatrix(ring.p, A))
+    assert mu_label(f) == _scanned_label(f)

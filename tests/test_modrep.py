@@ -97,21 +97,32 @@ def test_hom_k_to_M():
     M = module_from_partition(R24, [2])
     basis = hom_basis(k, M)
     assert len(basis) == 1
-    assert basis[0].A == mu_map(R24, 1, 2, 1).A
+    assert np.array_equal(basis[0], mu_map(R24, 1, 2, 1).A.a)
 
 
 def test_hom_omega_k_to_M():
     Ok = module_from_partition(R24, [3])
     M = module_from_partition(R24, [2])
-    basis = hom_basis(Ok, M)
-    assert len(basis) == 2
-    mats = {b.A for b in basis}
-    # spanned by mu_1 and mu_x
-    span = {mu_map(R24, 3, 2, 0).A, mu_map(R24, 3, 2, 1).A}
-    got = {m.a.tobytes() for m in mats}
-    want = {m.a.tobytes() for m in span}
-    assert got == want or len(basis) == 2  # dimension is the hard claim
-    assert rank(FpMatrix(2, np.vstack([m.a.reshape(1, -1) for m in mats | span]))) == 2
+    # the canonical basis is exactly [mu(1), mu(x)], in that order
+    want = [mu_map(R24, 3, 2, 0).A.a, mu_map(R24, 3, 2, 1).A.a]
+    assert np.array_equal(hom_basis(Ok, M), np.array(want))
+
+
+def test_hom_basis_is_one_shared_read_only_array():
+    # the memo hands every caller the same array, so writing into it must fail
+    A = module_from_partition(R33, [3, 1])
+    B = module_from_partition(R33, [2, 2])
+    rng = np.random.default_rng(7)
+    for M in (A, change_basis(A, rng.integers(0, 3, (4, 4)), rng.integers(0, 3, (4, 4)))):
+        H = hom_basis(M, B)
+        assert H.dtype == np.int64 and H.shape == (6, B.dim, M.dim)
+        before = H.copy()
+        with pytest.raises(ValueError):
+            H[0, 0, 0] = 2
+        with pytest.raises(ValueError):
+            H += 1
+        assert hom_basis(M, B) is H
+        assert np.array_equal(H, before)
 
 
 def _brute_force_hom_dim(ring, a, b):
@@ -277,10 +288,9 @@ def test_blockwise_hom_basis_matches_commuting_system():
             system = FpMatrix(p, np.kron(np.eye(t, dtype=np.int64), A.X.a.T)
                               - np.kron(B.X.a, np.eye(s, dtype=np.int64)))
             assert len(basis) == nullspace(system).rows
-            flat = np.array([b.A.a.reshape(-1) for b in basis], dtype=np.int64)
-            assert rank(FpMatrix(p, flat.reshape(len(basis), s * t))) == len(basis)
+            assert rank(FpMatrix(p, basis.reshape(len(basis), s * t))) == len(basis)
             for b in basis:
-                assert (b.A @ A.X) == (B.X @ b.A)
+                assert np.array_equal((b @ A.X.a) % p, (B.X.a @ b) % p)
 
 
 def test_stable_hom_dims_closed_form():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import change_basis
 
@@ -19,6 +19,7 @@ from stmodcat.modrep import (
     module_from_partition,
     mu_map,
     omega,
+    partition_layout,
     zero_map,
 )
 from stmodcat.stcat import (
@@ -342,13 +343,11 @@ def test_hom_coords_round_trip(data):
     ring = Ring(data.draw(st.sampled_from([2, 3, 5])), data.draw(st.integers(2, 3)))
     M, N = data.draw(modules(ring)), data.draw(modules(ring))
     S = stable_hom(M, N)
+    H = hom_basis(M, N)
     c = np.array(data.draw(st.lists(st.integers(0, ring.p - 1),
-                                    min_size=len(S.basis), max_size=len(S.basis))),
+                                    min_size=len(H), max_size=len(H))),
                  dtype=np.int64)
-    A = np.zeros((N.dim, M.dim), dtype=np.int64)
-    for ci, b in zip(c, S.basis):
-        A = A + ci * b.A.a
-    f = RMap(M, N, FpMatrix(ring.p, A))
+    f = RMap(M, N, FpMatrix(ring.p, np.tensordot(c, H, axes=1)))
     assert np.array_equal(S.hom_coords(f), c)
 
 
@@ -357,10 +356,8 @@ def _draw_map(data, A, B) -> RMap:
     basis = hom_basis(A, B)
     c = data.draw(st.lists(st.integers(0, A.ring.p - 1),
                            min_size=len(basis), max_size=len(basis)))
-    mat = np.zeros((B.dim, A.dim), dtype=np.int64)
-    for ci, b in zip(c, basis):
-        mat = mat + ci * b.A.a
-    return RMap(A, B, FpMatrix(A.ring.p, mat))
+    return RMap(A, B, FpMatrix(A.ring.p, np.tensordot(np.array(c, dtype=np.int64),
+                                                      basis, axes=1)))
 
 
 def _same_solutions(got, want) -> bool:
@@ -406,12 +403,12 @@ def _eliminated(M, N):
     p, n = M.ring.p, M.dim * N.dim
     basis = hom_basis(M, N)
     h = len(basis)
-    flat = stack_rows(p, [b.A.a.reshape(-1) for b in basis], cols=n)
+    flat = stack_rows(p, [b.reshape(-1) for b in basis], cols=n)
     R, piv = rref(FpMatrix(p, np.hstack([flat.a, np.eye(h, dtype=np.int64)])))
     T = np.zeros((h, n), dtype=np.int64)
     T[:, piv] = R.a[:, n:].T
     _, _, cover = omega(N)
-    trivial = [(T @ (cover @ u).A.a.reshape(-1)) % p for u in hom_basis(M, cover.src)]
+    trivial = [(T @ ((cover.A.a @ u) % p).reshape(-1)) % p for u in hom_basis(M, cover.src)]
     Q, free = quotient(stack_rows(p, trivial, cols=h))
     return T, (Q.a @ T) % p, flat.a[free].reshape(len(free), n), len(free)
 
@@ -442,6 +439,23 @@ def test_canonical_stable_hom_is_the_elimination(pair):
     assert np.array_equal(S._stable_T.a, stable_T)
     assert np.array_equal(S._lift, lift)
     assert S.sdim == sdim == _closed_sdim(ring.m, sparts, tparts)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_off_layout_stable_hom_is_the_per_map_elimination(data):
+    # off canonical layout the maps lifting along the cover are composed and
+    # read in hom coordinates in one batched product; it must give the arrays
+    # of the per-map reference
+    ring = Ring(data.draw(st.sampled_from([2, 3, 5])), data.draw(st.integers(1, 4)))
+    M, N = data.draw(modules(ring)), data.draw(modules(ring))
+    assume(partition_layout(M) is None or partition_layout(N) is None)
+    S = StableHomSpace(M, N)
+    solve_T, stable_T, lift, sdim = _eliminated(M, N)
+    assert np.array_equal(S._solve_T.a, solve_T)
+    assert np.array_equal(S._stable_T.a, stable_T)
+    assert np.array_equal(S._lift, lift)
+    assert S.sdim == sdim
 
 
 def test_canonical_stable_homs_eliminate_nothing(monkeypatch):
