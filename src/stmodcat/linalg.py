@@ -3,9 +3,10 @@
 Everything downstream (module homs, lifting problems, bracket
 enumeration) reduces to solving affine systems, taking kernels and
 quotients, and enumerating points of small affine subspaces, all done
-here with deterministic reduced row echelon form.  Pivoting is fixed
-(leftmost eligible column, topmost row) so representatives are
-bit-reproducible across runs and platforms.
+here with deterministic reduced row echelon form: one pure-Python
+kernel on list rows, touching only the rows nonzero at each pivot.
+Pivoting is fixed (leftmost eligible column, topmost row) so
+representatives are bit-reproducible across runs and platforms.
 
 One elimination per query: each function reduces one matrix once and
 reads every part of its answer from that reduction.  Even a greedy
@@ -168,30 +169,34 @@ def rref(M: FpMatrix) -> tuple[FpMatrix, list[int]]:
 
     Returns (R, pivot_cols).  Pivots are searched leftmost column first,
     topmost unused row first; pivot entries are normalized to 1 and
-    cleared above and below.
+    cleared above and below.  The rows are Python lists; a step changes
+    only the rows nonzero at the pivot (most rows the engine reduces are
+    sparse), from the pivot column on, where the pivot row starts.
     """
     p = M.p
-    A = M.a.copy()
-    m, n = A.shape
+    m, n = M.a.shape
+    rows = M.a.tolist()
     pivots: list[int] = []
     r = 0
     for c in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(A[r:, c])[0]
-        if nz.size == 0:
+        for i in range(r, m):
+            if rows[i][c]:
+                break
+        else:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            A[[r, i]] = A[[i, r]]
-        # row r is zero left of c, so only the columns from c on change
-        A[r, c:] = (A[r, c:] * pow(int(A[r, c]), p - 2, p)) % p
-        col = A[:, c].copy()
-        col[r] = 0
-        A[:, c:] = (A[:, c:] - np.outer(col, A[r, c:])) % p
+        rows[r], rows[i] = rows[i], rows[r]
+        top = rows[r]
+        if top[c] != 1:
+            inv = pow(top[c], p - 2, p)
+            top[c:] = [x * inv % p for x in top[c:]]
+        tail = top[c:]
+        for row in rows:
+            f = row[c]
+            if f and row is not top:
+                row[c:] = [(x - f * y) % p for x, y in zip(row[c:], tail)]
         pivots.append(c)
         r += 1
-    return FpMatrix(p, A), pivots
+    return FpMatrix(p, np.array(rows, dtype=np.int64).reshape(m, n)), pivots
 
 
 def rank(M: FpMatrix) -> int:
@@ -226,10 +231,8 @@ def _kernel_from_rref(R: np.ndarray, pivots: list[int], n: int,
     """The nullspace basis and free columns of a reduction starting with rref(A)."""
     free = [j for j in range(n) if j not in pivots]
     basis = np.zeros((len(free), n), dtype=np.int64)
-    for k, j in enumerate(free):
-        basis[k, j] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-R[i, j]) % p
+    basis[range(len(free)), free] = 1
+    basis[:, pivots] = (-R[:len(pivots), free].T) % p
     return basis, free
 
 
@@ -310,8 +313,7 @@ def solve_affine(A: FpMatrix, b) -> AffineSpace | None:
     if A.cols in pivots:
         return None
     rep = np.zeros(A.cols, dtype=np.int64)
-    for i, pc in enumerate(pivots):
-        rep[pc] = R.a[i, A.cols]
+    rep[pivots] = R.a[:len(pivots), A.cols]
     # pivoting is column by column, so the first A.cols columns of R are rref(A)
     basis, _ = _kernel_from_rref(R.a, pivots, A.cols, A.p)
     return _affine_space(A.p, rep, basis)
@@ -380,14 +382,12 @@ def solve_columns(A: FpMatrix, B: FpMatrix) -> FpMatrix:
     """
     if A.rows != B.rows:
         raise DimensionMismatch("row counts differ")
-    k = B.cols
-    aug = FpMatrix(A.p, np.hstack([A.a, B.a]).reshape(A.rows, A.cols + k))
+    aug = FpMatrix(A.p, np.hstack([A.a, B.a]).reshape(A.rows, A.cols + B.cols))
     R, pivots = rref(aug)
     if any(pc >= A.cols for pc in pivots):
         raise LinAlgError("inconsistent column system")
-    X = np.zeros((A.cols, k), dtype=np.int64)
-    for i, pc in enumerate(pivots):
-        X[pc] = R.a[i, A.cols:]
+    X = np.zeros((A.cols, B.cols), dtype=np.int64)
+    X[pivots] = R.a[:len(pivots), A.cols:]
     return FpMatrix(A.p, X)
 
 

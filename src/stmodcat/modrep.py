@@ -359,7 +359,7 @@ def direct_sum(modules) -> tuple[RModule, list[RMap], list[RMap]]:
         X[off:off + M.dim, off:off + M.dim] = M.X.a
         offs.append(off)
         off += M.dim
-    S = RModule(ring, FpMatrix(ring.p, X))
+    S = RModule(ring, FpMatrix(ring.p, X), check=False)  # blocks are nilpotent
     for M, off in zip(modules, offs):
         inc = np.zeros((n, M.dim), dtype=np.int64)
         inc[off:off + M.dim, :] = np.eye(M.dim, dtype=np.int64)
@@ -435,7 +435,7 @@ class KernelData:
             Y = solve_columns(FpMatrix(p, B), XB).a
         except LinAlgError:
             raise ModRepError("kernel is not x-stable; map is not R-linear")
-        K_raw = RModule(f.src.ring, FpMatrix(p, Y))
+        K_raw = RModule(f.src.ring, FpMatrix(p, Y), check=False)  # B Y^m = X^m B = 0
         incl_raw = RMap(K_raw, f.src, FpMatrix(p, B))
         K, to_red, from_red = reduce_module(K_raw)
         object.__setattr__(self, "kernel", K)
@@ -465,8 +465,8 @@ class CokernelData:
         sub = FpMatrix(p, f.A.a.T.reshape(f.src.dim, n))  # rows span im f
         Q, free = quotient(sub)  # the projection tgt -> tgt / im f
         Y = (Q.a @ f.tgt.X.a[:, free]) % p  # x-action on the quotient
-        C_raw = RModule(f.tgt.ring, FpMatrix(p, Y))
-        proj_raw = RMap(f.tgt, C_raw, Q)
+        C_raw = RModule(f.tgt.ring, FpMatrix(p, Y), check=False)  # Y^m Q = Q X^m = 0
+        proj_raw = RMap(f.tgt, C_raw, Q)  # checks Y Q = Q X
         C, to_red, from_red = reduce_module(C_raw)
         object.__setattr__(self, "cokernel", C)
         object.__setattr__(self, "proj", to_red @ proj_raw)

@@ -90,3 +90,17 @@ def change_basis(M: RModule, lower, upper) -> RModule:
     U = np.triu(upper, 1) + np.eye(n, dtype=np.int64)
     C = FpMatrix(p, L @ U)
     return RModule(M.ring, C @ M.X @ solve_columns(C, FpMatrix.identity(p, n)))
+
+
+@st.composite
+def modules(draw, ring):
+    """A module of dim <= 5, optionally moved off canonical layout by a change of basis."""
+    parts = draw(st.lists(st.integers(1, ring.m), min_size=1, max_size=3)
+                 .filter(lambda ps: sum(ps) <= 5))
+    M = module_from_partition(ring, parts)
+    if not draw(st.booleans()):
+        return M
+    n, p = M.dim, ring.p
+    entries = st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n)
+    return change_basis(M, np.array(draw(entries)).reshape(n, n),
+                        np.array(draw(entries)).reshape(n, n))

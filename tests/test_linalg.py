@@ -237,6 +237,100 @@ def test_rref_matches_full_width_reference(M):
     assert np.array_equal(R.a, ref)
 
 
+def numpy_rref(M):
+    """The earlier numpy elimination, kept verbatim as a reference: every
+    row is updated at every pivot step, zero multiples included."""
+    p = M.p
+    A = M.a.copy()
+    m, n = A.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        nz = np.nonzero(A[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            A[[r, i]] = A[[i, r]]
+        # row r is zero left of c, so only the columns from c on change
+        A[r, c:] = (A[r, c:] * pow(int(A[r, c]), p - 2, p)) % p
+        col = A[:, c].copy()
+        col[r] = 0
+        A[:, c:] = (A[:, c:] - np.outer(col, A[r, c:])) % p
+        pivots.append(c)
+        r += 1
+    return FpMatrix(p, A), pivots
+
+
+def assert_same_rref(M):
+    R, pivots = rref(M)
+    ref, ref_pivots = numpy_rref(M)
+    assert pivots == ref_pivots
+    assert R.a.dtype == ref.a.dtype and R.a.shape == ref.a.shape
+    assert np.array_equal(R.a, ref.a)
+    return R, pivots
+
+
+@st.composite
+def engine_sized_matrices(draw):
+    """Up to 24x32 (empty shapes included) at p in {2, 3, 5, 65521}: sparse
+    (each entry nonzero with probability <= 0.2), dense, or dense of low rank."""
+    p = draw(st.sampled_from([2, 3, 5, 65521]))
+    m, n = draw(st.integers(0, 24)), draw(st.integers(0, 32))
+    kind = draw(st.sampled_from(["sparse", "dense", "low_rank"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "sparse":
+        density = draw(st.floats(0, 0.2))
+        a = rng.integers(1, p, size=(m, n)) * (rng.random((m, n)) < density)
+    elif kind == "dense":
+        a = rng.integers(0, p, size=(m, n))
+    else:
+        k = draw(st.integers(0, min(m, n)))
+        a = rng.integers(0, p, size=(m, k)) @ rng.integers(0, p, size=(k, n))
+    return FpMatrix(p, a.reshape(m, n))
+
+
+@given(engine_sized_matrices())
+@settings(max_examples=300, deadline=None)
+def test_rref_matches_the_numpy_elimination(M):
+    assert_same_rref(M)
+
+
+@pytest.mark.parametrize("p, rows, want, want_pivots", [
+    (3, np.zeros((3, 4), dtype=np.int64), np.zeros((3, 4)), []),
+    (5, np.zeros((0, 3), dtype=np.int64), np.zeros((0, 3)), []),
+    (5, np.zeros((2, 0), dtype=np.int64), np.zeros((2, 0)), []),
+    (7, np.eye(4, dtype=np.int64), np.eye(4), [0, 1, 2, 3]),
+    # column 1 is nonzero only in row 0, which column 0 has already used
+    (3, [[1, 2, 0], [0, 0, 2]], [[1, 2, 0], [0, 0, 1]], [0, 2]),
+    (2, [[0, 1, 1, 0], [0, 0, 0, 1], [0, 0, 0, 1]],
+     [[0, 1, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]], [1, 3]),
+    # a leading p - 1 is its own inverse
+    (65521, [[65520, 5]], [[1, 65516]], [0]),
+    (65521, [[65520, 3], [2, 65520]], np.eye(2), [0, 1]),
+])
+def test_rref_examples(p, rows, want, want_pivots):
+    R, pivots = assert_same_rref(FpMatrix(p, np.asarray(rows, dtype=np.int64)))
+    assert pivots == want_pivots
+    assert np.array_equal(R.a, np.asarray(want, dtype=np.int64))
+
+
+@given(fp_matrices())
+@settings(max_examples=150, deadline=None)
+def test_nullspace_by_definition(M):
+    # a column is free when it is in the span of the columns before it
+    n = M.cols
+    free = [j for j in range(n)
+            if rank(FpMatrix(M.p, M.a[:, :j + 1])) == rank(FpMatrix(M.p, M.a[:, :j]))]
+    N = nullspace(M)
+    assert N.rows == n - rank(M) == len(free)
+    for k, q in enumerate(N.a):
+        assert not M.apply(q).any()
+        assert q[free].tolist() == [int(j == free[k]) for j in free]
+
+
 @given(fp_matrices())
 @settings(max_examples=150, deadline=None)
 def test_quotient_is_the_nullspace_read_off(sub):

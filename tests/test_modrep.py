@@ -1,13 +1,15 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import change_basis
+from conftest import change_basis, modules
 
 from stmodcat.linalg import FpMatrix, nullspace, rank, right_inverse, stack_rows
 from stmodcat.modrep import (
+    CokernelData,
     KernelData,
     ModRepError,
     RMap,
@@ -438,3 +440,30 @@ def test_jordan_chains_are_the_greedy_prefix_rank_choice(p, m, data):
     for Y in (M, Z):
         got, want = jordan_chains(Y), _greedy_chains(Y)
         assert [[v.tolist() for v in c] for c in got] == [[v.tolist() for v in c] for c in want]
+
+
+@given(st.sampled_from([Ring(2, 2), Ring(2, 4), Ring(3, 3), Ring(5, 2)]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_unchecked_constructions_are_nilpotent(ring, data):
+    # kernels, cokernels and sums skip the public x^m = 0 check; verify it here
+    M, N = data.draw(modules(ring)), data.draw(modules(ring))
+    H = hom_basis(M, N)
+    c = np.array(data.draw(st.lists(st.integers(0, ring.p - 1),
+                                    min_size=len(H), max_size=len(H))), dtype=np.int64)
+    f = RMap(M, N, FpMatrix(ring.p, np.tensordot(c, H, axes=1).reshape(N.dim, M.dim)))
+    raw = []
+
+    def recording(X):
+        raw.append(X)
+        return reduce_module(X)
+
+    with mock.patch("stmodcat.modrep.reduce_module", recording):
+        kd, cd = KernelData(f), CokernelData(f)
+    S = direct_sum([M, N, kd.kernel, cd.cokernel])[0]
+    assert len(raw) == 2
+    for X in (*raw, S, kd.kernel, cd.cokernel):
+        assert X.X.power(ring.m).is_zero()
+    K_raw, C_raw = raw
+    B = kd.raw_basis
+    assert (M.X @ B) == (B @ K_raw.X) and (f.A @ B).is_zero()
+    assert (cd.raw_proj.A @ N.X) == (C_raw.X @ cd.raw_proj.A)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import change_basis
+from conftest import change_basis, modules
 
 from stmodcat import linalg, stcat
 from stmodcat.linalg import FpMatrix, quotient, rref, solve_affine, stack_rows
@@ -291,20 +291,6 @@ def test_hom_coords_rejects_a_map_from_another_hom_space():
     with pytest.raises(StCatError):
         stable_hom(M, M).hom_coords(f)
     assert list(stable_hom(k4, f.tgt).hom_coords(f)) == [1, 1, 1, 1]
-
-
-@st.composite
-def modules(draw, ring):
-    """A module of dim <= 5, optionally moved off canonical layout by a change of basis."""
-    parts = draw(st.lists(st.integers(1, ring.m), min_size=1, max_size=3)
-                 .filter(lambda ps: sum(ps) <= 5))
-    M = module_from_partition(ring, parts)
-    if not draw(st.booleans()):
-        return M
-    n, p = M.dim, ring.p
-    entries = st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n)
-    return change_basis(M, np.array(draw(entries)).reshape(n, n),
-                        np.array(draw(entries)).reshape(n, n))
 
 
 def _adjoint_mate(M: RModule) -> RMap:
