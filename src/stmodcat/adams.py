@@ -55,9 +55,11 @@ from .stcat import (
     StableHomSpace,
     Triangle,
     fiber_triangle,
+    omega_ob,
     post_matrix,
     pre_matrix,
     rotate_back,
+    sigma_ob,
     sigma_omega_comparison,
     stable_coords,
     stable_hom,
@@ -148,9 +150,8 @@ def ghost_cover(M: RModule, cls: ProjectiveClass) -> tuple[RModule, RMap]:
         if S.sdim == 0:
             continue
         reached = [row for _, rep in chosen for row in post_matrix(rep, Gn).a.T]
-        basis = S.quotient_basis_maps()
-        chosen += [(n, basis[i]) for i in extending(
-            stack_rows(p, reached, cols=S.sdim), FpMatrix.identity(p, S.sdim))]
+        picks = extending(stack_rows(p, reached, cols=S.sdim), FpMatrix.identity(p, S.sdim))
+        chosen += [(n, S.from_stable_coords(e)) for e in np.eye(S.sdim, dtype=np.int64)[picks]]
     if not chosen:
         P = zero_module(M.ring)
         return P, zero_map(P, M)
@@ -544,9 +545,10 @@ def sparse_check(G: RModule, N: int, window: int) -> SparseReport:
     N-sparse means every nonzero degree is a multiple of N; a projective
     generator has no nonzero degrees at all and is vacuously sparse.
     """
-    dims = {}
-    for n in range(-window, window + 1):
-        dims[n] = stable_hom(susp_ob(G, n), G).sdim
+    shifts = {0: G}
+    for n in range(1, window + 1):
+        shifts[n], shifts[-n] = sigma_ob(shifts[n - 1]), omega_ob(shifts[1 - n])
+    dims = {n: stable_hom(shifts[n], G).sdim for n in range(-window, window + 1)}
     nonzero = [n for n, d in dims.items() if d]
     sparse = all(n % N == 0 for n in nonzero)
     return SparseReport(jordan_type(G), window, dims, nonzero, N, sparse,

@@ -83,7 +83,8 @@ class StableHomSpace:
     selections, equal entry for entry: basis map mu(x^j): R/x^a -> R/x^b
     alone is nonzero at its first flat entry (so the flat rows are reduced
     up to row order), and it is projectively trivial (through R/x^a -> R,
-    1 -> x^(m-a)) exactly when j >= m - a.
+    1 -> x^(m-a)) exactly when j >= m - a.  Both directions are one product
+    on a whole stack: `lifts` of coordinate rows, `coords_of` of matrices.
     """
 
     __slots__ = ("src", "tgt", "sdim", "p", "_solve_T", "_stable_T", "_lift")
@@ -145,14 +146,23 @@ class StableHomSpace:
     def stable_coords(self, f) -> tuple[int, ...]:
         return tuple(int(x) for x in self._stable_T.apply(self._entries(f)))
 
+    def lifts(self, coords=None) -> np.ndarray:
+        """(k, dim N, dim M) representatives of the classes whose stable
+        coordinates are the rows of coords (by default the quotient basis)."""
+        c = np.asarray(np.eye(self.sdim) if coords is None else coords, dtype=np.int64) % self.p
+        return ((c @ self._lift) % self.p).reshape(len(c), self.tgt.dim, self.src.dim)
+
+    def coords_of(self, mats: np.ndarray) -> np.ndarray:
+        """The (..., sdim) stable coordinates of a (..., dim N, dim M) stack
+        of matrices, which are not checked to be R-linear."""
+        flat = mats.reshape(mats.shape[:-2] + (self.src.dim * self.tgt.dim,)) % self.p
+        return (flat @ self._stable_T.a.T) % self.p
+
     def from_stable_coords(self, coords) -> RMap:
-        A = (np.asarray(coords, dtype=np.int64) % self.p) @ self._lift
-        return RMap(self.src, self.tgt,
-                    FpMatrix(self.p, A.reshape(self.tgt.dim, self.src.dim)), check=False)
+        return RMap(self.src, self.tgt, FpMatrix(self.p, self.lifts([coords])[0]), check=False)
 
     def quotient_basis_maps(self) -> list[RMap]:
-        eye = np.eye(self.sdim, dtype=np.int64)
-        return [self.from_stable_coords(eye[i]) for i in range(self.sdim)]
+        return [self.from_stable_coords(e) for e in np.eye(self.sdim, dtype=np.int64)]
 
     def matrix_to(self, T: "StableHomSpace", fn) -> FpMatrix:
         """The matrix, in stable coordinates, of a linear map fn from here to T."""
@@ -188,14 +198,18 @@ def stably_equal(f: RMap, g: RMap) -> bool:
 
 @memo
 def post_matrix(g: RMap, A: RModule) -> FpMatrix:
-    """Matrix of g . (-) : T(A, src g) -> T(A, tgt g) in stable coordinates."""
-    return stable_hom(A, g.src).matrix_to(stable_hom(A, g.tgt), lambda u: g @ u)
+    """Matrix of g . (-) : T(A, src g) -> T(A, tgt g) in stable coordinates,
+    from one product of g with the stacked basis lifts of T(A, src g)."""
+    T = stable_hom(A, g.tgt)
+    return FpMatrix(g.A.p, T.coords_of(g.A.a @ stable_hom(A, g.src).lifts()).T)
 
 
 @memo
 def pre_matrix(f: RMap, C: RModule) -> FpMatrix:
-    """Matrix of (-) . f : T(tgt f, C) -> T(src f, C) in stable coordinates."""
-    return stable_hom(f.tgt, C).matrix_to(stable_hom(f.src, C), lambda u: u @ f)
+    """Matrix of (-) . f : T(tgt f, C) -> T(src f, C) in stable coordinates,
+    from one product of the stacked basis lifts of T(tgt f, C) with f."""
+    T = stable_hom(f.src, C)
+    return FpMatrix(f.A.p, T.coords_of(stable_hom(f.tgt, C).lifts() @ f.A.a).T)
 
 
 def solve_pre_post(f: RMap, a: RMap, g: RMap, b: RMap) -> AffineSpace | None:
@@ -432,11 +446,7 @@ def is_distinguished(t: Triangle, cap: int = 4096) -> bool:
     sols = solve_pre_post(ct.g, t.g, t.h, ct.h)
     if sols is None:
         return False
-    for v in enumerate_points(sols, cap):
-        phi = space.from_stable_coords(v)
-        if is_stable_iso(phi):
-            return True
-    return False
+    return any(is_stable_iso(space.from_stable_coords(v)) for v in enumerate_points(sols, cap))
 
 
 # ---------------------------------------------------------------------------

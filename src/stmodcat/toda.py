@@ -169,15 +169,15 @@ def _pair_coords(ctx, A, C, B, alpha_sols, beta_sols) -> np.ndarray:
 
     Lifting, composition and stable coordinates are linear mod p and the
     composite of stable classes does not depend on the lifts, so only the
-    generators of the two spaces are composed: G[k, i] is the composite
-    of beta generator k with alpha generator i, and the pair with
-    coefficient rows w and u has coordinates sum_ki w_k u_i G[k, i].
+    generators of the two spaces are lifted and composed, in one broadcast
+    product: G[k, i] is the composite of beta generator k with alpha
+    generator i, and the pair with coefficient rows w and u has
+    coordinates sum_ki w_k u_i G[k, i].
     """
-    amb, hom_ac, hom_cb = ctx.hom(A, B), ctx.hom(A, C), ctx.hom(C, B)
-    alphas = [hom_ac.from_stable_coords(v) for v in alpha_sols.generators()]
-    G = np.array([[amb.stable_coords(ctx.compose(hom_cb.from_stable_coords(v), a))
-                   for a in alphas] for v in beta_sols.generators()],
-                 dtype=np.int64).reshape(beta_sols.dim + 1, len(alphas), amb.sdim)
+    amb = ctx.hom(A, B)
+    alphas = ctx.hom(A, C).lifts(alpha_sols.generators())
+    betas = ctx.hom(C, B).lifts(beta_sols.generators())
+    G = amb.coords_of(ctx.compose(betas[:, None], alphas[None]))
     out = np.einsum("bk,ai,kis->bas", beta_sols.coefficients(),
                     alpha_sols.coefficients(), G)
     return out.reshape(beta_sols.size() * alpha_sols.size(), amb.sdim) % amb.p
@@ -302,9 +302,9 @@ def bracket3_contains(f3, f2, f1, target: RMap, ctx=DIRECT) -> bool:
     if alpha_sols is None or beta_sols is None:
         return False
     amb = ctx.hom(SX0, X3)
-    a0 = ctx.make(SX0, C, alpha_sols.representative)
-    b0 = ctx.make(C, X3, beta_sols.representative)
-    e0 = np.array(amb.stable_coords(ctx.compose(b0, a0)), dtype=np.int64)
+    a0 = ctx.hom(SX0, C).lifts([alpha_sols.representative])
+    b0 = ctx.hom(C, X3).lifts([beta_sols.representative])
+    e0 = amb.coords_of(ctx.compose(b0, a0))[0]
     tgt = np.array(amb.stable_coords(target), dtype=np.int64)
     indet = indeterminacy_basis(ctx, f3, f2, f1)
     rows = stack_rows(X0.ring.p, [np.array(r, dtype=np.int64) for r in indet],

@@ -338,6 +338,34 @@ def test_sparse_m2_every_degree():
     assert not rep.sparse
 
 
+@pytest.mark.parametrize("G", [k, M, free_module(R24, 1),
+                               module_from_partition(Ring(3, 4), [1, 2])],
+                         ids=["k", "M", "free", "p3_mixed"])
+def test_sparse_check_walks_one_step_per_degree(G, monkeypatch):
+    import stmodcat.adams as adams
+    import stmodcat.stcat as stcat
+
+    window = 6
+    want = {n: stable_hom(susp_ob(G, n), G).sdim for n in range(-window, window + 1)}
+    # count every suspension step, taken directly or through susp_ob (so
+    # adams need not hold the names itself)
+    steps = []
+
+    def counting(step):
+        def counted(X):
+            steps.append(X)
+            return step(X)
+        return counted
+
+    for name in ("sigma_ob", "omega_ob"):
+        counted = counting(getattr(stcat, name))
+        for mod in (adams, stcat):
+            monkeypatch.setattr(mod, name, counted, raising=False)
+    rep = sparse_check(G, 2, window)
+    assert list(rep.dims.items()) == list(want.items())
+    assert 0 < len(steps) <= 2 * window
+
+
 def test_resolution_triangles_pass_heller(res6):
     from stmodcat.heller import heller_check
 
@@ -367,10 +395,12 @@ def test_forms_agree_at_odd_p():
             assert tested >= 3, (p, m, t)
 
 
-@pytest.mark.parametrize("p, m, a, moved", [(2, 6, 3, 4), (3, 6, 3, 12), (2, 8, 4, 4)])
+@pytest.mark.parametrize("p, m, a, moved", [(2, 6, 3, 4), (3, 6, 3, 12), (2, 8, 4, 4),
+                                             (3, 8, 4, 12), (2, 10, 5, 4)])
 def test_forms_agree_where_d_r_is_nonzero_for_r_at_least_3(p, m, a, moved):
-    # R/x^a resolved by k has nonzero d_a: over t in {0, 1} it moves
-    # `moved` of the nonzero classes of E^{0,t}; at odd p the signs show
+    # R/x^a resolved by k has nonzero d_a (r = a = 3, 4, 5): over t in
+    # {0, 1} it moves `moved` of the nonzero classes of E^{0,t}; at odd p
+    # the signs show
     ring = Ring(p, m)
     MM = module_from_partition(ring, [a])
     res = adams_resolution(MM, ProjectiveClass(module_from_partition(ring, [1])), a + 1)

@@ -9,16 +9,23 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import RINGS, random_vanishing_chain, vanishing_chains, vanishing_triples
+from conftest import RINGS, modules, random_vanishing_chain, vanishing_chains, vanishing_triples
 
 import stmodcat.toda as toda
-from stmodcat.linalg import EnumerationOverflow
+from stmodcat.linalg import (
+    AffineSpace,
+    EnumerationOverflow,
+    FpMatrix,
+    enumerate_points,
+    row_space_basis,
+)
 from stmodcat.modrep import (
     Ring,
     identity_map,
     module_from_partition,
     mu_map,
     zero_map,
+    zero_module,
 )
 from stmodcat.stcat import DIRECT, OP
 from stmodcat.toda import (
@@ -45,6 +52,57 @@ MUX = mu_map(R33, 1, 2, 1)   # k -> M
 ZERO_DIM_SIDES = (DIRECT, [MU1, MUX, MU1])
 # into a free module: T(Sigma M, F) = 0 and T(C, F) = 0
 ZERO_AMBIENT = (DIRECT, [zero_map(M33, F33), MUX, MU1])
+
+
+Z33 = zero_module(R33)
+
+
+def _per_pair_loop(ctx, A, C, B, alpha_sols, beta_sols):
+    """Stable coordinates of b . a, one (extension, lift) pair at a time, b-major."""
+    amb, hom_ac, hom_cb = ctx.hom(A, B), ctx.hom(A, C), ctx.hom(C, B)
+    return [amb.stable_coords(ctx.compose(hom_cb.from_stable_coords(b),
+                                          hom_ac.from_stable_coords(a)))
+            for b in enumerate_points(beta_sols, 4096)
+            for a in enumerate_points(alpha_sols, 4096)]
+
+
+@st.composite
+def _affine_spaces(draw, p, n):
+    """A point of F_p^n and the span of up to two drawn directions."""
+    vec = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    rows = draw(st.lists(vec, max_size=2))
+    basis = row_space_basis(FpMatrix(p, np.array(rows, dtype=np.int64).reshape(len(rows), n)))
+    return AffineSpace(p, n, np.array(draw(vec), dtype=np.int64), basis.a)
+
+
+def _assert_pair_coords_match(ctx, A, C, B, alpha_sols, beta_sols):
+    want = _per_pair_loop(ctx, A, C, B, alpha_sols, beta_sols)
+    got = _pair_coords(ctx, A, C, B, alpha_sols, beta_sols)
+    assert got.shape == (len(want), ctx.hom(A, B).sdim)
+    assert [tuple(r) for r in got.tolist()] == want
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_pair_coords_match_the_per_pair_loop_on_drawn_modules(data):
+    # modules on and off canonical layout, on every side, in both contexts
+    ring = data.draw(st.sampled_from(RINGS))
+    ctx = data.draw(st.sampled_from([DIRECT, OP]))
+    A, C, B = (data.draw(modules(ring)) for _ in range(3))
+    alpha_sols = data.draw(_affine_spaces(ring.p, ctx.hom(A, C).sdim))
+    beta_sols = data.draw(_affine_spaces(ring.p, ctx.hom(C, B).sdim))
+    _assert_pair_coords_match(ctx, A, C, B, alpha_sols, beta_sols)
+
+
+@pytest.mark.parametrize("ctx", [DIRECT, OP], ids=["direct", "op"])
+@pytest.mark.parametrize("A, C, B", [(Z33, k33, M33), (k33, Z33, M33), (M33, k33, Z33),
+                                     (k33, M33, F33), (F33, M33, k33), (M33, k33, M33)],
+                         ids=["empty_A", "empty_C", "empty_B", "free_B", "free_A", "M_k_M"])
+def test_pair_coords_on_empty_modules_and_zero_groups(ctx, A, C, B):
+    # each side runs over its whole group, which may be 0
+    whole = [AffineSpace(R33.p, n, np.zeros(n, dtype=np.int64), np.eye(n, dtype=np.int64))
+             for n in (ctx.hom(A, C).sdim, ctx.hom(C, B).sdim)]
+    _assert_pair_coords_match(ctx, A, C, B, *whole)
 
 
 def _family_spaces(ctx, f3, f2, f1):

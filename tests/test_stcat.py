@@ -21,6 +21,7 @@ from stmodcat.modrep import (
     omega,
     partition_layout,
     zero_map,
+    zero_module,
 )
 from stmodcat.stcat import (
     DIRECT,
@@ -375,6 +376,43 @@ def test_op_one_sided_solves_are_the_dual_direct_solves(data):
     want = solve_affine(post_matrix(f, Z),
                         np.array(stable_hom(Z, X).stable_coords(t), dtype=np.int64))
     assert _same_solutions(OP.solve_pre(f, t), want)
+
+
+# ---------------------------------------------------------------------------
+# composition matrices: one batched product, checked against the matrix of
+# the per-class composite loop
+
+
+def _per_class_matrices(f, A):
+    """(post, pre) matrices of f with A, one quotient basis class at a time."""
+    post = stable_hom(A, f.src).matrix_to(stable_hom(A, f.tgt), lambda u: f @ u)
+    pre = stable_hom(f.tgt, A).matrix_to(stable_hom(f.src, A), lambda u: u @ f)
+    return post, pre
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_composition_matrices_match_the_per_class_loop(data):
+    ring = Ring(data.draw(st.sampled_from([2, 3])), data.draw(st.integers(2, 4)))
+    X, Y, A = (data.draw(modules(ring)) for _ in range(3))
+    f = _draw_map(data, X, Y)
+    assert (post_matrix(f, A), pre_matrix(f, A)) == _per_class_matrices(f, A)
+
+
+Z33, F33 = zero_module(R33), free_module(R33, 1)
+
+
+@pytest.mark.parametrize("f, A", [
+    (identity_map(M33), Z33),            # every group of A is empty
+    (zero_map(Z33, k33), M33),           # f starts at the zero module
+    (mu_map(R33, 2, 3, 1), k33),         # T(k, F) = 0, with entries
+    (identity_map(F33), M33),            # both sides 0, with entries
+    (mu_map(R33, 1, 2, 1), M33),
+], ids=["empty_A", "empty_src", "zero_group_tgt", "zero_groups", "k_to_M"])
+def test_composition_matrices_on_empty_modules_and_zero_groups(f, A):
+    post, pre = _per_class_matrices(f, A)
+    assert post_matrix(f, A) == post and pre_matrix(f, A) == pre
+    assert post.a.shape == (stable_hom(A, f.tgt).sdim, stable_hom(A, f.src).sdim)
 
 
 # ---------------------------------------------------------------------------

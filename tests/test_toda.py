@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -12,6 +13,7 @@ from conftest import (
     vanishing_triples,
 )
 
+from stmodcat.adams import ProjectiveClass, adams_resolution
 from stmodcat.linalg import EnumerationOverflow, FpMatrix, in_span, stack_rows
 from stmodcat.modrep import (
     RMap,
@@ -31,6 +33,7 @@ from stmodcat.stcat import (
     sigma_omega_comparison,
     stable_hom,
     susp_map,
+    susp_ob,
 )
 from stmodcat.toda import (
     BracketError,
@@ -375,6 +378,37 @@ def test_jseq_sign_law_n5_all_six():
         except EnumerationOverflow:
             continue
         nonempty += 1
+
+
+@functools.lru_cache(maxsize=None)
+def _resolution_of_truncation(p, m, a):
+    ring = Ring(p, m)
+    return adams_resolution(module_from_partition(ring, [a]),
+                            ProjectiveClass(module_from_partition(ring, [1])), a + 1)
+
+
+def _dr_chain(p, m, a, t, c):
+    """The (a+1)-fold chain whose bracket `dr_bracket_forms` compares with
+    d_a of class c in E_1^{0,t}, for R/x^a resolved by k over F_p[x]/x^m."""
+    res = _resolution_of_truncation(p, m, a)
+    x = stable_hom(susp_ob(res.P[0], t), res.X[0]).from_stable_coords(c)
+    chain = [x @ susp_map(res.w[0], t), susp_map(res.p[1], t)]
+    return chain + [susp_map(res.d1op(j), t) for j in range(1, a)]
+
+
+@pytest.mark.parametrize("p, m, a, t, c", [(3, 6, 3, 0, (0, 1)), (3, 6, 3, 1, (1, 0)),
+                                           (3, 8, 4, 0, (1, 2)), (3, 8, 4, 1, (2, 1))])
+@pytest.mark.parametrize("ctx", [DIRECT, OP], ids=["direct", "op"])
+def test_jseq_sign_law_where_the_bracket_is_not_its_own_negative(p, m, a, t, c, ctx):
+    # at p = 3 the randomly drawn brackets above equal their own
+    # negatives, so a wrong sign passes there; these d_r brackets do not
+    chain = _dr_chain(p, m, a, t, c)
+    maps = chain if ctx is DIRECT else chain[::-1]
+    base = higher_bracket(maps, ctx=ctx, cap=20000)
+    assert not base.is_empty() and not base.equal_sets(base.negate())
+    for jseq in all_jseqs(len(maps))[1:]:
+        expected = base if sum(jseq) % 2 == 0 else base.negate()
+        assert higher_bracket(maps, jseq=jseq, ctx=ctx, cap=20000).equal_sets(expected), jseq
 
 
 def test_invalid_jseq():
