@@ -510,10 +510,12 @@ def dr_bracket_forms(res: AdamsResolution, Y: RModule, x: RMap, r: int,
         # <x, d_1, delta>: the bracket with the tower's connecting map
         v_delta = bracket3(x, d1s, ws1, cap=cap)
         variants["with_delta"] = v_delta
-        # its composition with Sigma p: representatives at the E_1 slot
-        slot = stable_hom(ps2.src, Y)
-        v_delta_p = frozenset(slot.stable_coords(u @ ps2)
-                              for u in v_delta.rep_maps())
+        # its composition with Sigma p at the E_1 slot: one product, as
+        # composition is linear on stable classes
+        assert v_delta.src == ps2.tgt and v_delta.tgt == Y
+        comp = pre_matrix(ps2, Y)
+        images = stack_rows(comp.p, v_delta.elements, comp.cols) @ comp.transpose()
+        v_delta_p = frozenset(map(tuple, images.a.tolist()))
         variants["with_delta_composed"] = v_delta_p
         variants["through_cover"] = full
         checks["composed_equals_dr"] = v_delta_p == a_set.elements

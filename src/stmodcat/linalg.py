@@ -11,7 +11,9 @@ representatives are bit-reproducible across runs and platforms.
 One elimination per query: each function reduces one matrix once and
 reads every part of its answer from that reduction.  Even a greedy
 selection, the first vectors in order that extend a span, is one
-reduction (`extending`): they are the pivot columns of one rref.
+reduction (`extending`): they are the pivot columns of one rref.  Only
+the public `FpMatrix` constructor checks and reduces entries; the arrays
+reduced by construction here and in `stcat` go through `FpMatrix._of`.
 """
 
 from __future__ import annotations
@@ -68,7 +70,10 @@ def as_vector(v, p: int) -> np.ndarray:
 
 
 class FpMatrix:
-    """An immutable dense matrix over F_p (entries stored reduced mod p)."""
+    """An immutable dense matrix over F_p (entries stored reduced mod p).
+
+    Only linalg and stcat call the trusted `_of`, on a fresh 2-D int64 array
+    reduced mod a checked p that no one else can write to (no check, no copy)."""
 
     __slots__ = ("p", "a")
 
@@ -86,6 +91,14 @@ class FpMatrix:
 
     def __setattr__(self, *args):
         raise AttributeError("FpMatrix is immutable")
+
+    @classmethod
+    def _of(cls, p: int, a: np.ndarray) -> "FpMatrix":
+        M = object.__new__(cls)
+        object.__setattr__(M, "p", p)
+        object.__setattr__(M, "a", a)
+        a.setflags(write=False)
+        return M
 
     @classmethod
     def zeros(cls, p: int, rows: int, cols: int) -> "FpMatrix":
@@ -112,25 +125,25 @@ class FpMatrix:
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        return FpMatrix(self.p, self.a @ other.a)
+        return FpMatrix._of(self.p, (self.a @ other.a) % self.p)
 
     def __add__(self, other: "FpMatrix") -> "FpMatrix":
         self._check(other)
         if self.a.shape != other.a.shape:
             raise DimensionMismatch("shape mismatch in addition")
-        return FpMatrix(self.p, self.a + other.a)
+        return FpMatrix._of(self.p, (self.a + other.a) % self.p)
 
     def __sub__(self, other: "FpMatrix") -> "FpMatrix":
         self._check(other)
         if self.a.shape != other.a.shape:
             raise DimensionMismatch("shape mismatch in subtraction")
-        return FpMatrix(self.p, self.a - other.a)
+        return FpMatrix._of(self.p, (self.a - other.a) % self.p)
 
     def __neg__(self) -> "FpMatrix":
-        return FpMatrix(self.p, -self.a)
+        return FpMatrix._of(self.p, -self.a % self.p)
 
     def scale(self, c: int) -> "FpMatrix":
-        return FpMatrix(self.p, (c % self.p) * self.a)
+        return FpMatrix._of(self.p, (c % self.p) * self.a % self.p)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FpMatrix) and self.p == other.p
@@ -143,7 +156,7 @@ class FpMatrix:
         return not self.a.any()
 
     def transpose(self) -> "FpMatrix":
-        return FpMatrix(self.p, self.a.T)
+        return FpMatrix._of(self.p, self.a.T)
 
     def power(self, k: int) -> "FpMatrix":
         if self.rows != self.cols:
@@ -196,7 +209,7 @@ def rref(M: FpMatrix) -> tuple[FpMatrix, list[int]]:
                 row[c:] = [(x - f * y) % p for x, y in zip(row[c:], tail)]
         pivots.append(c)
         r += 1
-    return FpMatrix(p, np.array(rows, dtype=np.int64).reshape(m, n)), pivots
+    return FpMatrix._of(p, np.array(rows, dtype=np.int64).reshape(m, n)), pivots
 
 
 def rank(M: FpMatrix) -> int:
@@ -222,24 +235,25 @@ def quotient(sub: FpMatrix) -> tuple[FpMatrix, list[int]]:
     RREF column at the pivots, the k-th kernel vector: Q = nullspace(sub).
     """
     R, pivots = rref(sub)
-    Q, free = _kernel_from_rref(R.a, pivots, sub.cols, sub.p)
-    return FpMatrix(sub.p, Q), free
+    return _kernel(R.a.tolist(), pivots, sub.cols, sub.p)
 
 
-def _kernel_from_rref(R: np.ndarray, pivots: list[int], n: int,
-                      p: int) -> tuple[np.ndarray, list[int]]:
-    """The nullspace basis and free columns of a reduction starting with rref(A)."""
+def _kernel(rows: list, pivots: list[int], n: int, p: int) -> tuple[FpMatrix, list[int]]:
+    """The nullspace basis and free columns of A, n columns wide, read off
+    the list rows of a reduction whose first n columns are rref(A)."""
     free = [j for j in range(n) if j not in pivots]
-    basis = np.zeros((len(free), n), dtype=np.int64)
-    basis[range(len(free)), free] = 1
-    basis[:, pivots] = (-R[:len(pivots), free].T) % p
-    return basis, free
+    basis = [[0] * f + [1] + [0] * (n - 1 - f) for f in free]
+    for c, row in zip(pivots, rows):
+        for v, f in zip(basis, free):
+            if row[f]:
+                v[c] = p - row[f]
+    return FpMatrix._of(p, np.array(basis, dtype=np.int64).reshape(len(free), n)), free
 
 
 def row_space_basis(M: FpMatrix) -> FpMatrix:
     """Nonzero rows of the RREF: a canonical basis of the row space."""
     R, pivots = rref(M)
-    return FpMatrix(M.p, R.a[: len(pivots)].reshape(len(pivots), M.cols))
+    return FpMatrix._of(M.p, R.a[: len(pivots)].reshape(len(pivots), M.cols))
 
 
 @dataclass(frozen=True)
@@ -276,7 +290,7 @@ class AffineSpace:
     @cached_property
     def _class_map(self) -> FpMatrix:
         """Q with Q v the class of v modulo the basis span, reduced once."""
-        return quotient(FpMatrix(self.p, self.basis))[0]
+        return quotient(FpMatrix._of(self.p, self.basis.copy()))[0]
 
     def generators(self) -> np.ndarray:
         """The representative over the basis rows."""
@@ -308,15 +322,15 @@ def solve_affine(A: FpMatrix, b) -> AffineSpace | None:
     b = as_vector(b, A.p)
     if b.shape[0] != A.rows:
         raise DimensionMismatch("right-hand side length != row count")
-    aug = FpMatrix(A.p, np.hstack([A.a, b.reshape(-1, 1)]))
-    R, pivots = rref(aug)
-    if A.cols in pivots:
+    n = A.cols
+    R, pivots = rref(FpMatrix._of(A.p, np.hstack([A.a, b.reshape(-1, 1)])))
+    if pivots and pivots[-1] == n:
         return None
-    rep = np.zeros(A.cols, dtype=np.int64)
-    rep[pivots] = R.a[:len(pivots), A.cols]
-    # pivoting is column by column, so the first A.cols columns of R are rref(A)
-    basis, _ = _kernel_from_rref(R.a, pivots, A.cols, A.p)
-    return _affine_space(A.p, rep, basis)
+    rows = R.a.tolist()
+    rep = np.zeros(n, dtype=np.int64)
+    rep[pivots] = [row[n] for row in rows[:len(pivots)]]
+    # pivoting is column by column, so the first n columns of R are rref(A)
+    return _affine_space(A.p, rep, _kernel(rows, pivots, n, A.p)[0].a)
 
 
 def enumerate_points(space: AffineSpace, cap: int = 4096) -> list[np.ndarray]:
@@ -337,9 +351,9 @@ def affine_image(space: AffineSpace, M: FpMatrix) -> AffineSpace:
         raise DimensionMismatch("map does not act on the ambient space")
     rep = M.apply(space.representative)
     if space.dim:
-        dirs = row_space_basis(FpMatrix(space.p, (space.basis @ M.a.T) % space.p))
+        dirs = row_space_basis(FpMatrix._of(space.p, (space.basis @ M.a.T) % space.p))
     else:
-        dirs = FpMatrix(space.p, np.zeros((0, M.rows), dtype=np.int64))
+        dirs = FpMatrix._of(space.p, np.zeros((0, M.rows), dtype=np.int64))
     return _affine_space(space.p, rep, dirs.a)
 
 
@@ -363,7 +377,7 @@ def extending(span: FpMatrix, cands: FpMatrix) -> list[int]:
     space of `span` and the earlier rows of `cands`: a column of rref is a
     pivot exactly when it is outside the span of the columns before it, so
     these are the pivot columns past span.rows of [span; cands] transposed."""
-    pivots = rref(FpMatrix(span.p, np.vstack([span.a, cands.a]).T))[1]
+    pivots = rref(FpMatrix._of(span.p, np.vstack([span.a, cands.a]).T))[1]
     return [c - span.rows for c in pivots if c >= span.rows]
 
 
@@ -382,13 +396,12 @@ def solve_columns(A: FpMatrix, B: FpMatrix) -> FpMatrix:
     """
     if A.rows != B.rows:
         raise DimensionMismatch("row counts differ")
-    aug = FpMatrix(A.p, np.hstack([A.a, B.a]).reshape(A.rows, A.cols + B.cols))
-    R, pivots = rref(aug)
+    R, pivots = rref(FpMatrix._of(A.p, np.hstack([A.a, B.a])))
     if any(pc >= A.cols for pc in pivots):
         raise LinAlgError("inconsistent column system")
     X = np.zeros((A.cols, B.cols), dtype=np.int64)
     X[pivots] = R.a[:len(pivots), A.cols:]
-    return FpMatrix(A.p, X)
+    return FpMatrix._of(A.p, X)
 
 
 def right_inverse(M: FpMatrix) -> FpMatrix:

@@ -159,7 +159,8 @@ class StableHomSpace:
         return (flat @ self._stable_T.a.T) % self.p
 
     def from_stable_coords(self, coords) -> RMap:
-        return RMap(self.src, self.tgt, FpMatrix(self.p, self.lifts([coords])[0]), check=False)
+        A = FpMatrix._of(self.p, self.lifts([coords])[0])  # lifts reduces coords mod p
+        return RMap(self.src, self.tgt, A, check=False)
 
     def quotient_basis_maps(self) -> list[RMap]:
         return [self.from_stable_coords(e) for e in np.eye(self.sdim, dtype=np.int64)]
@@ -201,7 +202,7 @@ def post_matrix(g: RMap, A: RModule) -> FpMatrix:
     """Matrix of g . (-) : T(A, src g) -> T(A, tgt g) in stable coordinates,
     from one product of g with the stacked basis lifts of T(A, src g)."""
     T = stable_hom(A, g.tgt)
-    return FpMatrix(g.A.p, T.coords_of(g.A.a @ stable_hom(A, g.src).lifts()).T)
+    return FpMatrix._of(g.A.p, T.coords_of(g.A.a @ stable_hom(A, g.src).lifts()).T)
 
 
 @memo
@@ -209,7 +210,7 @@ def pre_matrix(f: RMap, C: RModule) -> FpMatrix:
     """Matrix of (-) . f : T(tgt f, C) -> T(src f, C) in stable coordinates,
     from one product of the stacked basis lifts of T(tgt f, C) with f."""
     T = stable_hom(f.src, C)
-    return FpMatrix(f.A.p, T.coords_of(stable_hom(f.tgt, C).lifts() @ f.A.a).T)
+    return FpMatrix._of(f.A.p, T.coords_of(stable_hom(f.tgt, C).lifts() @ f.A.a).T)
 
 
 def solve_pre_post(f: RMap, a: RMap, g: RMap, b: RMap) -> AffineSpace | None:
@@ -218,7 +219,7 @@ def solve_pre_post(f: RMap, a: RMap, g: RMap, b: RMap) -> AffineSpace | None:
         raise StCatError("targets do not fit the two-sided system")
     mat = np.vstack([pre_matrix(f, g.src).a, post_matrix(g, f.tgt).a])
     rhs = np.array(stable_coords(a) + stable_coords(b), dtype=np.int64)
-    return solve_affine(FpMatrix(f.src.ring.p, mat), rhs)
+    return solve_affine(FpMatrix._of(f.src.ring.p, mat), rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from stmodcat.modrep import (
     module_from_partition,
     mu_map,
 )
-from stmodcat.stcat import is_stably_zero, stable_hom, stably_equal, susp_ob
+from stmodcat.stcat import is_stably_zero, stable_hom, stably_equal, susp_map, susp_ob
 
 R24 = Ring(2, 4)
 k = module_from_partition(R24, [1])
@@ -303,6 +303,31 @@ def test_forms_r2_all_classes_and_r3(res6):
         r3_defined += 1
         assert rep3.equal_full and rep3.equal_restricted and rep3.equal_w_filtered
     assert r3_defined >= 1
+
+
+@pytest.mark.parametrize("p, m, parts", [(2, 4, [2]), (3, 4, [2]), (2, 4, [2, 1])])
+def test_delta_composed_matches_the_per_element_composites(p, m, parts):
+    # with_delta_composed is read through pre_matrix(Sigma p, Y); each
+    # element's representative composed with Sigma p must land on the same set
+    ring = Ring(p, m)
+    Y = module_from_partition(ring, parts)
+    proj = ProjectiveClass(module_from_partition(ring, [1]))
+    res = adams_resolution(Y, proj, 4)
+    nonzero = 0
+    for t in range(proj.period):
+        E0 = stable_hom(susp_ob(res.P[0], t), Y)
+        ps2 = susp_map(res.p[2], t + 1)
+        slot = stable_hom(ps2.src, Y)
+        for c in itertools.product(range(p), repeat=E0.sdim):
+            try:
+                rep = dr_bracket_forms(res, Y, E0.from_stable_coords(c), 2, t=t, cap=20000)
+            except NotACycle:
+                continue
+            v_delta = rep.variants["with_delta"]
+            loop = frozenset(slot.stable_coords(u @ ps2) for u in v_delta.rep_maps())
+            assert rep.variants["with_delta_composed"] == loop, (t, c)
+            nonzero += sum(map(any, loop))
+    assert nonzero >= 2 * proj.period  # not only zero images
 
 
 def test_proper_inclusion_example(res6):

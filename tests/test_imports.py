@@ -8,6 +8,9 @@ a bare name or as the base of an attribute, annotations included.  A
 private function, class or constant counts as referenced when a
 top-level statement other than its own definition, in any engine module,
 names it (as a bare name, an attribute or an imported name).
+
+The trusted constructor `FpMatrix._of` skips the modulus check and the
+reduction, so neither the session parser (`cli.py`) nor any test names it.
 """
 
 import ast
@@ -80,3 +83,23 @@ def test_every_private_definition_is_referenced():
         f"{module}:{name}" for module, name, own in defined
         if not any(name in _referenced(stmt) for _, stmt in stmts if stmt is not own))
     assert not unreferenced, f"private definitions nobody references: {unreferenced}"
+
+
+def _names_trusted_constructor(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute) and node.attr == "_of")
+            or (isinstance(node, ast.Name) and node.id == "_of")]
+
+
+def test_the_walk_finds_the_trusted_constructor():
+    assert _names_trusted_constructor(SRC / "linalg.py")
+    assert _names_trusted_constructor(SRC / "stcat.py")
+
+
+@pytest.mark.parametrize("module", ["cli.py"] + sorted(m for m in SCANNED if "/" in m))
+def test_parsed_and_test_input_never_reaches_the_trusted_constructor(module):
+    # FpMatrix._of skips the modulus check and the reduction: session files
+    # and test data go through the checked constructor
+    lines = _names_trusted_constructor(SCANNED[module])
+    assert not lines, f"{module} names FpMatrix._of at lines {lines}"

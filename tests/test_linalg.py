@@ -19,8 +19,10 @@ from stmodcat.linalg import (
     quotient,
     rank,
     row_space_basis,
+    right_inverse,
     rref,
     solve_affine,
+    solve_columns,
     stack_rows,
 )
 
@@ -164,6 +166,57 @@ def test_solve_affine_reduces_once(monkeypatch):
     checked = AffineSpace(3, 4, s.representative, s.basis)  # passes the public check
     assert np.array_equal(checked.representative, s.representative)
     assert np.array_equal(checked.basis, s.basis)
+
+
+def kernel_from_rref(R, pivots, n, p):
+    """The earlier numpy kernel read-off, kept verbatim as a reference: the
+    nullspace basis and free columns of a reduction starting with rref(A)."""
+    free = [j for j in range(n) if j not in pivots]
+    basis = np.zeros((len(free), n), dtype=np.int64)
+    basis[range(len(free)), free] = 1
+    basis[:, pivots] = (-R[:len(pivots), free].T) % p
+    return basis, free
+
+
+def assert_as_checked(a, p, ndim=2):
+    assert a.ndim == ndim and a.dtype == np.int64
+    assert ((0 <= a) & (a < p)).all()
+
+
+@given(matrix_strategy)
+@settings(max_examples=120, deadline=None)
+def test_trusted_outputs_are_what_the_checked_constructor_makes(args):
+    # every matrix linalg wraps without a check is 2-D int64, reduced,
+    # read-only, and equal (with an equal hash) to the checked construction
+    p, m, n, seed = args
+    rng = np.random.default_rng(seed)
+    A, B = (FpMatrix(p, rng.integers(0, p, size=(m, n))) for _ in range(2))
+    C = FpMatrix(p, rng.integers(0, p, size=(n, m)))
+    X = FpMatrix(p, rng.integers(0, p, size=(n, 2)))
+    R, pivots = rref(A)
+    Q, free = quotient(A)
+    outs = [R, Q, nullspace(A), row_space_basis(A), solve_columns(A, A @ X),
+            right_inverse(row_space_basis(A)), A @ C, A + B, A - B, -A,
+            A.scale(int(rng.integers(-9, 10))), A.transpose()]
+    for out in outs:
+        assert_as_checked(out.a, p)
+        assert not out.a.flags.writeable
+        checked = FpMatrix(p, out.a)
+        assert out == checked and hash(out) == hash(checked)
+    # the kernel read off the rref's list rows is the numpy read-off
+    ref, ref_free = kernel_from_rref(R.a, pivots, n, p)
+    assert free == ref_free and np.array_equal(Q.a, ref)
+    # and so is solve_affine's, with its representative, off the augmented rref
+    b = A.apply(rng.integers(0, p, size=n))
+    s = solve_affine(A, b)
+    aug, aug_pivots = rref(FpMatrix(p, np.hstack([A.a, b.reshape(-1, 1)])))
+    rep = np.zeros(n, dtype=np.int64)
+    rep[aug_pivots] = aug.a[:len(aug_pivots), n]
+    assert_as_checked(s.representative, p, ndim=1)
+    assert_as_checked(s.basis, p)
+    assert np.array_equal(s.representative, rep)
+    assert np.array_equal(s.basis, kernel_from_rref(aug.a, aug_pivots, n, p)[0])
+    assert np.array_equal(s.basis, FpMatrix(p, s.basis).a)
 
 
 @given(matrix_strategy)
