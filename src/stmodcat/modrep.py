@@ -3,10 +3,10 @@
 A module is a vector space with a nilpotent operator X (the action of
 x); maps are matrices intertwining the operators.  Partitions of block
 sizes classify modules up to isomorphism, so one Jordan chain basis per
-module (`_jordan_basis`) drives everything structural: the type, the
-canonical and reduced forms, isomorphism tests, projective covers (free
-on the chain tops), injective envelopes (each length-l chain embeds in
-R by multiplication by x^{m-l}), and the syzygy operators omega and sigma.
+module (`_jordan_basis`, built once) drives everything structural: the
+type, the canonical and reduced forms, isomorphism tests, projective
+covers (free on the chain tops), injective envelopes (each length-l chain
+embeds in R by multiplication by x^{m-l}), and omega and sigma.
 
 Kernel and cokernel constructions return modules in reduced canonical
 form (Jordan blocks sorted descending, free blocks stripped) together
@@ -29,13 +29,11 @@ from .linalg import (
     MAX_MODULUS,
     DimensionMismatch,
     FpMatrix,
-    LinAlgError,
     extending,
     is_prime,
     nullspace,
     quotient,
     right_inverse,
-    solve_columns,
 )
 
 
@@ -201,44 +199,44 @@ def free_module(ring: Ring, rank_: int) -> RModule:
 
 def jordan_type(M: RModule) -> tuple[int, ...]:
     """Multiset of block sizes, sorted descending: the Jordan chain lengths."""
-    return tuple(len(chain) for chain in jordan_chains(M))
+    return _jordan_basis(M)[0]
 
 
 def jordan_chains(M: RModule) -> list[list[np.ndarray]]:
     """A Jordan chain basis: chains [v, Xv, ..., X^{l-1}v], lengths descending.
 
-    Deterministic: the tops of height h, tallest first, are the rows of the
-    canonical basis of ker X^h that, in order, extend ker X^{h-1} and the
-    level-h vectors of the taller chains (one `extending` call).
+    Deterministic: the candidates are the canonical basis rows v of ker X^h,
+    from the top height h down to 1, and v tops a chain of length h when its
+    socle vector X^{h-1} v extends those before it (one `extending` call).
+    For W in ker X^h, v lies in ker X^{h-1} + W iff X^{h-1} v lies in
+    X^{h-1} W: these are the v that extend ker X^{h-1} and the level-h
+    vectors of the chains before them.
     """
     p, n = M.ring.p, M.dim
     if n == 0:
         return []
     powers = [FpMatrix.identity(p, n)]
-    for _ in range(M.ring.m):
+    while len(powers) <= M.ring.m and not powers[-1].is_zero():
         powers.append(powers[-1] @ M.X)
-    hmax = next(h for h in range(M.ring.m + 1) if powers[h].is_zero())
-    kernels = [nullspace(powers[h]) for h in range(hmax + 1)]
-
-    chains: list[list[np.ndarray]] = []
-    for h in range(hmax, 0, -1):
-        # every chain found so far is taller than h
-        span = np.vstack([kernels[h - 1].a] + [c[len(c) - h] for c in chains])
-        for i in extending(FpMatrix(p, span), kernels[h]):
-            chains.append([powers[j].apply(kernels[h].a[i]) for j in range(h)])
-    return chains
+    kernels = [(h, nullspace(powers[h]).a) for h in range(len(powers) - 1, 0, -1)]
+    cands = [(h, v) for h, K in kernels for v in K]
+    socles = FpMatrix(p, np.vstack([K @ powers[h - 1].a.T for h, K in kernels]))
+    tops = extending(FpMatrix.zeros(p, 0, n), socles)
+    return [[powers[j].apply(v) for j in range(h)] for h, v in (cands[i] for i in tops)]
 
 
-def _jordan_basis(M: RModule) -> tuple[list[int], FpMatrix, FpMatrix]:
+@memo
+def _jordan_basis(M: RModule) -> tuple[tuple[int, ...], FpMatrix, FpMatrix]:
     """(chain lengths, C, C^-1), C holding the Jordan chain vectors as columns.
 
-    The one place a module's Jordan basis is built: C^-1 takes M to the
-    canonical module of its chain lengths, and C takes it back.
+    The one place a module's Jordan basis is built, once per module and
+    shared, so every part is immutable: C^-1 takes M to the canonical
+    module of its chain lengths, and C takes it back.
     """
     chains = jordan_chains(M)
     cols = [v for chain in chains for v in chain]
     C = FpMatrix(M.ring.p, np.array(cols, dtype=np.int64).reshape(M.dim, M.dim).T)
-    return [len(chain) for chain in chains], C, right_inverse(C)
+    return tuple(len(chain) for chain in chains), C, right_inverse(C)
 
 
 def canonical_form(M: RModule) -> tuple[RModule, RMap, RMap]:
@@ -274,7 +272,8 @@ def module_iso(M: RModule, N: RModule) -> RMap | None:
 
 
 def partition_layout(M: RModule) -> list[int] | None:
-    """The literal block layout when M is a concatenation of canonical blocks."""
+    """The literal block layout when M is a concatenation of canonical blocks:
+    blocks of at most m marked by subdiagonal ones, and nothing else in X."""
     X = M.X.a
     n = M.dim
     parts = []
@@ -285,7 +284,7 @@ def partition_layout(M: RModule) -> list[int] | None:
             l += 1
         parts.append(l)
         o += l
-    if max(parts, default=0) > M.ring.m or module_from_partition(M.ring, parts) != M:
+    if max(parts, default=0) > M.ring.m or np.count_nonzero(X) != n - len(parts):
         return None
     return parts
 
@@ -391,12 +390,12 @@ def block_map(src_summands, tgt_summands, entries) -> RMap:
 def projective_cover(M: RModule) -> tuple[RModule, RMap]:
     """Free cover on the chain tops: P free of rank dim(M/xM), p surjective."""
     m = M.ring.m
-    chains = jordan_chains(M)
-    P = free_module(M.ring, len(chains))
+    parts, C, _ = _jordan_basis(M)
+    P = free_module(M.ring, len(parts))
     # the basis x^j of block i goes to X^j of chain i's top, zero past its end
+    cols = [i * m + j for i, l in enumerate(parts) for j in range(l)]
     A = np.zeros((M.dim, P.dim), dtype=np.int64)
-    for i, chain in enumerate(chains):
-        A[:, i * m:i * m + len(chain)] = np.array(chain, dtype=np.int64).T
+    A[:, cols] = C.a
     return P, RMap(P, M, FpMatrix(M.ring.p, A))
 
 
@@ -419,28 +418,26 @@ class KernelData:
     (raw_basis spanning the full kernel subspace, and the reduction map
     from raw coordinates) are kept because constructions induced on the
     kernel must be pinned on the whole subspace, not just the reduced
-    image.
+    image.  The raw basis is B = Q^T for the quotient map Q of one
+    reduction of f, so B[free] = I and the x-action on the kernel is read
+    off, Y = (X B)[free]: the dual of CokernelData's Q X[:, free].
     """
 
     __slots__ = ("kernel", "incl", "raw_basis", "reduction")
 
     def __init__(self, f: RMap):
-        p = f.src.ring.p
-        basis = nullspace(f.A)  # rows span ker f
-        k = basis.rows
-        # x-action in kernel coordinates: solve basis^T * Y = X * basis^T
-        B = basis.a.T.reshape(f.src.dim, k)  # src.dim x k
-        XB = FpMatrix(p, (f.src.X.a @ B) % p)
-        try:
-            Y = solve_columns(FpMatrix(p, B), XB).a
-        except LinAlgError:
+        Q, free = quotient(f.A)  # rows of Q span ker f
+        B = Q.transpose()  # src.dim x k
+        XB = f.src.X @ B
+        Y = FpMatrix(f.src.ring.p, XB.a[free])  # B Y = X B holds iff ker f is x-stable
+        if B @ Y != XB:
             raise ModRepError("kernel is not x-stable; map is not R-linear")
-        K_raw = RModule(f.src.ring, FpMatrix(p, Y), check=False)  # B Y^m = X^m B = 0
-        incl_raw = RMap(K_raw, f.src, FpMatrix(p, B))
+        K_raw = RModule(f.src.ring, Y, check=False)  # B Y^m = X^m B = 0
+        incl_raw = RMap(K_raw, f.src, B, check=False)
         K, to_red, from_red = reduce_module(K_raw)
         object.__setattr__(self, "kernel", K)
         object.__setattr__(self, "incl", incl_raw @ from_red)
-        object.__setattr__(self, "raw_basis", FpMatrix(p, B))
+        object.__setattr__(self, "raw_basis", B)
         object.__setattr__(self, "reduction", to_red.A)
 
     def __setattr__(self, *args):

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,12 +15,15 @@ from stmodcat.modrep import RMap, Ring, hom_basis, module_from_partition, partit
 
 ROOT = Path(__file__).resolve().parents[1]
 SESSIONS = ROOT / "sessions"
+# the CLI subprocess imports this checkout's engine, as the tests do
+CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(args):
     proc = subprocess.run(
         [sys.executable, "-m", "stmodcat.cli", *args],
-        capture_output=True, text=True, cwd=ROOT)
+        capture_output=True, text=True, cwd=ROOT, env=CLI_ENV)
     return proc
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import change_basis, modules
 
+from stmodcat import linalg
 from stmodcat.linalg import FpMatrix, nullspace, rank, right_inverse, stack_rows
 from stmodcat.modrep import (
     CokernelData,
@@ -28,6 +29,7 @@ from stmodcat.modrep import (
     module_iso,
     mu_map,
     omega,
+    partition_layout,
     projective_cover,
     reduce_module,
     sigma,
@@ -92,6 +94,16 @@ def test_kernel_of_tautological_cover_is_M():
     f = block_map([k, Ok], [M], [[mu_map(R24, 1, 2, 1), mu_map(R24, 3, 2, 0)]])
     kd = KernelData(f)
     assert jordan_type(kd.kernel) == (2,)
+
+
+def test_kernel_of_a_map_that_is_not_r_linear_is_refused():
+    # [0 1]: R/x^2 -> k kills the top e0 of the block, but x e0 = e1 does not
+    # lie in the kernel
+    ring = Ring(2, 2)
+    f = RMap(module_from_partition(ring, [2]), module_from_partition(ring, [1]),
+             FpMatrix(2, [[0, 1]]), check=False)
+    with pytest.raises(ModRepError, match="kernel is not x-stable; map is not R-linear"):
+        KernelData(f)
 
 
 def test_hom_k_to_M():
@@ -467,3 +479,71 @@ def test_unchecked_constructions_are_nilpotent(ring, data):
     B = kd.raw_basis
     assert (M.X @ B) == (B @ K_raw.X) and (f.A @ B).is_zero()
     assert (cd.raw_proj.A @ N.X) == (C_raw.X @ cd.raw_proj.A)
+
+
+def test_jordan_basis_is_built_once_per_module():
+    # an equal module, a fresh object with the same key, reads the basis
+    # built for the first one and makes no elimination
+    ring = Ring(3, 4)
+    rng = np.random.default_rng(7)
+    M = change_basis(module_from_partition(ring, [4, 3, 1, 1]),
+                     rng.integers(0, 3, (9, 9)), rng.integers(0, 3, (9, 9)))
+    readers = (jordan_type, projective_cover, injective_envelope, reduce_module)
+    first = [read(M) for read in readers]
+    N = RModule(ring, FpMatrix(3, M.X.a))
+    assert N is not M and N.key == M.key
+    with mock.patch("stmodcat.linalg.rref", wraps=linalg.rref) as counted:
+        again = [read(N) for read in readers]
+    assert counted.call_count == 0
+    assert again == first
+    assert again[0] == (4, 3, 1, 1)
+
+
+def _ref_partition_layout(M):
+    """The layout the subdiagonal ones mark, accepted when rebuilding it
+    from its parts gives M back."""
+    X, n = M.X.a, M.dim
+    parts, o = [], 0
+    while o < n:
+        l = 1
+        while o + l < n and X[o + l, o + l - 1] == 1:
+            l += 1
+        parts.append(l)
+        o += l
+    if max(parts, default=0) > M.ring.m or module_from_partition(M.ring, parts) != M:
+        return None
+    return parts
+
+
+@st.composite
+def layout_probes(draw):
+    """(kind, ring, X): a drawn module's action, or a canonical one with one
+    entry changed: a stray entry on or above the diagonal, or a nonzero
+    entry at a block boundary of the subdiagonal (1 merges the two blocks).
+    A changed X need not be nilpotent, so the module is built unchecked in
+    the test (and printed as its matrix, since its repr reads its type)."""
+    ring = draw(st.sampled_from([Ring(2, 2), Ring(2, 3), Ring(3, 2), Ring(3, 3), Ring(3, 4)]))
+    kind = draw(st.sampled_from(["module", "above", "boundary"]))
+    if kind == "module":
+        return kind, ring, draw(modules(ring)).X.a
+    parts = draw(st.lists(st.integers(1, ring.m), min_size=2, max_size=4))
+    X = module_from_partition(ring, parts).X.a.copy()
+    if kind == "above":
+        i = draw(st.integers(0, len(X) - 1))
+        X[i, draw(st.integers(i, len(X) - 1))] = draw(st.integers(1, ring.p - 1))
+    else:
+        o = draw(st.sampled_from(list(itertools.accumulate(parts))[:-1]))
+        X[o, o - 1] = draw(st.integers(1, ring.p - 1))
+    return kind, ring, X
+
+
+@given(layout_probes())
+@settings(max_examples=300, deadline=None)
+def test_partition_layout_matches_rebuild_and_compare(probe):
+    kind, ring, X = probe
+    M = RModule(ring, FpMatrix(ring.p, X), check=False)
+    got = partition_layout(M)
+    assert got == _ref_partition_layout(M)
+    # a layout has 0/1 entries, all below the diagonal
+    if kind == "above" or (X > 1).any():
+        assert got is None
