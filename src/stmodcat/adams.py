@@ -63,6 +63,7 @@ from .stcat import (
     sigma_omega_comparison,
     stable_coords,
     stable_hom,
+    stably_equal,
     susp_map,
     susp_ob,
 )
@@ -488,16 +489,16 @@ def dr_bracket_forms(res: AdamsResolution, Y: RModule, x: RMap, r: int,
         # b . l for the lifts l of Sigma^{r-1} x through the top iota; the
         # lifts of -Sigma^{r-1} x are the -l, so they are the restricted
         # bracket's (g . beta_last) . (-l), and the set is (c)'s.
-        b = OP.negate(OP.compose(g, stages[-1].beta))
+        b = -OP.compose(g, stages[-1].beta)
         w_elems = c_elems
         equal_w = equal_restricted
         # sigma': W_1 -> W_r is minus the composite of the tower maps
         sigma_prime = stages[0].q
         for st in stages[1:]:
             sigma_prime = OP.compose(st.q, sigma_prime)
-        sigma_prime = OP.negate(sigma_prime)
+        sigma_prime = -sigma_prime
         d1_top = OP.compose(g, triangles[-1].h)
-        checks["extension_over_sigma_prime"] = OP.eq(
+        checks["extension_over_sigma_prime"] = stably_equal(
             OP.compose(b, sigma_prime), d1_top)
 
     variants: dict = {"operations_bracket": ops_bracket}

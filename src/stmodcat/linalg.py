@@ -18,7 +18,6 @@ reduced by construction here and in `stcat` go through `FpMatrix._of`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -299,10 +298,10 @@ class AffineSpace:
     def coefficients(self) -> np.ndarray:
         """Rows (1, c_1, ..., c_d), with (c_1, ..., c_d) running over F_p^d
         in lexicographic order: point k is row k @ generators() mod p."""
-        d = self.dim
-        c = np.array(list(itertools.product(range(self.p), repeat=d)),
-                     dtype=np.int64).reshape(self.size(), d)
-        return np.hstack([np.ones((self.size(), 1), dtype=np.int64), c])
+        d, size = self.dim, self.size()
+        out = np.ones((size, d + 1), dtype=np.int64)
+        out[:, 1:] = np.indices((self.p,) * d, dtype=np.int64).reshape(d, size).T
+        return out
 
 
 def _affine_space(p: int, representative: np.ndarray,

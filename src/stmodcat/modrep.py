@@ -104,7 +104,11 @@ class RModule:
         return hash(self.key)
 
     def __repr__(self):
-        return f"RModule(p={self.ring.p}, m={self.ring.m}, type={list(jordan_type(self))})"
+        try:
+            shape = f"type={list(jordan_type(self))}"
+        except ModRepError:
+            shape = f"dim={self.dim}, not nilpotent"
+        return f"RModule(p={self.ring.p}, m={self.ring.m}, {shape})"
 
 
 class RMap:
@@ -218,6 +222,8 @@ def jordan_chains(M: RModule) -> list[list[np.ndarray]]:
     powers = [FpMatrix.identity(p, n)]
     while len(powers) <= M.ring.m and not powers[-1].is_zero():
         powers.append(powers[-1] @ M.X)
+    if not powers[-1].is_zero():
+        raise ModRepError(f"x^{M.ring.m} does not act as zero")
     kernels = [(h, nullspace(powers[h]).a) for h in range(len(powers) - 1, 0, -1)]
     cands = [(h, v) for h, K in kernels for v in K]
     socles = FpMatrix(p, np.vstack([K @ powers[h - 1].a.T for h, K in kernels]))

@@ -475,15 +475,6 @@ class DirectContext:
     def compose(self, g: RMap, f: RMap) -> RMap:
         return g @ f
 
-    def identity(self, A: RModule) -> RMap:
-        return identity_map(A)
-
-    def negate(self, f: RMap) -> RMap:
-        return -f
-
-    def eq(self, f: RMap, g: RMap) -> bool:
-        return stably_equal(f, g)
-
     def sigma_ob(self, A: RModule) -> RModule:
         return sigma_ob(A)
 

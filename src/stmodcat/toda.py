@@ -8,12 +8,13 @@ composites over every pair of solutions are read off bilinearly from the
 generators of the two spaces (`_pair_coords`).  The last stage of an
 n-fold bracket is read per group of branches sharing its middle map:
 their differing side is one affine preimage, so a group costs one cone,
-two solves and one `_pair_coords`, however many branches it holds.
-A bracket is a set of coordinates only; the one branch a filtered
-witness is built on is found by walking the branches in order
-(`_first_trace`).  Everything runs in a computation context (the
-category or its opposite), so every bracket here can also be evaluated
-in the opposite category for duality checks.
+two solves and one `_pair_coords`, however many branches it holds.  The
+fiber-cofiber bracket is the 3-fold higher bracket, one such group, with
+its indeterminacy added.  A bracket is a set of coordinates only; the
+one branch a filtered witness is built on is found by walking the
+branches in order (`_first_trace`).  Everything runs in a computation
+context (the category or its opposite), so every bracket here can also
+be evaluated in the opposite category for duality checks.
 
 Conventions: the fiber-cofiber bracket of (f3, f2, f1) collects the
 composites beta . Sigma(alpha) where, for the fixed cone triangle
@@ -25,8 +26,7 @@ naming the composite that failed to vanish.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,8 +42,8 @@ from .linalg import (
     solve_affine,
     stack_rows,
 )
-from .modrep import RMap, RModule, zero_module
-from .stcat import DIRECT
+from .modrep import RMap, RModule, identity_map, zero_module
+from .stcat import DIRECT, stably_equal
 
 
 class BracketError(Exception):
@@ -110,15 +110,12 @@ class TodaFamilyElement:
     cone_q: RMap
     cone_iota: RMap
 
-    def composite(self, ctx=DIRECT) -> RMap:
-        return ctx.compose(self.beta, self.sigma_alpha)
-
 
 def _family_solutions(ctx, f3, f2, f1):
     """Cone of f2 plus the two affine solution sets (either may be None)."""
     C, q, iota = ctx.cone(f2)
     sf1 = ctx.sigma_map(f1)
-    alpha_sols = ctx.solve_post(iota, ctx.negate(sf1))
+    alpha_sols = ctx.solve_post(iota, -sf1)
     beta_sols = ctx.solve_pre(q, f3)
     return C, q, iota, alpha_sols, beta_sols
 
@@ -229,19 +226,11 @@ def bracket3(f3, f2, f1, defn: str = "fc", ctx=DIRECT,
 
 
 def _bracket3_fc(ctx, f3, f2, f1, cap) -> BracketSet:
-    X0, X3 = ctx.src(f1), ctx.tgt(f3)
-    SX0 = ctx.sigma_ob(X0)
-    fam = _family_solutions(ctx, f3, f2, f1)
-    C, q, iota, alpha_sols, beta_sols = fam
-    reason = _empty_reason(alpha_sols, beta_sols)
-    if reason:
-        return _empty_bracket(ctx, SX0, X3, reason, {"defn": "fc"})
-    _check_pairs(X0.ring.p, alpha_sols.dim + beta_sols.dim, cap)
-    rows = _pair_coords(ctx, SX0, C, X3, alpha_sols, beta_sols)
-    return BracketSet(SX0, X3, ctx.name, _coord_set(rows),
-                      indeterminacy_basis(ctx, f3, f2, f1), None,
-                      {"defn": "fc", "lifts": alpha_sols.size(),
-                       "extensions": beta_sols.size()})
+    # the fiber-cofiber bracket is the 3-fold higher bracket
+    bs = higher_bracket([f3, f2, f1], ctx=ctx, cap=cap)
+    return replace(bs, indeterminacy=(indeterminacy_basis(ctx, f3, f2, f1)
+                                      if bs.elements else None),
+                   metadata={"defn": "fc", "branches": bs.metadata["branches"]})
 
 
 def _bracket3_cc(ctx, f3, f2, f1, cap) -> BracketSet:
@@ -327,11 +316,11 @@ def bracket3_restricted(f3, f2, f1, sigma_alpha: RMap | None = None,
     reason = _empty_reason(alpha_sols, beta_sols)
     if reason:
         return _empty_bracket(ctx, SX0, X3, reason, {"defn": "fc-restricted"})
-    if sigma_alpha is not None and not ctx.eq(ctx.compose(iota, sigma_alpha),
-                                              ctx.negate(ctx.sigma_map(f1))):
+    if sigma_alpha is not None and not stably_equal(ctx.compose(iota, sigma_alpha),
+                                                    -ctx.sigma_map(f1)):
         raise PrescribedMapError(
             "prescribed lift does not satisfy iota . a = -Sigma f1")
-    if beta is not None and not ctx.eq(ctx.compose(beta, q), f3):
+    if beta is not None and not stably_equal(ctx.compose(beta, q), f3):
         raise PrescribedMapError(
             "prescribed extension does not satisfy b . q = f3")
     # a prescribed side is the one point at its stable class
@@ -361,27 +350,14 @@ def is_jseq(jseq, n: int) -> bool:
 
 
 @dataclass(frozen=True)
-class _Varying:
-    """The outer side of a last-stage group that runs over the classes of
-    `space`: class a asks its branch's solve for the target L a (a itself
-    when L is None), and `targets` holds those targets."""
-
-    space: AffineSpace
-    L: FpMatrix | None = None
-
-    @cached_property
-    def targets(self) -> AffineSpace:
-        return self.space if self.L is None else affine_image(self.space, self.L)
-
-
-@dataclass(frozen=True)
 class _Group:
     """The last-stage branches (f3, mid, f1) sharing their middle map: one
-    of f3, f1 is a map, the other the `_Varying` side they differ in."""
+    of f3, f1 is a map, the other the side they differ in, held as the
+    affine space of the targets its branches ask of that side's solve."""
 
-    f3: RMap | _Varying
+    f3: RMap | AffineSpace
     mid: RMap
-    f1: RMap | _Varying
+    f1: RMap | AffineSpace
 
 
 def _family_groups(ctx, j, maps, fam, Samb, cap) -> list[_Group]:
@@ -391,12 +367,12 @@ def _family_groups(ctx, j, maps, fam, Samb, cap) -> list[_Group]:
     X3, SX = ctx.tgt(maps[j]), ctx.sigma_ob(ctx.src(maps[j + 2]))
     if j == 0:
         # children (beta, sigma_alpha, Sigma f1): extensions of every beta at once
-        sf1, exts = ctx.sigma_map(maps[3]), _Varying(B)
-        return [_Group(exts, a, sf1) for a in ctx.classes(SX, C, A, cap)]
+        sf1 = ctx.sigma_map(maps[3])
+        return [_Group(B, a, sf1) for a in ctx.classes(SX, C, A, cap)]
     # children (f4, beta, sigma_alpha): lifts of every -Sigma(sigma_alpha) at once
     N = ctx.hom(SX, C).matrix_to(ctx.hom(Samb, ctx.sigma_ob(C)),
-                                 lambda u: ctx.negate(ctx.sigma_map(u)))
-    lifts = _Varying(A, N)
+                                 lambda u: -ctx.sigma_map(u))
+    lifts = affine_image(A, N)
     return [_Group(maps[0], b, lifts) for b in ctx.classes(C, X3, B, cap)]
 
 
@@ -406,14 +382,12 @@ def _last_stage(ctx, grp: _Group, Samb, Xn):
     one preimage, the union of its branches' disjoint solution sets, solved
     only when the fixed side has a solution (else None)."""
     C, q, iota = ctx.cone(grp.mid)
-    if isinstance(grp.f3, _Varying):
-        lifts = ctx.solve_post(iota, ctx.negate(ctx.sigma_map(grp.f1)))
-        exts = (None if lifts is None
-                else preimage(ctx.pre_matrix(q, Xn), grp.f3.targets))
+    if isinstance(grp.f3, AffineSpace):
+        lifts = ctx.solve_post(iota, -ctx.sigma_map(grp.f1))
+        exts = None if lifts is None else preimage(ctx.pre_matrix(q, Xn), grp.f3)
     else:
         exts = ctx.solve_pre(q, grp.f3)
-        lifts = (None if exts is None
-                 else preimage(ctx.post_matrix(iota, Samb), grp.f1.targets))
+        lifts = None if exts is None else preimage(ctx.post_matrix(iota, Samb), grp.f1)
     return C, q, iota, lifts, exts
 
 
@@ -421,10 +395,9 @@ def _first_reason(ctx, grp: _Group, sols, Samb) -> str | None:
     """The empty reason of the group's first branch, at the first class of
     its varying side."""
     C, q, iota, lifts, exts = sols
-    if exts is None and isinstance(grp.f1, _Varying):
+    if exts is None and isinstance(grp.f1, AffineSpace):
         # the lifts were left unsolved: solve the first class's own
-        lifts = solve_affine(ctx.post_matrix(iota, Samb),
-                             grp.f1.targets.representative)
+        lifts = solve_affine(ctx.post_matrix(iota, Samb), grp.f1.representative)
     return _empty_reason(lifts, exts)
 
 
@@ -443,7 +416,8 @@ def higher_bracket(maps, jseq=None, ctx=DIRECT, cap: int = 4096) -> BracketSet:
     solve for its fixed side, one preimage for the side its children vary
     in (every extension b' with b' . q' in B, or every lift of -Sigma a
     for a in A), and one `_pair_coords`.  For n = 3 the one group has no
-    family: its varying side is the class of f3 alone.  The solution sets
+    family: its varying side is the class of f3 alone, and the bracket is
+    the fiber-cofiber one.  The solution sets
     of different groups' children are disjoint, so `branches` counts the
     per-branch pairs and the cap refuses them before any is listed.  The
     pairs behind one element are found by `_first_trace`.
@@ -484,7 +458,7 @@ def higher_bracket(maps, jseq=None, ctx=DIRECT, cap: int = 4096) -> BracketSet:
 
     # the last stage, one group of branches per middle map
     if n == 3:
-        groups = [_Group(_Varying(_single(ctx, maps[0])), maps[1], maps[2])]
+        groups = [_Group(_single(ctx, maps[0]), maps[1], maps[2])]
     else:
         j = jseq[1]
         fams = []
@@ -567,7 +541,7 @@ class RestrictedStage:
 
 def suspend_ctx_triangle(ctx, t: CtxTriangle) -> CtxTriangle:
     return CtxTriangle(ctx.sigma_map(t.g), ctx.sigma_map(t.h),
-                       ctx.negate(ctx.sigma_map(t.k)))
+                       -ctx.sigma_map(t.k))
 
 
 def _restricted_octahedron(ctx, tA: CtxTriangle, tB: CtxTriangle,
@@ -586,7 +560,7 @@ def _restricted_octahedron(ctx, tA: CtxTriangle, tB: CtxTriangle,
     gamma = ctx.compose(ctx.sigma_map(tA.k), tB.k)
     # alpha: Sigma Z_A -> W with alpha.kA = q.gB and iota.alpha = -Sigma gA
     alpha_sols = ctx.solve_pre_post(tA.k, ctx.compose(q, tB.g),
-                                    iota, ctx.negate(ctx.sigma_map(tA.g)))
+                                    iota, -ctx.sigma_map(tA.g))
     beta_sols = ctx.solve_pre(q, tB.h)
     if alpha_sols is None or beta_sols is None:
         raise OctahedronError("no octahedron completion for the factorization")
@@ -631,7 +605,7 @@ def restricted_higher_bracket(triangles, g: RMap, x: RMap, ctx=DIRECT,
     # final stage: all lifts of -Sigma x through iota, composed with g.beta
     st = stages[-1]
     sx = ctx.sigma_map(x)
-    lift_sols = ctx.solve_post(st.iota, ctx.negate(sx))
+    lift_sols = ctx.solve_post(st.iota, -sx)
     SB = susp_in_ctx(ctx, B, n - 2)
     if lift_sols is None:
         return _empty_bracket(ctx, SB, A, "x does not lift", {"n": n}), stages
@@ -686,15 +660,15 @@ def filtered_witness(maps, element_coords, ctx=DIRECT,
     i_maps, q_maps, e_maps = [], [], []
     checks: dict = {}
     # q_1 is the identity; i_1 carries the sign of the first cone
-    q_maps.append(ctx.identity(X_last))
+    q_maps.append(identity_map(X_last))
     for j, el in enumerate(trace, start=1):
         stages.append(el.intermediate)
-        i_maps.append(ctx.negate(el.cone_q) if j == 1 else el.cone_q)
+        i_maps.append(-el.cone_q if j == 1 else el.cone_q)
         q_maps.append(el.cone_iota)
         if j == 1:
             e_maps.append(ctx.sigma_map(maps[1]))       # Sigma f_{n-1}
         else:
-            e_maps.append(ctx.negate(ctx.sigma_map(trace[j - 2].sigma_alpha)))
+            e_maps.append(-ctx.sigma_map(trace[j - 2].sigma_alpha))
 
     # stage triangles (i_j, q_{j+1}, e_j) must be distinguished
     for j in range(1, nf):
@@ -706,22 +680,22 @@ def filtered_witness(maps, element_coords, ctx=DIRECT,
         rhs = lam[nf - j - 1]
         for _ in range(j):
             rhs = ctx.sigma_map(rhs)
-        checks[f"composite_{j}"] = ctx.eq(lhs, rhs)
+        checks[f"composite_{j}"] = stably_equal(lhs, rhs)
 
     sigma = q_maps[-1]
-    sigma_prime = ctx.negate(trace[0].cone_q)
+    sigma_prime = -trace[0].cone_q
     for el in trace[1:]:
         sigma_prime = ctx.compose(el.cone_q, sigma_prime)
 
-    a = ctx.negate(trace[-1].sigma_alpha)
-    b = ctx.negate(trace[-1].beta)
+    a = -trace[-1].sigma_alpha
+    b = -trace[-1].beta
     snf1 = f_1
     for _ in range(n - 2):
         snf1 = ctx.sigma_map(snf1)
-    checks["witness_lift"] = ctx.eq(ctx.compose(sigma, a), snf1)
-    checks["witness_extension"] = ctx.eq(ctx.compose(b, sigma_prime), f_n)
+    checks["witness_lift"] = stably_equal(ctx.compose(sigma, a), snf1)
+    checks["witness_extension"] = stably_equal(ctx.compose(b, sigma_prime), f_n)
     elem_map = ctx.make(bs.src, bs.tgt, key)
-    checks["witness_composite"] = ctx.eq(ctx.compose(b, a), elem_map)
+    checks["witness_composite"] = stably_equal(ctx.compose(b, a), elem_map)
     if not all(checks.values()):
         raise BracketError(f"filtered object verification failed: {checks}")
     return FilteredObject(stages, i_maps, q_maps, e_maps, sigma,

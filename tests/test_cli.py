@@ -181,6 +181,17 @@ def test_run_session_api(tmp_path):
     assert "{(2)}" in out.getvalue()
 
 
+@pytest.mark.parametrize("as_json", [False, True], ids=["txt", "json"])
+@pytest.mark.parametrize("name", ["c3_negative", "prop_a1"])
+def test_shipped_session_output_is_golden(name, as_json):
+    # tests/golden holds each shipped session's output, text and --json;
+    # a difference is a change in a computed set or in the report format
+    out = io.StringIO()
+    assert run_session(str(SESSIONS / f"{name}.toda"), as_json=as_json, stream=out) == 0
+    golden = ROOT / "tests" / "golden" / f"{name}.{'json' if as_json else 'txt'}"
+    assert out.getvalue().encode() == golden.read_bytes()
+
+
 @pytest.mark.parametrize("commands", [
     ["sthom k"], ["cone"], ["adams M gen=k len=2", "dr kappa"], ["adams k len=2"],
     ["bracket fc f f"], ["heller f f"], ["sparse k 0 2"],

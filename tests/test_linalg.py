@@ -91,6 +91,16 @@ def test_enumerate_zero_dim():
     assert len(pts) == 1 and pts[0].tolist() == [1, 2]
 
 
+@pytest.mark.parametrize("d", range(5))
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_coefficients_are_the_lexicographic_table(p, d):
+    s = AffineSpace(p, d, np.zeros(d, dtype=np.int64), np.eye(d, dtype=np.int64))
+    got = s.coefficients()
+    assert got.dtype == np.int64 and got.shape == (p ** d, d + 1)
+    assert [tuple(r) for r in got.tolist()] == [
+        (1, *c) for c in itertools.product(range(p), repeat=d)]
+
+
 def test_enumerate_cardinality():
     s = AffineSpace(2, 3, [0, 0, 0], [[1, 0, 0], [0, 1, 0]])
     assert len(enumerate_points(s)) == 4

@@ -70,6 +70,18 @@ def test_public_constructor_refuses_a_non_nilpotent_action():
         RModule(Ring(2, 3), FpMatrix(2, [[0, 1], [1, 0]]))
 
 
+def test_unchecked_action_that_is_not_nilpotent():
+    # x acts invertibly on the first; x^2 != 0 = x^3 on the second, over m = 2
+    for X in ([[0, 1], [1, 0]], [[0, 0, 0], [1, 0, 0], [0, 1, 0]]):
+        M = RModule(Ring(2, 2), FpMatrix(2, X), check=False)
+        with pytest.raises(ModRepError):
+            jordan_chains(M)
+        with pytest.raises(ModRepError):
+            jordan_type(M)
+        assert repr(M) == f"RModule(p=2, m=2, dim={len(X)}, not nilpotent)"
+    assert repr(module_from_partition(Ring(3, 3), [2, 1])) == "RModule(p=3, m=3, type=[2, 1])"
+
+
 def test_jordan_type_zero_action():
     M = RModule(Ring(5, 2), FpMatrix.zeros(5, 3, 3))
     assert jordan_type(M) == (1, 1, 1)
@@ -521,7 +533,7 @@ def layout_probes(draw):
     entry changed: a stray entry on or above the diagonal, or a nonzero
     entry at a block boundary of the subdiagonal (1 merges the two blocks).
     A changed X need not be nilpotent, so the module is built unchecked in
-    the test (and printed as its matrix, since its repr reads its type)."""
+    the test."""
     ring = draw(st.sampled_from([Ring(2, 2), Ring(2, 3), Ring(3, 2), Ring(3, 3), Ring(3, 4)]))
     kind = draw(st.sampled_from(["module", "above", "boundary"]))
     if kind == "module":

@@ -9,7 +9,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import RINGS, modules, random_vanishing_chain, vanishing_chains, vanishing_triples
+from conftest import (
+    RINGS,
+    modules,
+    random_module,
+    random_stable_map,
+    random_vanishing_chain,
+    vanishing_chains,
+    vanishing_triples,
+)
 
 import stmodcat.toda as toda
 from stmodcat.linalg import (
@@ -35,8 +43,10 @@ from stmodcat.toda import (
     _first_trace,
     _pair_coords,
     all_jseqs,
+    bracket3,
     filtered_witness,
     higher_bracket,
+    indeterminacy_basis,
     susp_in_ctx,
     toda_family,
 )
@@ -248,6 +258,41 @@ LOOP_CAP = 64
 def test_higher_bracket_matches_the_loop_in_every_order(length, data):
     ctx, maps, jseq = data.draw(vanishing_chains(length))
     _assert_matches_the_loop(ctx, maps, jseq, LOOP_CAP)
+
+
+@st.composite
+def _triples(draw):
+    """A context and a 3-chain in its order: a vanishing one, or three
+    random maps whose composites need not vanish."""
+    if draw(st.booleans()):
+        return draw(vanishing_triples())
+    ring = draw(st.sampled_from(RINGS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    objs = [random_module(rng, ring, max_dim=4) for _ in range(4)]
+    maps = [random_stable_map(rng, a, b) for a, b in zip(objs, objs[1:])]
+    return (OP, maps) if draw(st.booleans()) else (DIRECT, maps[::-1])
+
+
+@given(_triples(), st.sampled_from([1, 3, 9, 64]))
+@example(ZERO_DIM_SIDES, 1)
+@example(ZERO_AMBIENT, 1)
+@settings(max_examples=60, deadline=None)
+def test_fc_bracket_matches_the_loop(chain, cap):
+    # fc is the 3-fold higher bracket plus its indeterminacy: held to the
+    # per-pair loop in elements, empty reason and the cap's refusal
+    ctx, maps = chain
+    reasons = []
+    try:
+        first, pairs = _loop_bracket(maps, (0,), ctx, cap, reasons)
+    except EnumerationOverflow:
+        with pytest.raises(EnumerationOverflow):
+            bracket3(*maps, defn="fc", ctx=ctx, cap=cap)
+        return
+    bs = bracket3(*maps, defn="fc", ctx=ctx, cap=cap)
+    assert bs.elements == frozenset(first)
+    assert bs.empty_reason == (None if first else reasons[0])
+    assert bs.metadata == {"defn": "fc", "branches": pairs}
+    assert bs.indeterminacy == (indeterminacy_basis(ctx, *maps) if first else None)
 
 
 def _last_stage_by_beta(maps):

@@ -66,7 +66,7 @@ def test_c3_bracket_is_minus_one():
     bs = bracket3(MU1, MUX, MU1, defn="fc")
     assert bs.src == k33 and bs.tgt == k33
     assert bs.sorted_elements() == [(2,)]          # -1 in F_3
-    assert bs.metadata["lifts"] == 1 and bs.metadata["extensions"] == 1
+    assert bs.metadata["branches"] == 1
     # the unique fillers are Sigma alpha = -1 and beta = 1
     fam = toda_family(DIRECT, MU1, MUX, MU1)
     assert len(fam) == 1
@@ -282,7 +282,7 @@ def test_family_composites_equal_fc_bracket():
         bs = bracket3(f3, f2, f1)
         fam = toda_family(DIRECT, f3, f2, f1)
         amb = stable_hom(bs.src, bs.tgt)
-        comps = frozenset(amb.stable_coords(el.composite()) for el in fam)
+        comps = frozenset(amb.stable_coords(el.beta @ el.sigma_alpha) for el in fam)
         assert comps == bs.elements
 
 
@@ -295,9 +295,9 @@ def test_family_suspension_negates():
             continue
         amb = stable_hom(sigma_ob(sigma_ob(f1.src)), sigma_ob(f3.tgt))
         p = f1.src.ring.p
-        lhs = frozenset(amb.stable_coords(el.composite()) for el in sfam)
+        lhs = frozenset(amb.stable_coords(el.beta @ el.sigma_alpha) for el in sfam)
         rhs = frozenset(tuple((-c) % p
-                              for c in amb.stable_coords(sigma_map(el.composite())))
+                              for c in amb.stable_coords(sigma_map(el.beta @ el.sigma_alpha)))
                         for el in fam)
         assert lhs == rhs
 
