@@ -376,7 +376,7 @@ def run_command(sess: Session, rep: Report, lineno: int, toks: list[str]):
         if set(kv) != {"gen", "len"}:
             raise SessionError(lineno, "adams needs gen=<module> len=<int>")
         G = sess.get_module(lineno, kv["gen"])
-        length = _int_arg(lineno, "len", kv["len"], 1)
+        length = _int_arg(lineno, "len", kv["len"], 2)  # d_1 needs p_1
         cls = ProjectiveClass(G)
         sess.resolution = adams_resolution(M, cls, length)
         sess.resolution_target = M

@@ -237,8 +237,17 @@ def _jordan_basis(M: RModule) -> tuple[tuple[int, ...], FpMatrix, FpMatrix]:
 
     The one place a module's Jordan basis is built, once per module and
     shared, so every part is immutable: C^-1 takes M to the canonical
-    module of its chain lengths, and C takes it back.
+    module of its chain lengths, and C takes it back.  In canonical layout
+    the chains are the blocks' unit vectors, longest first, in block order
+    among equals (as `jordan_chains` finds them), so C is a permutation.
     """
+    parts = partition_layout(M)
+    if parts is not None:
+        offs = list(itertools.accumulate(parts, initial=0))
+        order = sorted(range(len(parts)), key=lambda b: -parts[b])
+        C = FpMatrix._of(M.ring.p, np.eye(M.dim, dtype=np.int64)[
+            :, [o for b in order for o in range(offs[b], offs[b + 1])]])
+        return tuple(parts[b] for b in order), C, C.transpose()
     chains = jordan_chains(M)
     cols = [v for chain in chains for v in chain]
     C = FpMatrix(M.ring.p, np.array(cols, dtype=np.int64).reshape(M.dim, M.dim).T)

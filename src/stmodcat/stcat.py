@@ -9,13 +9,13 @@ the dual kernel construction through the projective cover.  Rotation
 introduces a sign on the suspended map.
 
 Suspension is a strict construction (sigma/omega from modrep), so the
-comparison isomorphisms Sigma Omega = id and Omega Sigma = id are
-stored explicitly (the unit and the counit, its adjoint mate) and every
-degree-shifting identification routes through them.  These two, Sigma
-and Omega of maps, and the fiber's connecting map are each induced by
-one of two dual steps: extend along a mono and pass to cokernels
-(`_cokernel_map`), or lift through an epi and restrict to kernels
-(`_kernel_map`).
+comparison isomorphisms Sigma Omega = id and Omega Sigma = id are stored
+explicitly (the unit and the counit, its adjoint mate) and every
+degree-shifting identification routes through them.  These two, Sigma and
+Omega of maps, and the fiber's connecting map are each induced through a
+free module by one column solve: a lift out of R^r is fixed by its values
+at the generators (`_kernel_map`), and an extension into R^r, R being
+Frobenius, by its x^{m-1} coefficient functionals (`_cokernel_map`).
 
 Two computation contexts share this machinery: the direct category and
 the opposite category.  `OpContext` subclasses `DirectContext` and
@@ -226,36 +226,41 @@ def solve_pre_post(f: RMap, a: RMap, g: RMap, b: RMap) -> AffineSpace | None:
 # suspension of maps and the comparison isomorphisms
 
 
-def _combination(H: np.ndarray, L: np.ndarray, rhs: FpMatrix) -> FpMatrix:
-    """sum c_k H[k] for some c with sum c_k L[k] = rhs: H stacks a hom
-    basis and L its images under a fixed composition."""
-    sol = solve_affine(FpMatrix(rhs.p, L.reshape(len(L), -1).T), rhs.a.reshape(-1))
-    if sol is None:
+def _through_free(A: FpMatrix, B: np.ndarray, Y: np.ndarray, m: int) -> np.ndarray:
+    """The (n, r, m) stack of Y^e V[:, t] at [:, t, e], for some V with A V = B."""
+    try:
+        out = [solve_columns(A, FpMatrix._of(A.p, B)).a]
+    except LinAlgError:
         raise StCatError("no exact intertwiner; construction is inconsistent")
-    return FpMatrix(rhs.p, np.tensordot(sol.representative, H, axes=1))
+    for _ in range(m - 1):
+        out.append(Y @ out[-1] % A.p)
+    return np.stack(out, axis=2)
 
 
 def _cokernel_map(i: FpMatrix, rhs: FpMatrix, c: RMap, q: RMap) -> RMap:
     """The map tgt c -> tgt q induced by q . F, for some F: src c -> src q
     extending rhs along the mono i (F . i = rhs); c is onto with kernel
-    im i, so the induced map is q . F . c^-1."""
+    im i, so the induced map is q . F . c^-1.  src q = R^r and R is Frobenius,
+    so row t m + s of F is L_t X^{m-1-s}, with L_t . i = rhs[t m + m-1]."""
     if c.tgt.dim == 0 or q.tgt.dim == 0:
         return zero_map(c.tgt, q.tgt)
-    H = hom_basis(c.src, q.src)
-    F = _combination(H, H @ i.a, rhs)
+    m = q.src.ring.m
+    L = _through_free(i.transpose(), rhs.a[m - 1::m].T, c.src.X.a.T, m)
+    F = FpMatrix._of(i.p, L[:, :, ::-1].reshape(c.src.dim, q.src.dim).T)
     return RMap(c.tgt, q.tgt, q.A @ F @ right_inverse(c.A))
 
 
 def _kernel_map(c: RMap, rhs: FpMatrix, j: RMap, k: RMap) -> RMap:
     """The map src j -> src k restricting some G: tgt j -> src c that
     lifts rhs through the epi c (c . G = rhs); k is the kernel inclusion
-    of c, so G . j lands in its image."""
+    of c, so G . j lands in its image.  As tgt j = R^r, G is fixed by its
+    generator columns t m, one column solve; column t m + e is X^e times it."""
     if j.src.dim == 0 or k.src.dim == 0:
         return zero_map(j.src, k.src)
-    H = hom_basis(j.tgt, c.src)
-    G = _combination(H, c.A.a @ H, rhs)
+    m = j.tgt.ring.m
+    G = _through_free(c.A, rhs.a[:, ::m], c.src.X.a, m).reshape(c.src.dim, j.tgt.dim)
     try:
-        return RMap(j.src, k.src, solve_columns(k.A, G @ j.A))
+        return RMap(j.src, k.src, solve_columns(k.A, FpMatrix._of(c.A.p, G) @ j.A))
     except LinAlgError:
         raise StCatError("lift does not preserve kernels")
 
@@ -306,13 +311,11 @@ def unit_iso(M: RModule) -> RMap:
 
 @memo
 def counit_iso(M: RModule) -> RMap:
-    """The comparison Omega Sigma M -> M, built as the unit's dual.
-
-    Lift the cover of Sigma M through the envelope quotient I(M) -> Sigma M
-    and restrict the lift to Omega Sigma M -> M; the result is the adjoint
-    mate of the unit (Sigma(counit_M) . unit_{Sigma M} = id_{Sigma M}),
-    returned as the canonical representative of its stable class.
-    """
+    """The comparison Omega Sigma M -> M, built as the unit's dual: the
+    cover of Sigma M lifted through the envelope quotient I(M) -> Sigma M,
+    restricted to Omega Sigma M -> M.  It is the unit's adjoint mate
+    (Sigma(counit_M) . unit_{Sigma M} = id_{Sigma M}), returned as the
+    canonical representative of its stable class."""
     SM, emb, quot = sigma(M)
     _, incl, cover = omega(SM)
     c = _kernel_map(quot, cover.A, incl, emb)
@@ -340,10 +343,7 @@ def sigma_omega_comparison(A: RModule, k: int) -> RMap:
     """The iterated identification Sigma^k Omega^k A -> A (stable iso)."""
     if k == 0:
         return identity_map(A)
-    inner = A
-    for _ in range(k - 1):
-        inner = omega_ob(inner)
-    step = susp_map(_comparison_inverse(unit_iso(inner)), k - 1)
+    step = susp_map(_comparison_inverse(unit_iso(susp_ob(A, 1 - k))), k - 1)
     return sigma_omega_comparison(A, k - 1) @ step
 
 

@@ -1,8 +1,11 @@
+import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -349,3 +352,84 @@ def test_mu_label_is_the_diagonal_scan(draw):
     A = np.tensordot(np.array(coeffs, dtype=np.int64), H, axes=1)
     f = RMap(M, N, FpMatrix(ring.p, A))
     assert mu_label(f) == _scanned_label(f)
+
+
+def test_adams_length_one_is_a_parse_error(tmp_path, capsys):
+    # the command prints d_1, which a one-stage resolution does not have
+    bad = tmp_path / "bad.toda"
+    bad.write_text("ring p=2 m=4\nmodule k = [1]\nmodule M = [2]\nadams M gen=k len=1\n")
+    assert run_session(str(bad)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 4: len must be at least 2")
+    assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract on drawn sessions
+
+
+# tokens a mutation may put in place of any other: names, small integers,
+# near-miss literals and keywords, so a mutant stays cheap to run
+_MUTANT_TOKENS = ["0", "1", "2", "3", "-1", "01", "1_0", "x", "A", "B", "k", "f1",
+                  "f4", "len=1", "len=0", "gen=k", "gen=Q", "[1]", "[]", "[0,1]",
+                  "[[1]]", "mu(1)", "mu(x)", "2*mu(x^2)", "matrix", "blocks", "=",
+                  "->", ":", "cc", "fc", "ff", "[1,0]", "page", "ring", ""]
+
+
+@st.composite
+def session_texts(draw):
+    """A session over a composable chain A -> B -> C -> D of single-block
+    mu maps and a class x: P -> A, an adams command and a drawn list of
+    commands covering every command, with at most one token of one line
+    replaced by a drawn token."""
+    p, m = draw(st.sampled_from([2, 3])), draw(st.integers(2, 4))
+    sizes = draw(st.lists(st.integers(1, m), min_size=4, max_size=4))
+    lines = [f"ring p={p} m={m}", "module k = [1]", f"module P = [{m - 1},1]"]
+    lines += [f"module {n} = [{a}]" for n, a in zip("ABCD", sizes)]
+    for i in range(3):
+        a, b = sizes[i], sizes[i + 1]
+        j, c = draw(st.integers(max(0, b - a), b)), draw(st.integers(1, p - 1))
+        lines.append(f"map f{i + 1}: {'ABCD'[i]} -> {'ABCD'[i + 1]} = {c}*mu(x^{j})")
+    j = draw(st.integers(max(0, sizes[0] - m + 1), sizes[0]))
+    lines.append(f"map x: P -> A = blocks [[mu(x^{j}), 0]]")
+    obj, fmap = st.sampled_from("ABCDk"), st.sampled_from(["f1", "f2", "f3"])
+    r = st.integers(1, 3)
+    commands = st.one_of(
+        st.tuples(st.just("sthom"), obj, obj),
+        st.tuples(st.sampled_from(["cone", "fiber"]), fmap),
+        st.tuples(st.just("bracket"), st.sampled_from(["cc", "fc", "ff"]),
+                  st.just("f3 f2 f1")),
+        st.tuples(st.just("nbracket"), st.sampled_from(["", "[0]", "[1]"]),
+                  st.just("f3 f2 f1")),
+        st.tuples(st.just("page"), r),
+        st.tuples(st.sampled_from(["dr", "drforms"]), st.sampled_from(["x", "f1"]), r),
+        st.tuples(st.just("heller"), fmap, fmap, fmap),
+        st.tuples(st.just("sparse"), obj, st.integers(1, 2), st.integers(0, 1)),
+    ).map(lambda toks: " ".join(str(t) for t in toks if t != ""))
+    lines.append(f"adams A gen=k len={draw(st.integers(2, 3))}")
+    lines += draw(st.lists(commands, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(lines) - 1))
+        toks = lines[i].split()
+        toks[draw(st.integers(0, len(toks) - 1))] = draw(st.sampled_from(_MUTANT_TOKENS))
+        lines[i] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+@given(session_texts(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_drawn_sessions_keep_the_exit_code_contract(text, as_json):
+    # exit 0, 1 or 2 and never a traceback; a failure names a line of the
+    # session; a success under --json prints one JSON document
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "drawn.toda"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_session(str(path), as_json=as_json, max_enumerate=64, stream=out)
+    assert code in (0, 1, 2)
+    if code:
+        m = re.match(r"error: line (\d+): ", err.getvalue())
+        assert m and 1 <= int(m.group(1)) <= len(text.splitlines())
+    elif as_json:
+        json.loads(out.getvalue())

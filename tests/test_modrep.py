@@ -16,6 +16,7 @@ from stmodcat.modrep import (
     RMap,
     RModule,
     Ring,
+    _jordan_basis,
     block_map,
     canonical_form,
     direct_sum,
@@ -559,3 +560,18 @@ def test_partition_layout_matches_rebuild_and_compare(probe):
     # a layout has 0/1 entries, all below the diagonal
     if kind == "above" or (X > 1).any():
         assert got is None
+
+
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 6), st.data())
+@settings(max_examples=100, deadline=None)
+def test_canonical_layout_jordan_basis_needs_no_elimination(p, m, data):
+    # on a canonical layout, blocks in any order, the chains are read off
+    # the blocks; they must be jordan_chains' own, with C^-1 its inverse
+    M = module_from_partition(Ring(p, m), data.draw(st.lists(st.integers(1, m), max_size=6)))
+    with mock.patch("stmodcat.linalg.rref", side_effect=AssertionError("rref called")):
+        parts, C, Cinv = _jordan_basis.__wrapped__(M)
+    chains = jordan_chains(M)
+    assert parts == tuple(len(c) for c in chains)
+    assert C == FpMatrix(p, np.array([v for c in chains for v in c],
+                                     dtype=np.int64).reshape(M.dim, M.dim).T)
+    assert Cinv == right_inverse(C)

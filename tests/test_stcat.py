@@ -5,7 +5,15 @@ from hypothesis import assume, example, given, settings, strategies as st
 from conftest import change_basis, modules
 
 from stmodcat import linalg, stcat
-from stmodcat.linalg import FpMatrix, quotient, rref, solve_affine, stack_rows
+from stmodcat.linalg import (
+    FpMatrix,
+    quotient,
+    right_inverse,
+    rref,
+    solve_affine,
+    solve_columns,
+    stack_rows,
+)
 from stmodcat.modrep import (
     RMap,
     RModule,
@@ -20,6 +28,7 @@ from stmodcat.modrep import (
     mu_map,
     omega,
     partition_layout,
+    sigma,
     zero_map,
     zero_module,
 )
@@ -496,3 +505,67 @@ def test_canonical_stable_homs_eliminate_nothing(monkeypatch):
         for M, s in zip(mods, types):
             for N, t in zip(mods, types):
                 assert StableHomSpace(M, N).sdim == _closed_sdim(ring.m, s, t)
+
+
+# ---------------------------------------------------------------------------
+# induced maps through a free module: one column solve each, checked against
+# the hom-space solve they replace, kept here as the reference
+
+
+def _combination(H: np.ndarray, L: np.ndarray, rhs: FpMatrix) -> FpMatrix:
+    """sum c_k H[k] for some c with sum c_k L[k] = rhs: H stacks a hom
+    basis and L its images under a fixed composition."""
+    sol = solve_affine(FpMatrix(rhs.p, L.reshape(len(L), -1).T), rhs.a.reshape(-1))
+    if sol is None:
+        raise StCatError("no exact intertwiner; construction is inconsistent")
+    return FpMatrix(rhs.p, np.tensordot(sol.representative, H, axes=1))
+
+
+def _ref_cokernel_map(i: FpMatrix, rhs: FpMatrix, c: RMap, q: RMap) -> RMap:
+    if c.tgt.dim == 0 or q.tgt.dim == 0:
+        return zero_map(c.tgt, q.tgt)
+    H = hom_basis(c.src, q.src)
+    F = _combination(H, H @ i.a, rhs)
+    return RMap(c.tgt, q.tgt, q.A @ F @ right_inverse(c.A))
+
+
+def _ref_kernel_map(c: RMap, rhs: FpMatrix, j: RMap, k: RMap) -> RMap:
+    if j.src.dim == 0 or k.src.dim == 0:
+        return zero_map(j.src, k.src)
+    H = hom_basis(j.tgt, c.src)
+    G = _combination(H, c.A.a @ H, rhs)
+    return RMap(j.src, k.src, solve_columns(k.A, G @ j.A))
+
+
+def _induced_maps(f: RMap) -> list[RMap]:
+    """Sigma and Omega of f, the unit and counit of its source, and its
+    fiber's connecting map, built afresh (past the memo caches)."""
+    return [stcat.sigma_map.__wrapped__(f), stcat.omega_map.__wrapped__(f),
+            stcat.unit_iso.__wrapped__(f.src), stcat.counit_iso.__wrapped__(f.src),
+            stcat.fiber_triangle.__wrapped__(f).h]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_induced_maps_are_the_hom_space_solve(data):
+    # bit for bit, on and off canonical layout: the extension's functionals
+    # and the lift's generator values are the hom-space solve's unknowns
+    ring = Ring(data.draw(st.sampled_from([2, 3, 5])), data.draw(st.integers(2, 4)))
+    f = _draw_map(data, data.draw(modules(ring)), data.draw(modules(ring)))
+    got = _induced_maps(f)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stcat, "_cokernel_map", _ref_cokernel_map)
+        mp.setattr(stcat, "_kernel_map", _ref_kernel_map)
+        want = _induced_maps(f)
+    assert got == want
+
+
+def test_induced_map_without_an_intertwiner_is_refused():
+    # both column solves refuse a system with no solution: no map on the
+    # zero mono hits a nonzero target, and the zero epi lifts nothing
+    _, emb, quot = sigma(M33)
+    with pytest.raises(StCatError, match="no exact intertwiner"):
+        stcat._cokernel_map(emb.A.scale(0), emb.A, quot, quot)
+    _, incl, cover = omega(M33)
+    with pytest.raises(StCatError, match="no exact intertwiner"):
+        stcat._kernel_map(zero_map(cover.src, M33), cover.A, incl, incl)
