@@ -16,7 +16,7 @@ the full set of E_1 representatives.
 
 The injective-variance statements are exercised through the opposite
 context: the same resolution data, arrows reversed, feeds the generic
-restricted-bracket machinery.
+restricted-bracket machinery, whose tower is built once per slot.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ from .modrep import (
     RModule,
     direct_sum,
     jordan_type,
+    memo,
+    reduce_module,
     zero_map,
     zero_module,
 )
@@ -61,7 +63,6 @@ from .stcat import (
     rotate_back,
     sigma_ob,
     sigma_omega_comparison,
-    stable_coords,
     stable_hom,
     stably_equal,
     susp_map,
@@ -72,7 +73,8 @@ from .toda import (
     CtxTriangle,
     bracket3,
     higher_bracket,
-    restricted_higher_bracket,
+    restricted_read_off,
+    restricted_tower,
     suspend_ctx_triangle,
 )
 
@@ -98,8 +100,6 @@ class ProjectiveClass:
     period: int = field(init=False)
 
     def __post_init__(self):
-        from .modrep import reduce_module
-
         G = reduce_module(self.generator)[0]
         object.__setattr__(self, "generator", G)
         if G.dim == 0:
@@ -119,18 +119,12 @@ class ProjectiveClass:
 
     def is_null(self, f: RMap) -> bool:
         """P-null: invisible to T(Sigma^n G, -) for every shift."""
-        for Gn in self.shifts():
-            if post_matrix(f, Gn).a.any():
-                return False
-        return True
+        return not any(post_matrix(f, Gn).a.any() for Gn in self.shifts())
 
     def is_epic(self, f: RMap) -> bool:
         """P-epic: surjective on T(Sigma^n G, -) for every shift."""
-        for Gn in self.shifts():
-            m = post_matrix(f, Gn)
-            if rank(m) < stable_hom(Gn, f.tgt).sdim:
-                return False
-        return True
+        return all(rank(post_matrix(f, Gn)) == stable_hom(Gn, f.tgt).sdim
+                   for Gn in self.shifts())
 
 
 def ghost_cover(M: RModule, cls: ProjectiveClass) -> tuple[RModule, RMap]:
@@ -184,6 +178,11 @@ class AdamsResolution:
     @property
     def length(self) -> int:
         return len(self.P)
+
+    @property
+    def key(self):
+        """The memo key: the stage maps fix every object of the tower."""
+        return tuple(f.key for f in self.w + self.p + self.dbar)
 
     def d1op(self, s: int) -> RMap:
         """The primary operation P_{s+1} -> P_s (degree-shifting in the tower)."""
@@ -251,12 +250,9 @@ class CoupleChart:
 
     def alpha_chain_into(self, s1: int, t1: int, k: int) -> FpMatrix:
         """Composite alpha^k : D^{s1+k, t1+k} -> D^{s1,t1}."""
-        p = self.Y.ring.p
-        out = FpMatrix.identity(p, self.D_space(s1, t1).sdim)
-        s, t = s1, t1
-        for _ in range(k):
-            out = out @ self.alpha_mat(s, t)
-            s, t = s + 1, t + 1
+        out = FpMatrix.identity(self.Y.ring.p, self.D_space(s1, t1).sdim)
+        for j in range(k):
+            out = out @ self.alpha_mat(s1 + j, t1 + j)
         return out
 
 
@@ -405,33 +401,66 @@ def dr_set(res: AdamsResolution, Y: RModule, x: RMap, r: int,
 # bracket forms of the differential
 
 
-def _op_stage_triangle(res: AdamsResolution, a: int, level: int) -> CtxTriangle:
-    """Stage-a fiber triangle, suspended to `level`, read in the opposite category."""
-    sw = susp_map(res.w[a], level)
-    sp = susp_map(res.p[a], level)
-    t = rotate_back(Triangle(sw, sp, _connecting_map(res, a, level)))
-    # op-triangle X_a -> P_a -> X_{a+1} -> Sigma_op X_a at this level
-    return CtxTriangle(sp, sw, t.f)
-
-
 def op_adams_data(res: AdamsResolution, r: int, s: int, t: int):
-    """Triangles and the capping map for the restricted form, in the opposite context."""
+    """Triangles and the capping map for the restricted form, in the opposite
+    context: triangle i is stage s+i's fiber triangle at level t+i, read as
+    the op-triangle X -> P -> X' -> Sigma_op X and suspended i times."""
     triangles = []
-    for i in range(1, r + 1):
-        base = _op_stage_triangle(res, s + i - 1, t + i - 1)
-        for _ in range(i - 1):
+    for i in range(r):
+        sw, sp = susp_map(res.w[s + i], t + i), susp_map(res.p[s + i], t + i)
+        tri = rotate_back(Triangle(sw, sp, _connecting_map(res, s + i, t + i)))
+        base = CtxTriangle(sp, sw, tri.f)
+        for _ in range(i):
             base = suspend_ctx_triangle(OP, base)
         triangles.append(base)
-    g = susp_map(res.p[s + r], t + r - 1)
-    for _ in range(r - 1):
-        g = OP.sigma_map(g)
-    return triangles, g
+    # Sigma_op^{r-1} of the suspended p_{s+r}
+    return triangles, susp_map(susp_map(res.p[s + r], t + r - 1), 1 - r)
 
 
-def _transport_op_elements(bs: BracketSet, Y: RModule, k: int) -> frozenset:
-    """Carry op-bracket elements (maps into Omega^k Y) to maps into Y."""
-    comp = sigma_omega_comparison(Y, k)
-    return frozenset(stable_coords(comp @ susp_map(u, k)) for u in bs.rep_maps(OP))
+@dataclass(frozen=True)
+class RestrictedSlot:
+    """The x-free part of d_r's restricted form at one slot (`restricted_slot`)."""
+
+    triangles: tuple
+    g: RMap
+    stages: tuple
+    transport: FpMatrix
+    checks: dict
+
+
+@memo
+def restricted_slot(res: AdamsResolution, Y: RModule, r: int, s: int, t: int,
+                    cap: int) -> RestrictedSlot:
+    """The x-free part of the restricted form of d_r at slot (r, s, t):
+    `op_adams_data`'s triangles and capping map g, the octahedron tower on
+    them, the matrix carrying the op bracket's elements (maps into
+    Omega^{r-1} Y) to maps into Y, and the tower's x-free checks.  Built
+    once per (res, Y, r, s, t, cap): a smaller cap is a new slot, so it
+    refuses what a cold call refuses."""
+    triangles, g = op_adams_data(res, r, s, t)
+    stages = restricted_tower(triangles, OP, cap)
+    checks = {}
+    if stages:
+        # (e) sigma': W_1 -> W_r is minus the composite of the tower maps,
+        # and the chosen extension b = -(g . beta_last) must extend
+        # g . h_r over it; the two signs cancel
+        sigma_prime = stages[0].q
+        for st in stages[1:]:
+            sigma_prime = OP.compose(st.q, sigma_prime)
+        checks["extension_over_sigma_prime"] = stably_equal(
+            OP.compose(OP.compose(g, stages[-1].beta), sigma_prime),
+            OP.compose(g, triangles[-1].h))
+    # the op bracket lies in T(A, Omega^{r-1} Y), A = OP.tgt(g); an element
+    # u goes to comp . Sigma^{r-1} u
+    A, comp = OP.tgt(g), sigma_omega_comparison(Y, r - 1)
+    transport = stable_hom(A, susp_ob(Y, 1 - r)).matrix_to(
+        stable_hom(susp_ob(A, r - 1), Y), lambda u: comp @ susp_map(u, r - 1))
+    return RestrictedSlot(tuple(triangles), g, stages, transport, checks)
+
+
+def _images(M: FpMatrix, rows) -> frozenset:
+    """The images under M of a set of coordinate rows."""
+    return frozenset(map(tuple, (stack_rows(M.p, rows, M.cols) @ M.transpose()).a.tolist()))
 
 
 @dataclass
@@ -458,9 +487,12 @@ def dr_bracket_forms(res: AdamsResolution, Y: RModule, x: RMap, r: int,
     (e) the r-filtered tower assembled from the restricted computation,
     whose extension over sigma' is checked and whose elements are (c)'s
     (the lifts it composes with are the negatives of (c)'s); for r = 2
-    also the three 3-fold variants and the inclusion chain.
+    also the three 3-fold variants and the inclusion chain.  The tower
+    of (c) and (e) is shared per slot (`restricted_slot`, built right
+    after (a)); the class enters at the lift.
     """
     a_set = dr_set(res, Y, x, r, s, t, cap)
+    slot = restricted_slot(res, Y, r, s, t, cap)
 
     # (b) the (r+1)-fold bracket through the cover: x.w, p, then the
     # primary operations of the deeper stages
@@ -474,32 +506,16 @@ def dr_bracket_forms(res: AdamsResolution, Y: RModule, x: RMap, r: int,
     ops_bracket = higher_bracket(
         [x] + [susp_map(res.d1op(s + j), t) for j in range(r)], cap=cap)
 
-    # (c) restricted bracket in the opposite context
-    triangles, g = op_adams_data(res, r, s, t)
-    rbs, stages = restricted_higher_bracket(triangles, g, x, ctx=OP, cap=cap)
-    c_elems = _transport_op_elements(rbs, Y, r - 1)
+    # (c) restricted bracket in the opposite context, read off the slot's tower
+    rbs = restricted_read_off(slot.triangles, slot.stages, slot.g, x, OP, cap)
+    c_elems = _images(slot.transport, rbs.elements)
     equal_restricted = c_elems == a_set.elements
 
-    checks: dict = {}
-    w_elems = None
-    equal_w = None
-    if stages:
-        # (e) the r-filtered tower: W_1 = J_r, W_{k+1} = stage cones, with
-        # the chosen extension b = -(g . beta_last).  Its elements are
-        # b . l for the lifts l of Sigma^{r-1} x through the top iota; the
-        # lifts of -Sigma^{r-1} x are the -l, so they are the restricted
-        # bracket's (g . beta_last) . (-l), and the set is (c)'s.
-        b = -OP.compose(g, stages[-1].beta)
-        w_elems = c_elems
-        equal_w = equal_restricted
-        # sigma': W_1 -> W_r is minus the composite of the tower maps
-        sigma_prime = stages[0].q
-        for st in stages[1:]:
-            sigma_prime = OP.compose(st.q, sigma_prime)
-        sigma_prime = -sigma_prime
-        d1_top = OP.compose(g, triangles[-1].h)
-        checks["extension_over_sigma_prime"] = stably_equal(
-            OP.compose(b, sigma_prime), d1_top)
+    # (e) the r-filtered tower (W_1 = J_r, W_{k+1} = stage cones, extension
+    # b = -(g . beta_last)) has the elements b . l, l a lift of Sigma^{r-1} x
+    # through the top iota; the -l lift -Sigma^{r-1} x, so the set is (c)'s
+    checks = dict(slot.checks)
+    w_elems, equal_w = (c_elems, equal_restricted) if slot.stages else (None, None)
 
     variants: dict = {"operations_bracket": ops_bracket}
     checks["dr_subset_of_operations_bracket"] = (
@@ -514,9 +530,7 @@ def dr_bracket_forms(res: AdamsResolution, Y: RModule, x: RMap, r: int,
         # its composition with Sigma p at the E_1 slot: one product, as
         # composition is linear on stable classes
         assert v_delta.src == ps2.tgt and v_delta.tgt == Y
-        comp = pre_matrix(ps2, Y)
-        images = stack_rows(comp.p, v_delta.elements, comp.cols) @ comp.transpose()
-        v_delta_p = frozenset(map(tuple, images.a.tolist()))
+        v_delta_p = _images(pre_matrix(ps2, Y), v_delta.elements)
         variants["with_delta_composed"] = v_delta_p
         variants["through_cover"] = full
         checks["composed_equals_dr"] = v_delta_p == a_set.elements

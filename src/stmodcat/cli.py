@@ -178,14 +178,13 @@ class Session:
             if n not in self.modules:
                 raise SessionError(lineno, f"unknown module {n!r}")
         src, tgt = self.modules[src_name], self.modules[tgt_name]
+        sp, tp = self.partitions.get(src_name), self.partitions.get(tgt_name)
         rhs = rhs.strip()
         try:
             if rhs.startswith("matrix"):
                 grid = _parse_int_grid(rhs[len("matrix"):].strip(), lineno)
                 f = RMap(src, tgt, FpMatrix(self.ring.p, grid))
             elif rhs.startswith("blocks"):
-                sp = self.partitions.get(src_name)
-                tp = self.partitions.get(tgt_name)
                 if sp is None or tp is None:
                     raise SessionError(
                         lineno, "blocks maps need partition-declared modules")
@@ -202,8 +201,6 @@ class Session:
                 term = _parse_mu_term(rhs)
                 if term is None:
                     raise SessionError(lineno, f"bad map declaration {rhs!r}")
-                sp = self.partitions.get(src_name)
-                tp = self.partitions.get(tgt_name)
                 if sp is None or tp is None or len(sp) != 1 or len(tp) != 1:
                     raise SessionError(
                         lineno, "mu maps need single-block partition modules")
@@ -322,8 +319,7 @@ def run_command(sess: Session, rep: Report, lineno: int, toks: list[str]):
         want = least if least == most else f"at least {least}"
         raise SessionError(lineno, f"{cmd} takes {want} operands, got {got}")
     if cmd == "sthom":
-        A = sess.get_module(lineno, toks[1])
-        B = sess.get_module(lineno, toks[2])
+        A, B = (sess.get_module(lineno, n) for n in toks[1:3])
         S = stable_hom(A, B)
         labels = [mu_label(b) for b in S.quotient_basis_maps()]
         rep.emit(f"sthom {toks[1]} {toks[2]}: dim {S.sdim}"
@@ -357,8 +353,7 @@ def run_command(sess: Session, rep: Report, lineno: int, toks: list[str]):
                 raise SessionError(lineno, f"bad reduction sequence {toks[1]!r}")
             names = toks[2:]
         else:
-            jseq = None
-            names = toks[1:]
+            jseq, names = None, toks[1:]
         if len(names) < 2:
             raise SessionError(
                 lineno, f"nbracket needs at least two maps, got {len(names)}")
@@ -377,8 +372,7 @@ def run_command(sess: Session, rep: Report, lineno: int, toks: list[str]):
             raise SessionError(lineno, "adams needs gen=<module> len=<int>")
         G = sess.get_module(lineno, kv["gen"])
         length = _int_arg(lineno, "len", kv["len"], 2)  # d_1 needs p_1
-        cls = ProjectiveClass(G)
-        sess.resolution = adams_resolution(M, cls, length)
+        sess.resolution = adams_resolution(M, ProjectiveClass(G), length)
         sess.resolution_target = M
         types = [list(jordan_type(X)) for X in sess.resolution.X]
         ptypes = [list(jordan_type(P)) for P in sess.resolution.P]
@@ -411,12 +405,9 @@ def run_command(sess: Session, rep: Report, lineno: int, toks: list[str]):
             raise SessionError(lineno, "drforms before adams")
         x = _resolution_class(sess, lineno, toks[1])
         report = dr_bracket_forms(sess.resolution, x.tgt, x, r, cap=cap)
-        flags = {
-            "full_bracket_equal": report.equal_full,
-            "restricted_equal": report.equal_restricted,
-            "w_filtered_equal": report.equal_w_filtered,
-        }
-        flags.update({k: v for k, v in report.checks.items()})
+        flags = {"full_bracket_equal": report.equal_full,
+                 "restricted_equal": report.equal_restricted,
+                 "w_filtered_equal": report.equal_w_filtered} | report.checks
         text = (f"drforms {toks[1]} r={r}: "
                 + _bracket_text("d_r", report.dr) + "; "
                 + "; ".join(f"{k}={v}" for k, v in sorted(flags.items())))
@@ -494,14 +485,12 @@ def parse_session(path: str) -> Session:
             m = re.match(r"module\s+(\w+)\s*=\s*(.+)$", line)
             if not m:
                 raise SessionError(lineno, "bad module declaration")
-            sess.declare_module(lineno, m.group(1), m.group(2))
+            sess.declare_module(lineno, *m.groups())
         elif toks[0] == "map":
-            m = re.match(r"map\s+(\w+)\s*:\s*(\w+)\s*->\s*(\w+)\s*=\s*(.+)$",
-                         line)
+            m = re.match(r"map\s+(\w+)\s*:\s*(\w+)\s*->\s*(\w+)\s*=\s*(.+)$", line)
             if not m:
                 raise SessionError(lineno, "bad map declaration")
-            sess.declare_map(lineno, m.group(1), m.group(2), m.group(3),
-                             m.group(4))
+            sess.declare_map(lineno, *m.groups())
         else:
             if sess.ring is None:
                 raise SessionError(lineno, "command before the ring")
@@ -515,10 +504,7 @@ def run_session(path: str, as_json=False, max_enumerate=4096,
     try:
         sess = parse_session(path)
         sess.cap = max_enumerate
-    except SessionError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (SessionError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     rep = Report()

@@ -55,22 +55,15 @@ def heller_check(t: Triangle, cap: int = 4096) -> HellerVerdict:
     # Sigma^{-1} h, transported through the comparison
     v = counit_iso(X) @ omega_map(t.h)
     failing = None
-    exact = True
     for i in range(1, ring.m):
         A = module_from_partition(ring, [i])
-        mv = post_matrix(v, A)
-        mf = post_matrix(t.f, A)
-        mg = post_matrix(t.g, A)
-        mh = post_matrix(t.h, A)
+        mv, mf, mg, mh = (post_matrix(f, A) for f in (v, t.f, t.g, t.h))
         spots = [("X", mv, mf), ("Y", mf, mg), ("Z", mg, mh)]
-        for name, into, out in spots:
-            if not _exact_at(into, out):
-                exact = False
-                failing = (i, name)
-                break
-        if not exact:
+        failing = next(((i, name) for name, into, out in spots
+                        if not _exact_at(into, out)), None)
+        if failing:
             break
-
+    exact = failing is None
     bracket_ok = exact and bracket3_contains(t.h, t.g, t.f,
                                              identity_map(sigma_ob(X)))
     return HellerVerdict(exact and bracket_ok, exact, bracket_ok, failing)

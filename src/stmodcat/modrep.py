@@ -13,8 +13,8 @@ form (Jordan blocks sorted descending, free blocks stripped) together
 with the comparison maps, so repeated constructions stay at desk scale
 and equal shapes share caches.
 
-`memo` is the one cache of the engine: every memoized construction here
-and in `stcat` is keyed by the `key` of its module and map arguments.
+`memo` is the one cache of the engine: every memoized construction, here
+and in `stcat` and `adams`, is keyed by its arguments' `key`s.
 """
 
 from __future__ import annotations
@@ -50,15 +50,19 @@ class NotRLinear(ModRepError):
 
 
 def memo(fn):
-    """Cache fn for the life of the process, keyed by its arguments' `key`s."""
+    """Cache fn for the life of the process, keyed by its arguments' `key`s
+    (a plain int keys as itself).  A raised exception is not cached."""
     cache = {}
 
     @functools.wraps(fn)
     def wrapper(*args):
-        key = tuple([a.key for a in args])
-        if key not in cache:
-            cache[key] = fn(*args)
-        return cache[key]
+        key = tuple([getattr(a, "key", a) for a in args])
+        try:
+            return cache[key]
+        except KeyError:
+            pass
+        cache[key] = out = fn(*args)
+        return out
 
     return wrapper
 
@@ -362,20 +366,16 @@ def direct_sum(modules) -> tuple[RModule, list[RMap], list[RMap]]:
     if not modules:
         raise ModRepError("empty direct sum needs a ring; use zero_module")
     ring = modules[0].ring
-    n = sum(M.dim for M in modules)
-    X = np.zeros((n, n), dtype=np.int64)
-    off = 0
-    incls, projs = [], []
-    offs = []
-    for M in modules:
-        if M.ring != ring:
-            raise RingMismatch("direct sum over mixed rings")
-        X[off:off + M.dim, off:off + M.dim] = M.X.a
-        offs.append(off)
-        off += M.dim
-    S = RModule(ring, FpMatrix(ring.p, X), check=False)  # blocks are nilpotent
+    if any(M.ring != ring for M in modules):
+        raise RingMismatch("direct sum over mixed rings")
+    offs = list(itertools.accumulate((M.dim for M in modules), initial=0))
+    X = np.zeros((offs[-1], offs[-1]), dtype=np.int64)
     for M, off in zip(modules, offs):
-        inc = np.zeros((n, M.dim), dtype=np.int64)
+        X[off:off + M.dim, off:off + M.dim] = M.X.a
+    S = RModule(ring, FpMatrix(ring.p, X), check=False)  # blocks are nilpotent
+    incls, projs = [], []
+    for M, off in zip(modules, offs):
+        inc = np.zeros((S.dim, M.dim), dtype=np.int64)
         inc[off:off + M.dim, :] = np.eye(M.dim, dtype=np.int64)
         incls.append(RMap(M, S, FpMatrix(ring.p, inc), check=False))
         projs.append(RMap(S, M, FpMatrix(ring.p, inc.T), check=False))

@@ -12,7 +12,9 @@ two solves and one `_pair_coords`, however many branches it holds.  The
 fiber-cofiber bracket is the 3-fold higher bracket, one such group, with
 its indeterminacy added.  A bracket is a set of coordinates only; the
 one branch a filtered witness is built on is found by walking the
-branches in order (`_first_trace`).  Everything runs in a computation
+branches in order (`_first_trace`).  A restricted bracket is a tower of
+octahedra on its triangles alone, then one lift and read-off at the fed-in
+map, so one tower serves every map.  Everything runs in a computation
 context (the category or its opposite), so every bracket here can also
 be evaluated in the opposite category for duality checks.
 
@@ -216,13 +218,10 @@ def bracket3(f3, f2, f1, defn: str = "fc", ctx=DIRECT,
     """
     if ctx.tgt(f1) != ctx.src(f2) or ctx.tgt(f2) != ctx.src(f3):
         raise BracketError("maps are not composable")
-    if defn == "fc":
-        return _bracket3_fc(ctx, f3, f2, f1, cap)
-    if defn == "cc":
-        return _bracket3_cc(ctx, f3, f2, f1, cap)
-    if defn == "ff":
-        return _bracket3_ff(ctx, f3, f2, f1, cap)
-    raise BracketError(f"unknown bracket definition {defn!r}")
+    build = {"fc": _bracket3_fc, "cc": _bracket3_cc, "ff": _bracket3_ff}.get(defn)
+    if build is None:
+        raise BracketError(f"unknown bracket definition {defn!r}")
+    return build(ctx, f3, f2, f1, cap)
 
 
 def _bracket3_fc(ctx, f3, f2, f1, cap) -> BracketSet:
@@ -529,7 +528,7 @@ class CtxTriangle:
     k: RMap
 
 
-@dataclass
+@dataclass(frozen=True)
 class RestrictedStage:
     W: RModule
     q: RMap
@@ -573,10 +572,47 @@ def _restricted_octahedron(ctx, tA: CtxTriangle, tB: CtxTriangle,
     raise OctahedronError("no commuting completion is distinguished")
 
 
+def restricted_tower(triangles, ctx=DIRECT, cap: int = 4096) -> tuple:
+    """The octahedron stages of the restricted bracket on `triangles`
+    (none for one triangle).  Each stage completes the octahedron on the
+    last two triangles and replaces them with its own (alpha, beta,
+    gamma), the rest suspended.  The fed-in map plays no part, so one
+    tower serves every map read off it (`restricted_read_off`)."""
+    triangles, stages = list(triangles), []
+    while len(triangles) > 1:
+        st = _restricted_octahedron(ctx, triangles[-2], triangles[-1], cap)
+        stages.append(st)
+        triangles = [suspend_ctx_triangle(ctx, t) for t in triangles[:-2]]
+        triangles.append(CtxTriangle(st.alpha, st.beta, st.gamma))
+    return tuple(stages)
+
+
+def restricted_read_off(triangles, stages, g: RMap, x: RMap, ctx=DIRECT,
+                        cap: int = 4096) -> BracketSet:
+    """The restricted bracket at x on a built tower of k stages: every lift
+    of -Sigma^k x through the top stage's iota, composed with g . beta;
+    with no stage (n = 2) the one composite g . h_1 . x."""
+    B, A = ctx.src(x), ctx.tgt(g)
+    if not stages:
+        comp = ctx.compose(g, ctx.compose(triangles[0].h, x))
+        return BracketSet(B, A, ctx.name, frozenset([ctx.hom(B, A).stable_coords(comp)]),
+                          None, None, {"n": 2})
+    SB, meta = susp_in_ctx(ctx, B, len(stages)), {"n": len(stages) + 2}
+    for _ in stages:
+        x = ctx.sigma_map(x)
+    lift_sols = ctx.solve_post(stages[-1].iota, -x)
+    if lift_sols is None:
+        return _empty_bracket(ctx, SB, A, "x does not lift", meta)
+    elems = _composites_after(ctx, ctx.compose(g, stages[-1].beta), SB, lift_sols, cap)
+    return BracketSet(SB, A, ctx.name, elems, None, None, meta)
+
+
 def restricted_higher_bracket(triangles, g: RMap, x: RMap, ctx=DIRECT,
                               cap: int = 4096):
     """The inductively defined restricted bracket for factored maps, and
-    the octahedron stages it was built from (none when n = 2).
+    the octahedron stages it was built from (none when n = 2): the
+    x-free tower (`restricted_tower`), then the read-off at x
+    (`restricted_read_off`).
 
     triangles: CtxTriangle list t_1 ... t_{n-1} (Z_i -> J_i -> Z_{i+1} ->
     Sigma Z_i), rightmost factorization first; g: Z_n -> A caps the left
@@ -584,33 +620,8 @@ def restricted_higher_bracket(triangles, g: RMap, x: RMap, ctx=DIRECT,
     T(Sigma^{n-2} B, A).
     """
     triangles = list(triangles)
-    n = len(triangles) + 1
-    B, A = ctx.src(x), ctx.tgt(g)
-    stages: list[RestrictedStage] = []
-    if n == 2:
-        comp = ctx.compose(g, ctx.compose(triangles[0].h, x))
-        return BracketSet(B, A, ctx.name, frozenset([ctx.hom(B, A).stable_coords(comp)]),
-                          None, None, {"n": 2}), stages
-
-    while True:
-        st = _restricted_octahedron(ctx, triangles[-2], triangles[-1], cap)
-        stages.append(st)
-        if len(triangles) == 2:
-            break
-        new_last = CtxTriangle(st.alpha, st.beta, st.gamma)
-        triangles = [suspend_ctx_triangle(ctx, t) for t in triangles[:-2]]
-        triangles.append(new_last)
-        x = ctx.sigma_map(x)
-
-    # final stage: all lifts of -Sigma x through iota, composed with g.beta
-    st = stages[-1]
-    sx = ctx.sigma_map(x)
-    lift_sols = ctx.solve_post(st.iota, -sx)
-    SB = susp_in_ctx(ctx, B, n - 2)
-    if lift_sols is None:
-        return _empty_bracket(ctx, SB, A, "x does not lift", {"n": n}), stages
-    elems = _composites_after(ctx, ctx.compose(g, st.beta), SB, lift_sols, cap)
-    return BracketSet(SB, A, ctx.name, elems, None, None, {"n": n}), stages
+    stages = restricted_tower(triangles, ctx, cap)
+    return restricted_read_off(triangles, stages, g, x, ctx, cap), list(stages)
 
 
 # ---------------------------------------------------------------------------
@@ -650,17 +661,14 @@ def filtered_witness(maps, element_coords, ctx=DIRECT,
     if key not in bs.elements:
         raise BracketError("element does not lie in the bracket")
     trace = _first_trace(ctx, maps, (0,) * (n - 2), key, cap)
-    nf = n - 1
-    f_n = maps[0]
-    f_1 = maps[-1]
+    nf, f_n, f_1 = n - 1, maps[0], maps[-1]
     lam = list(reversed(maps[1:-1]))  # lambda_1 = f_2, ..., lambda_{nf-1} = f_{n-1}
     X_last = ctx.tgt(maps[1])         # X_{n-1}
 
     stages = [zero_module(X_last.ring), X_last]
-    i_maps, q_maps, e_maps = [], [], []
-    checks: dict = {}
     # q_1 is the identity; i_1 carries the sign of the first cone
-    q_maps.append(identity_map(X_last))
+    i_maps, q_maps, e_maps = [], [identity_map(X_last)], []
+    checks: dict = {}
     for j, el in enumerate(trace, start=1):
         stages.append(el.intermediate)
         i_maps.append(-el.cone_q if j == 1 else el.cone_q)
@@ -672,8 +680,7 @@ def filtered_witness(maps, element_coords, ctx=DIRECT,
 
     # stage triangles (i_j, q_{j+1}, e_j) must be distinguished
     for j in range(1, nf):
-        ok = ctx.is_distinguished(i_maps[j - 1], q_maps[j], e_maps[j - 1])
-        checks[f"triangle_{j}"] = ok
+        checks[f"triangle_{j}"] = ctx.is_distinguished(i_maps[j - 1], q_maps[j], e_maps[j - 1])
     # composite conditions (Sigma q_j) . e_j = Sigma^j lambda_{nf-j}
     for j in range(1, nf):
         lhs = ctx.compose(ctx.sigma_map(q_maps[j - 1]), e_maps[j - 1])
@@ -687,8 +694,7 @@ def filtered_witness(maps, element_coords, ctx=DIRECT,
     for el in trace[1:]:
         sigma_prime = ctx.compose(el.cone_q, sigma_prime)
 
-    a = -trace[-1].sigma_alpha
-    b = -trace[-1].beta
+    a, b = -trace[-1].sigma_alpha, -trace[-1].beta
     snf1 = f_1
     for _ in range(n - 2):
         snf1 = ctx.sigma_map(snf1)

@@ -499,3 +499,188 @@ def test_pages_require_length():
     res2 = adams_resolution(M, GHOST, 2)
     with pytest.raises(AdamsError):
         pages(res2, M, 5)
+
+
+# ---------------------------------------------------------------------------
+# the restricted tower, shared per resolution slot
+
+
+def _ghost_resolution(p, m, a, length):
+    """R/x^a over F_p[x]/x^m, resolved by the ghost class of k."""
+    ring = Ring(p, m)
+    Y = module_from_partition(ring, [a])
+    return adams_resolution(Y, ProjectiveClass(module_from_partition(ring, [1])), length), Y
+
+
+def _cycles(res, Y, r, t, cap=4096):
+    """Every nonzero class of E_1^{0,t} that survives to E_r."""
+    E0 = stable_hom(susp_ob(res.P[0], t), Y)
+    out = []
+    for c in itertools.product(range(Y.ring.p), repeat=E0.sdim):
+        if not any(c):
+            continue
+        x = E0.from_stable_coords(c)
+        try:
+            dr_set(res, Y, x, r, 0, t, cap)
+        except NotACycle:
+            continue
+        out.append(x)
+    return out
+
+
+def _per_class_restricted(res, Y, x, r, t, cap):
+    """The restricted fields of a `DrFormsReport` as they were read before the
+    tower moved into the slot: per class, the stage triangles, the tower
+    (the loop of `restricted_higher_bracket`, suspending x alongside), the
+    lift and read-off, the op bracket carried element by element, and the
+    extension over sigma'."""
+    from stmodcat.stcat import OP, Triangle, rotate_back, sigma_omega_comparison, stable_coords
+    from stmodcat.toda import (BracketSet, CtxTriangle, _composites_after,
+                               _restricted_octahedron, susp_in_ctx, suspend_ctx_triangle)
+    from stmodcat.adams import _connecting_map
+
+    assert r >= 2
+    triangles = []
+    for i in range(1, r + 1):
+        a, level = i - 1, t + i - 1
+        sw, sp = susp_map(res.w[a], level), susp_map(res.p[a], level)
+        base = CtxTriangle(sp, sw, rotate_back(Triangle(sw, sp, _connecting_map(res, a, level))).f)
+        for _ in range(i - 1):
+            base = suspend_ctx_triangle(OP, base)
+        triangles.append(base)
+    g = susp_map(res.p[r], t + r - 1)
+    for _ in range(r - 1):
+        g = OP.sigma_map(g)
+    n, B, A = r + 1, OP.src(x), OP.tgt(g)
+    tri, stages, xs = list(triangles), [], x
+    while True:
+        st = _restricted_octahedron(OP, tri[-2], tri[-1], cap)
+        stages.append(st)
+        if len(tri) == 2:
+            break
+        tri = [suspend_ctx_triangle(OP, u) for u in tri[:-2]]
+        tri.append(CtxTriangle(st.alpha, st.beta, st.gamma))
+        xs = OP.sigma_map(xs)
+    lift_sols = OP.solve_post(stages[-1].iota, -OP.sigma_map(xs))
+    SB = susp_in_ctx(OP, B, n - 2)
+    elems = (frozenset() if lift_sols is None else
+             _composites_after(OP, OP.compose(g, stages[-1].beta), SB, lift_sols, cap))
+    comp = sigma_omega_comparison(Y, r - 1)
+    c_elems = frozenset(stable_coords(comp @ susp_map(u, r - 1))
+                        for u in BracketSet(SB, A, OP.name, elems).rep_maps(OP))
+    sigma_prime = stages[0].q
+    for st in stages[1:]:
+        sigma_prime = OP.compose(st.q, sigma_prime)
+    b = -OP.compose(g, stages[-1].beta)
+    extends = stably_equal(OP.compose(b, -sigma_prime), OP.compose(g, triangles[-1].h))
+    equal = c_elems == dr_set(res, Y, x, r, 0, t, cap).elements
+    return {"restricted_elements": c_elems, "w_filtered_elements": c_elems,
+            "equal_restricted": equal, "equal_w_filtered": equal}, extends
+
+
+@pytest.mark.parametrize("p, m, a, r", [(2, 4, 2, 2), (2, 6, 3, 3), (3, 6, 3, 3),
+                                        (2, 8, 4, 4), (3, 8, 4, 4), (2, 10, 5, 5)])
+def test_the_restricted_tower_is_built_once_per_slot(p, m, a, r, monkeypatch):
+    # (2, 4, 2) is the worked example at r = 2; the others are the R/x^a
+    # resolutions where d_r is nonzero.  A cap no other test uses keeps the
+    # first class of each slot cold.
+    import dataclasses
+
+    import stmodcat.adams as adams
+    import stmodcat.toda as toda
+
+    res, Y = _ghost_resolution(p, m, a, r + 1)
+    cap = 20011
+    for t in (0, 1):
+        xs = _cycles(res, Y, r, t)
+        assert len(xs) >= 2
+        want = [_per_class_restricted(res, Y, x, r, t, cap) for x in xs]
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+            return wrapper
+
+        def refuse(*args):
+            raise AssertionError("the slot rebuilt its tower")
+
+        with monkeypatch.context() as mp:
+            mp.setattr(toda, "_restricted_octahedron", counted(toda._restricted_octahedron))
+            mp.setattr(adams, "op_adams_data", counted(adams.op_adams_data))
+            reports = [dr_bracket_forms(res, Y, xs[0], r, t=t, cap=cap)]
+            assert sorted(calls) == ["_restricted_octahedron"] * (r - 1) + ["op_adams_data"]
+            mp.setattr(toda, "_restricted_octahedron", refuse)
+            mp.setattr(adams, "op_adams_data", refuse)
+            reports += [dr_bracket_forms(res, Y, x, r, t=t, cap=cap) for x in xs[1:]]
+        for rep, (fields, extends) in zip(reports, want):
+            checks = {**rep.checks, "extension_over_sigma_prime": extends}
+            assert rep == dataclasses.replace(rep, checks=checks, **fields)
+            assert rep.checks["extension_over_sigma_prime"]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_slot_transport_is_the_per_element_loop(p):
+    # the worked example (p = 2) and p = 3, m = 4, R/x^2; r = 1 has no stage
+    from stmodcat.adams import _images, restricted_slot
+    from stmodcat.stcat import OP, sigma_omega_comparison, stable_coords
+    from stmodcat.toda import restricted_read_off
+
+    res, Y = _ghost_resolution(p, 4, 2, 6)
+    nonzero = 0
+    for r, t in itertools.product((1, 2, 3), range(4)):
+        slot = restricted_slot(res, Y, r, 0, t, 4096)
+        comp = sigma_omega_comparison(Y, r - 1)
+        E0 = stable_hom(susp_ob(res.P[0], t), Y)
+        for c in itertools.product(range(p), repeat=E0.sdim):
+            rbs = restricted_read_off(slot.triangles, slot.stages, slot.g,
+                                      E0.from_stable_coords(c), OP)
+            loop = frozenset(stable_coords(comp @ susp_map(u, r - 1))
+                             for u in rbs.rep_maps(OP))
+            assert _images(slot.transport, rbs.elements) == loop, (r, t, c)
+            nonzero += sum(map(any, loop))
+    assert nonzero >= 12
+
+
+def test_a_smaller_cap_on_a_warm_slot_refuses_as_a_cold_call():
+    # p = 3, m = 4, R/x^2 at r = 2: d_2 needs 3 chains, the slot's octahedron
+    # lists 9 points and the full bracket 81 branches.  The slot is built
+    # right after d_r, so a cap of 8 refuses at the octahedron.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from stmodcat.linalg import EnumerationOverflow
+
+    script = """
+import sys
+from stmodcat.adams import ProjectiveClass, adams_resolution, dr_bracket_forms
+from stmodcat.linalg import EnumerationOverflow
+from stmodcat.modrep import Ring, module_from_partition
+from stmodcat.stcat import stable_hom
+ring = Ring(3, 4)
+Y = module_from_partition(ring, [2])
+res = adams_resolution(Y, ProjectiveClass(module_from_partition(ring, [1])), 4)
+x = stable_hom(res.P[0], Y).from_stable_coords((1, 0))
+try:
+    dr_bracket_forms(res, Y, x, 2, cap=8)
+except EnumerationOverflow as e:
+    print(e)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cold = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, check=True).stdout.strip()
+    assert cold == "9 points exceeds cap 8"
+
+    res, Y = _ghost_resolution(3, 4, 2, 4)
+    x = stable_hom(res.P[0], Y).from_stable_coords((1, 0))
+    warm = dr_bracket_forms(res, Y, x, 2)  # the slot under cap 4096
+    assert warm.equal_restricted and warm.checks["extension_over_sigma_prime"]
+    assert dr_set(res, Y, x, 2, cap=8).elements == warm.dr.elements
+    with pytest.raises(EnumerationOverflow) as refused:
+        dr_bracket_forms(res, Y, x, 2, cap=8)
+    assert str(refused.value) == cold

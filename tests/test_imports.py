@@ -11,6 +11,11 @@ names it (as a bare name, an attribute or an imported name).
 
 The trusted constructor `FpMatrix._of` skips the modulus check and the
 reduction, so neither the session parser (`cli.py`) nor any test names it.
+
+`modrep.memo` is the engine's one cache: no engine module binds a
+module-level name to an empty container (`{}`, `[]`, `dict()`, `list()`,
+`set()`), a store a function could fill, or uses `functools.lru_cache` or
+`functools.cache`.  Literal constant tables are allowed.
 """
 
 import ast
@@ -103,3 +108,54 @@ def test_parsed_and_test_input_never_reaches_the_trusted_constructor(module):
     # and test data go through the checked constructor
     lines = _names_trusted_constructor(SCANNED[module])
     assert not lines, f"{module} names FpMatrix._of at lines {lines}"
+
+
+_CACHE_DECORATORS = {"lru_cache", "cache"}
+_EMPTY_CALLS = {"dict", "list", "set"}
+
+
+def _empty_container(value):
+    if isinstance(value, (ast.Dict, ast.List, ast.Set)):
+        return not (value.keys if isinstance(value, ast.Dict) else value.elts)
+    return (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and value.func.id in _EMPTY_CALLS and not value.args and not value.keywords)
+
+
+def _second_caches(tree):
+    """(line, what) of every module-level empty container and every
+    functools cache decorator in a module."""
+    out = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and _empty_container(stmt.value):
+            out.append((stmt.lineno, "module-level empty container"))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in _CACHE_DECORATORS
+                and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+            out.append((node.lineno, f"functools.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            out += [(node.lineno, f"functools.{a.name}") for a in node.names
+                    if a.name in _CACHE_DECORATORS]
+    return out
+
+
+def test_the_cache_walk_finds_a_second_cache():
+    planted = """
+import functools
+from functools import cache
+_TOWERS = {}
+_SEEN: set = set()
+_TABLE = {"a": (1, 2)}
+_PRIMES = {2, 3}
+@functools.lru_cache(maxsize=None)
+def f(x):
+    return x
+"""
+    assert [what for _, what in _second_caches(ast.parse(planted))] == [
+        "module-level empty container", "module-level empty container",
+        "functools.cache", "functools.lru_cache"]
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_memo_is_the_only_cache(module):
+    found = _second_caches(ast.parse((SRC / module).read_text(encoding="utf-8")))
+    assert not found, f"{module} keeps a cache besides memo: {found}"
