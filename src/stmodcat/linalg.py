@@ -43,8 +43,10 @@ class EnumerationOverflow(LinAlgError):
 _SMALL_PRIMES = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31}
 
 # Residues are int64.  The widest sums the engine forms add triple products
-# of residues (`toda._pair_coords`); below 2^16 each stays below 2^48, so
-# int64 holds sums of 2^15 of them exactly.
+# of residues: the bilinear fallback `toda._pair_coords` adds one per pair
+# of generators, (d_a + 1)(d_b + 1) of them, and 2^15 would take
+# d_a + d_b >= 360, so p^360 pairs under the cap.  Below 2^16 each product
+# stays below 2^48, so int64 holds sums of 2^15 of them exactly.
 MAX_MODULUS = 1 << 16
 
 
@@ -342,6 +344,19 @@ def enumerate_points(space: AffineSpace, cap: int = 4096) -> list[np.ndarray]:
     if total > cap:
         raise EnumerationOverflow(f"{total} points exceeds cap {cap}")
     return list((space.coefficients() @ space.generators()) % space.p)
+
+
+def span_points(p: int, offset: list, directions: list) -> frozenset:
+    """Every point of offset + the row span of `directions` (list rows
+    reduced mod p, not necessarily independent), once each, as tuples: a
+    direction inside the span so far adds no point, any other multiplies
+    the points by p.  No elimination, for the few points a bracket has."""
+    pts = {tuple(offset)}
+    for v in directions:
+        if tuple((x + y) % p for x, y in zip(offset, v)) not in pts:
+            pts = {tuple((x + c * y) % p for x, y in zip(pt, v))
+                   for pt in pts for c in range(p)}
+    return frozenset(pts)
 
 
 def affine_image(space: AffineSpace, M: FpMatrix) -> AffineSpace:

@@ -4,19 +4,21 @@ object witnesses.
 
 All computations are exact: the defining lifting and extension problems
 are solved as affine spaces inside finite stable hom groups, and the
-composites over every pair of solutions are read off bilinearly from the
-generators of the two spaces (`_pair_coords`).  The last stage of an
-n-fold bracket is read per group of branches sharing its middle map:
-their differing side is one affine preimage, so a group costs one cone,
-two solves and one `_pair_coords`, however many branches it holds.  The
-fiber-cofiber bracket is the 3-fold higher bracket, one such group, with
-its indeterminacy added.  A bracket is a set of coordinates only; the
-one branch a filtered witness is built on is found by walking the
-branches in order (`_first_trace`).  A restricted bracket is a tower of
-octahedra on its triangles alone, then one lift and read-off at the fed-in
-map, so one tower serves every map.  Everything runs in a computation
-context (the category or its opposite), so every bracket here can also
-be evaluated in the opposite category for duality checks.
+composites over every pair of solutions are read off the composites of
+their generators (`_composite_set`): one affine space where the cross
+block is zero, as in every family, else the bilinear expansion over the
+pairs (`_pair_coords`).  The last stage of an n-fold bracket is read per
+group of branches sharing its middle map: their differing side is one
+affine preimage, so a group costs one cone, two solves and one read-off,
+however many branches it holds.  The fiber-cofiber bracket is the 3-fold
+higher bracket, one such group, with its indeterminacy added.  A bracket
+is a set of coordinates only; the one branch a filtered witness is built
+on is found by walking the branches in order (`_first_trace`).  A
+restricted bracket is a tower of octahedra on its triangles alone, then
+one lift and read-off at the fed-in map, so one tower serves every map.
+Everything runs in a computation context (the category or its opposite),
+so every bracket here can also be evaluated in the opposite category for
+duality checks.
 
 Conventions: the fiber-cofiber bracket of (f3, f2, f1) collects the
 composites beta . Sigma(alpha) where, for the fixed cone triangle
@@ -42,6 +44,7 @@ from .linalg import (
     preimage,
     row_space_basis,
     solve_affine,
+    span_points,
     stack_rows,
 )
 from .modrep import RMap, RModule, identity_map, zero_module
@@ -161,36 +164,42 @@ def _single(ctx, f) -> AffineSpace:
                        np.zeros((0, len(coords)), dtype=np.int64))
 
 
-def _pair_coords(ctx, A, C, B, alpha_sols, beta_sols) -> np.ndarray:
-    """Stable coordinates in T(A, B) of every composite b . a, one row per
-    pair, b-major, with a running over alpha_sols in T(A, C) and b over
-    beta_sols in T(C, B), each in enumerate_points order.
-
-    Lifting, composition and stable coordinates are linear mod p and the
-    composite of stable classes does not depend on the lifts, so only the
-    generators of the two spaces are lifted and composed, in one broadcast
-    product: G[k, i] is the composite of beta generator k with alpha
-    generator i, and the pair with coefficient rows w and u has
-    coordinates sum_ki w_k u_i G[k, i].
-    """
-    amb = ctx.hom(A, B)
+def _generator_composites(ctx, A, C, B, alpha_sols, beta_sols) -> np.ndarray:
+    """G[k, i]: stable coordinates in T(A, B) of beta generator k (in T(C, B))
+    composed with alpha generator i (in T(A, C)), in one broadcast product.
+    Composition is bilinear on stable classes, so only generators are lifted."""
     alphas = ctx.hom(A, C).lifts(alpha_sols.generators())
     betas = ctx.hom(C, B).lifts(beta_sols.generators())
-    G = amb.coords_of(ctx.compose(betas[:, None], alphas[None]))
+    return ctx.hom(A, B).coords_of(ctx.compose(betas[:, None], alphas[None]))
+
+
+def _pair_coords(G, alpha_sols, beta_sols) -> np.ndarray:
+    """The bilinear expansion: one row per pair (b, a), b-major, each side
+    in enumerate_points order; coefficient rows w, u give sum_ki w_k u_i G[k, i]."""
     out = np.einsum("bk,ai,kis->bas", beta_sols.coefficients(),
                     alpha_sols.coefficients(), G)
-    return out.reshape(beta_sols.size() * alpha_sols.size(), amb.sdim) % amb.p
+    return out.reshape(beta_sols.size() * alpha_sols.size(), G.shape[2]) % alpha_sols.p
 
 
 def _coord_set(rows: np.ndarray) -> frozenset:
     return frozenset(map(tuple, rows.tolist()))
 
 
+def _composite_set(ctx, A, C, B, alpha_sols, beta_sols) -> frozenset:
+    """Stable coordinates of every composite b . a, a in alpha_sols, b in
+    beta_sols.  With a zero cross block G[1:, 1:] (always when a side is
+    one point) they are one affine space, G[0, 0] plus the span of G[1:, 0]
+    and G[0, 1:]; otherwise every pair is expanded (`_pair_coords`)."""
+    G = _generator_composites(ctx, A, C, B, alpha_sols, beta_sols)
+    if G[1:, 1:].any():
+        return _coord_set(_pair_coords(G, alpha_sols, beta_sols))
+    return span_points(alpha_sols.p, G[0, 0].tolist(), G[1:, 0].tolist() + G[0, 1:].tolist())
+
+
 def _composites_after(ctx, b, A, sols, cap) -> frozenset:
     """Stable coordinates of b . a for every class a: A -> src b in sols."""
     _check_pairs(sols.p, sols.dim, cap)
-    return _coord_set(_pair_coords(ctx, A, ctx.src(b), ctx.tgt(b), sols,
-                                   _single(ctx, b)))
+    return _composite_set(ctx, A, ctx.src(b), ctx.tgt(b), sols, _single(ctx, b))
 
 
 def indeterminacy_basis(ctx, f3, f2, f1) -> tuple:
@@ -328,9 +337,9 @@ def bracket3_restricted(f3, f2, f1, sigma_alpha: RMap | None = None,
     if beta is not None:
         beta_sols = _single(ctx, beta)
     _check_pairs(X0.ring.p, alpha_sols.dim + beta_sols.dim, cap)
-    rows = _pair_coords(ctx, SX0, C, X3, alpha_sols, beta_sols)
-    return BracketSet(SX0, X3, ctx.name, _coord_set(rows), None, None,
-                      {"defn": "fc-restricted"})
+    return BracketSet(SX0, X3, ctx.name,
+                      _composite_set(ctx, SX0, C, X3, alpha_sols, beta_sols),
+                      None, None, {"defn": "fc-restricted"})
 
 
 # ---------------------------------------------------------------------------
@@ -414,12 +423,13 @@ def higher_bracket(maps, jseq=None, ctx=DIRECT, cap: int = 4096) -> BracketSet:
     when j = 0, beta when j = 1.  A group costs one cone, one one-sided
     solve for its fixed side, one preimage for the side its children vary
     in (every extension b' with b' . q' in B, or every lift of -Sigma a
-    for a in A), and one `_pair_coords`.  For n = 3 the one group has no
-    family: its varying side is the class of f3 alone, and the bracket is
-    the fiber-cofiber one.  The solution sets
-    of different groups' children are disjoint, so `branches` counts the
-    per-branch pairs and the cap refuses them before any is listed.  The
-    pairs behind one element are found by `_first_trace`.
+    for a in A), and one `_composite_set` (one affine space where the
+    group's cross block is zero).  For n = 3 the one group has no family:
+    its varying side is the class of f3 alone, and the bracket is the
+    fiber-cofiber one.  The solution sets of different groups' children
+    are disjoint, so `branches` counts the per-branch pairs and the cap
+    refuses them before any is listed.  The pairs behind one element are
+    found by `_first_trace`.
     """
     maps = list(maps)
     n = len(maps)
@@ -479,9 +489,8 @@ def higher_bracket(maps, jseq=None, ctx=DIRECT, cap: int = 4096) -> BracketSet:
     if pairs > cap:
         raise EnumerationOverflow(f"{pairs} bracket branches exceed cap {cap}")
 
-    elements = frozenset(
-        c for C, _, _, lifts, exts in last
-        for c in map(tuple, _pair_coords(ctx, Samb, C, Xn, lifts, exts).tolist()))
+    elements = frozenset().union(*(_composite_set(ctx, Samb, C, Xn, lifts, exts)
+                                   for C, _, _, lifts, exts in last))
     return BracketSet(Samb, Xn, ctx.name, elements, None,
                       None if elements else reason,
                       {"n": n, "jseq": jseq, "branches": pairs})

@@ -23,6 +23,7 @@ from stmodcat.linalg import (
     rref,
     solve_affine,
     solve_columns,
+    span_points,
     stack_rows,
 )
 
@@ -426,6 +427,18 @@ def test_in_span_matches_rank(rows, data):
                                     min_size=rows.cols, max_size=rows.cols)))
     grown = stack_rows(rows.p, list(rows.a) + [v], cols=rows.cols)
     assert in_span(rows, v) == (rank(grown) == rank(rows))
+
+
+@given(fp_matrices(max_rows=5, max_cols=4), st.data())
+@settings(max_examples=100, deadline=None)
+def test_span_points_is_the_enumerated_affine_space(dirs, data):
+    # zero and dependent direction rows add no point: p^rank points
+    p = dirs.p
+    offset = data.draw(st.lists(st.integers(0, p - 1), min_size=dirs.cols, max_size=dirs.cols))
+    space = AffineSpace(p, dirs.cols, np.array(offset), row_space_basis(dirs).a)
+    want = {tuple(int(c) for c in v) for v in enumerate_points(space, p ** dirs.cols)}
+    got = span_points(p, offset, dirs.a.tolist())
+    assert got == want and len(got) == p ** rank(dirs)
 
 
 def test_preimage_of_a_point_is_the_solve():

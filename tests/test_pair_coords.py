@@ -1,8 +1,10 @@
 """Bracket composites read off in stable coordinates.
 
-`toda._pair_coords` composes only the generators of two affine solution
-spaces and expands every pair bilinearly; these tests hold it, and the
-brackets built on it, to the per-pair compose loop it replaced.
+`toda._composite_set` composes only the generators of two affine solution
+spaces; it reads the set as one affine space where their cross block is
+zero and expands every pair bilinearly (`_pair_coords`) elsewhere.  These
+tests hold both read-offs, and the brackets built on them, to the
+per-pair compose loop they replaced.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from conftest import (
 )
 
 import stmodcat.toda as toda
+from stmodcat.adams import ProjectiveClass, adams_resolution, dr_bracket_forms
 from stmodcat.linalg import (
     AffineSpace,
     EnumerationOverflow,
@@ -29,6 +32,7 @@ from stmodcat.linalg import (
 )
 from stmodcat.modrep import (
     Ring,
+    block_map,
     identity_map,
     module_from_partition,
     mu_map,
@@ -37,13 +41,17 @@ from stmodcat.modrep import (
 )
 from stmodcat.stcat import DIRECT, OP
 from stmodcat.toda import (
+    _composite_set,
+    _composites_after,
     _empty_reason,
     _family,
     _family_solutions,
     _first_trace,
+    _generator_composites,
     _pair_coords,
     all_jseqs,
     bracket3,
+    bracket3_restricted,
     filtered_witness,
     higher_bracket,
     indeterminacy_basis,
@@ -87,7 +95,8 @@ def _affine_spaces(draw, p, n):
 
 def _assert_pair_coords_match(ctx, A, C, B, alpha_sols, beta_sols):
     want = _per_pair_loop(ctx, A, C, B, alpha_sols, beta_sols)
-    got = _pair_coords(ctx, A, C, B, alpha_sols, beta_sols)
+    got = _pair_coords(_generator_composites(ctx, A, C, B, alpha_sols, beta_sols),
+                       alpha_sols, beta_sols)
     assert got.shape == (len(want), ctx.hom(A, B).sdim)
     assert [tuple(r) for r in got.tolist()] == want
 
@@ -141,9 +150,70 @@ def test_pair_coords_match_the_composite_loop(chain):
     want = [hom.stable_coords(ctx.compose(b, a))
             for b in ctx.classes(C, B, beta_sols)
             for a in ctx.classes(A, C, alpha_sols)]
-    got = _pair_coords(ctx, A, C, B, alpha_sols, beta_sols)
+    got = _pair_coords(_generator_composites(ctx, A, C, B, alpha_sols, beta_sols),
+                       alpha_sols, beta_sols)
     assert got.shape == (len(want), hom.sdim)
     assert [tuple(r) for r in got.tolist()] == want
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_composite_set_is_the_per_pair_loop_on_drawn_spaces(data):
+    # two drawn spaces: the cross block is usually nonzero, so this holds
+    # the bilinear fallback as a set
+    ring = data.draw(st.sampled_from(RINGS))
+    ctx = data.draw(st.sampled_from([DIRECT, OP]))
+    A, C, B = (data.draw(modules(ring)) for _ in range(3))
+    alpha_sols = data.draw(_affine_spaces(ring.p, ctx.hom(A, C).sdim))
+    beta_sols = data.draw(_affine_spaces(ring.p, ctx.hom(C, B).sdim))
+    want = frozenset(_per_pair_loop(ctx, A, C, B, alpha_sols, beta_sols))
+    assert _composite_set(ctx, A, C, B, alpha_sols, beta_sols) == want
+
+
+@given(vanishing_triples())
+@example(ZERO_DIM_SIDES)
+@example(ZERO_AMBIENT)
+@settings(max_examples=40, deadline=None)
+def test_composite_set_is_one_affine_space_on_family_spaces(chain):
+    # lifts differ by q . phi and extensions by psi . iota, and iota . q = 0:
+    # the cross block of a family vanishes, so the set is one affine space
+    ctx, maps = chain
+    spaces = _family_spaces(ctx, *maps)
+    assume(spaces[3].size() * spaces[4].size() <= 256)
+    assert not _generator_composites(ctx, *spaces)[1:, 1:].any()
+    assert _composite_set(ctx, *spaces) == frozenset(_per_pair_loop(ctx, *spaces))
+
+
+def _no_fallback(*args):
+    raise AssertionError("the bilinear fallback ran")
+
+
+def test_zero_cross_blocks_take_the_affine_branch(monkeypatch):
+    # the session bracket <mu_1, mu_x, mu_1>, d_2[kappa]'s bracket forms on
+    # the worked example, and one restricted read-off, with no fallback
+    ctx, maps = ZERO_DIM_SIDES
+    R24 = Ring(2, 4)
+    k, M = module_from_partition(R24, [1]), module_from_partition(R24, [2])
+    Ok = module_from_partition(R24, [3])
+    res = adams_resolution(M, ProjectiveClass(k), 6)
+    kappa = block_map([k, Ok], [M], [[mu_map(R24, 1, 2, 1), None]])
+    # every class of T(M, M) = F_3, composed with mu_1
+    whole = AffineSpace(R33.p, 1, np.zeros(1, dtype=np.int64), np.eye(1, dtype=np.int64))
+
+    def compute():
+        return (bracket3(*maps, defn="fc", ctx=ctx),
+                bracket3_restricted(*maps, ctx=ctx),
+                dr_bracket_forms(res, M, kappa, 2),
+                _composites_after(DIRECT, MU1, M33, whole, 4096))
+
+    want = compute()
+    monkeypatch.setattr(toda, "_pair_coords", _no_fallback)
+    got = compute()
+    assert got == want
+    assert got[0].elements == {(2,)}   # {-1}
+    assert got[3] == frozenset(_per_pair_loop(DIRECT, M33, M33, k33, whole,
+                                              toda._single(DIRECT, MU1)))
+    assert len(got[3]) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +322,38 @@ def _assert_matches_the_loop(ctx, maps, jseq, cap):
 LOOP_CAP = 64
 
 
+class _Drawn:
+    """An explicit example for a test drawing from st.data(): every draw
+    returns the one chain."""
+
+    def __init__(self, chain):
+        self.chain = chain
+
+    def draw(self, strategy):
+        return self.chain
+
+
+# a 4-fold chain at p = 3 whose one last-stage group has a nonzero cross
+# block: 27 pairs, 9 elements, read through the bilinear fallback
+CROSS_CHAIN = (DIRECT, random_vanishing_chain(np.random.default_rng(56), RINGS[3], 4,
+                                              max_dim=4), (0, 0))
+
+
 @pytest.mark.parametrize("length", [3, 4, 5])
 @given(data=st.data())
+@example(data=_Drawn(CROSS_CHAIN))
 @settings(max_examples=20, deadline=None)
 def test_higher_bracket_matches_the_loop_in_every_order(length, data):
     ctx, maps, jseq = data.draw(vanishing_chains(length))
+    assume(len(maps) == length)
     _assert_matches_the_loop(ctx, maps, jseq, LOOP_CAP)
+
+
+def test_the_cross_chain_reads_a_nonzero_cross_block(monkeypatch):
+    ctx, maps, jseq = CROSS_CHAIN
+    monkeypatch.setattr(toda, "_pair_coords", _no_fallback)
+    with pytest.raises(AssertionError, match="bilinear fallback"):
+        higher_bracket(maps, jseq, ctx=ctx, cap=LOOP_CAP)
 
 
 @st.composite
