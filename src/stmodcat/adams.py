@@ -14,9 +14,15 @@ with d_r of bidegree (r, r-1) given by one w-composition, r-1
 extensions through dbar, and one p-composition.  d_r[x] is returned as
 the full set of E_1 representatives.
 
-The injective-variance statements are exercised through the opposite
+A class x enters d_r and its bracket forms only linearly, through its
+stable coordinates, so everything else is built once per resolution slot
+(r, s, t) and memoized: the chains of extensions as one linear map
+(`chain_map`, read by `dr_set` and `pages`), the towers of the full, the
+operations and, for r = 2, the connecting-map brackets (`bracket_slot`),
+and the restricted form's octahedron tower (`restricted_slot`).  The
+injective-variance statements are exercised through the opposite
 context: the same resolution data, arrows reversed, feeds the generic
-restricted-bracket machinery, whose tower is built once per slot.
+restricted-bracket machinery.
 """
 
 from __future__ import annotations
@@ -35,8 +41,8 @@ from .linalg import (
     as_vector,
     enumerate_points,
     extending,
+    fibers,
     nullspace,
-    preimage,
     quotient,
     rank,
     row_space_basis,
@@ -70,9 +76,11 @@ from .stcat import (
 )
 from .toda import (
     BracketSet,
+    BracketTower,
     CtxTriangle,
-    bracket3,
-    higher_bracket,
+    bracket_read_off,
+    bracket_tower,
+    fc_bracket,
     restricted_read_off,
     restricted_tower,
     suspend_ctx_triangle,
@@ -179,9 +187,10 @@ class AdamsResolution:
     def length(self) -> int:
         return len(self.P)
 
-    @property
+    @functools.cached_property
     def key(self):
-        """The memo key: the stage maps fix every object of the tower."""
+        """The memo key: the stage maps fix every object of the tower (read
+        once; the stages are never changed after construction)."""
         return tuple(f.key for f in self.w + self.p + self.dbar)
 
     def d1op(self, s: int) -> RMap:
@@ -344,9 +353,9 @@ def pages(res: AdamsResolution, Y: RModule, r_max: int,
             tgt = groups.get((s + r, t + r - 1))
             if tgt is None:
                 continue
-            beta = chart.beta_mat(s + r, t + r - 1)
-            cols = [tgt.class_coords(beta.apply(_chains(chart, s, t, r, z).representative))
-                    for z in g.Z.a]
+            # one element of d_r[z] per cycle row z; its class is that of all
+            images = g.Z.a @ chain_map(res, Y, r, s, t).offset.T % Y.ring.p
+            cols = [tgt.class_coords(v) for v in images]
             mat = (np.array(cols, dtype=np.int64).T.reshape(tgt.dim, g.Z.rows)
                    if cols else np.zeros((tgt.dim, 0), dtype=np.int64))
             diffs[(s, t)] = FpMatrix(Y.ring.p, mat)
@@ -354,22 +363,37 @@ def pages(res: AdamsResolution, Y: RModule, r_max: int,
     return out
 
 
-def _chains(chart: CoupleChart, s: int, t: int, r: int, coords,
-            cap: int | None = None) -> AffineSpace:
-    """Every chain of extensions of gamma(x) through the tower maps, x the
-    E_1 cycle at `coords`: the affine space of the chains' last entries
-    in D^{s+r, t+r-1}, one preimage under alpha per stage."""
-    g = chart.gamma_mat(s, t).apply(coords)
-    space = AffineSpace(chart.Y.ring.p, g.shape[0], g,
-                        np.zeros((0, g.shape[0]), dtype=np.int64))
+@dataclass(frozen=True)
+class ChainMap:
+    """d_r's chains of extensions at one slot, for every E_1 class x at once
+    (`chain_map`).  The chains extend gamma(x) through the tower maps, one
+    preimage under alpha per stage, so the stage-j ends are the fiber over
+    gamma(x) of the composite alpha_1 ... alpha_j: a class gets past stage j
+    exactly when K_j gamma x = 0 (`stages`: that matrix and the stage's
+    chain count), and d_r[x] is the image under beta of the last fiber, the
+    point `offset` x along the fixed directions of `image`."""
+
+    stages: tuple
+    offset: np.ndarray
+    image: AffineSpace
+    chains: int
+
+
+@memo
+def chain_map(res: AdamsResolution, Y: RModule, r: int, s: int, t: int) -> ChainMap:
+    """The chain map of d_r at slot (s, t), built once per (res, Y, r, s, t)."""
+    chart, p = CoupleChart(res, Y), Y.ring.p
+    gamma = chart.gamma_mat(s, t)
+    ends = FpMatrix.identity(p, gamma.rows)
+    fibs = []
     for j in range(1, r):
-        space = preimage(chart.alpha_mat(s + j, t + j - 1), space)
-        if space is None:
-            raise NotACycle(
-                f"x is not a d_{r-1}-cycle: extension fails at stage {j}")
-        if cap is not None and space.size() > cap:
-            raise EnumerationOverflow(f"{space.size()} chains exceed cap {cap}")
-    return space
+        ends = ends @ chart.alpha_mat(s + j, t + j - 1)
+        fibs.append(fibers(ends))
+    last = fibs[-1] if fibs else fibers(ends)
+    beta = chart.beta_mat(s + r, t + r - 1)
+    return ChainMap(tuple((f.K @ gamma.a % p, f.size()) for f in fibs),
+                    beta.a @ (last.T @ gamma.a % p) % p,
+                    affine_image(last.kernel, beta), last.size())
 
 
 def dr_set(res: AdamsResolution, Y: RModule, x: RMap, r: int,
@@ -377,10 +401,11 @@ def dr_set(res: AdamsResolution, Y: RModule, x: RMap, r: int,
     """The full set of E_1 representatives of d_r[x].
 
     x is a representative Sigma^t P_s -> Y.  The chains of extensions
-    through the tower maps form one affine space (`_chains`), and d_r[x]
-    is its image under p_{s+r}, returned with that image's direction
-    basis as the indeterminacy.  x is a d_{r-1}-cycle exactly when some
-    chain extends through every stage.
+    through the tower maps form one affine space, and d_r[x] is its image
+    under p_{s+r}, returned with that image's direction basis as the
+    indeterminacy; both are read off the slot's `chain_map` at x's
+    coordinates.  x is a d_{r-1}-cycle exactly when some chain extends
+    through every stage.
     """
     if s + r >= res.length:  # the pushout needs p_{s+r}
         raise AdamsError("insufficient resolution length for this differential")
@@ -388,13 +413,19 @@ def dr_set(res: AdamsResolution, Y: RModule, x: RMap, r: int,
     E0 = chart.E_space(s, t)
     if x.src != E0.src or x.tgt != Y:
         raise AdamsError("class does not live in the requested E_1 slot")
-    chains = _chains(chart, s, t, r, E0.stable_coords(x), cap)
-    img = affine_image(chains, chart.beta_mat(s + r, t + r - 1))
+    cm, p = chain_map(res, Y, r, s, t), Y.ring.p
+    xc = np.array(E0.stable_coords(x), dtype=np.int64)
+    for j, (K, chains) in enumerate(cm.stages, start=1):
+        if (K @ xc % p).any():
+            raise NotACycle(f"x is not a d_{r-1}-cycle: extension fails at stage {j}")
+        if chains > cap:
+            raise EnumerationOverflow(f"{chains} chains exceed cap {cap}")
+    img = cm.image.through(cm.offset @ xc % p)
     elems = frozenset(tuple(int(y) for y in v) for v in enumerate_points(img, cap))
     Etgt = chart.E_space(s + r, t + r - 1)
     return BracketSet(Etgt.src, Y, "direct", elems,
                       tuple(tuple(int(v) for v in row) for row in img.basis),
-                      None, {"r": r, "s": s, "t": t, "chains": chains.size()})
+                      None, {"r": r, "s": s, "t": t, "chains": cm.chains})
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +489,32 @@ def restricted_slot(res: AdamsResolution, Y: RModule, r: int, s: int, t: int,
     return RestrictedSlot(tuple(triangles), g, stages, transport, checks)
 
 
+@dataclass(frozen=True)
+class BracketSlot:
+    """The x-free towers of d_r's unrestricted bracket forms at one slot
+    (`bracket_slot`): x enters each only as the leftmost map f_n."""
+
+    cover: FpMatrix            # x -> x . Sigma^t w_s, in stable coordinates
+    full: BracketTower         # <x . w, p, d_1, ..., d_1>
+    ops: BracketTower          # <x, d_1, ..., d_1>
+    delta: BracketTower | None  # <x, d_1, delta>, for r = 2
+
+
+@memo
+def bracket_slot(res: AdamsResolution, Y: RModule, r: int, s: int, t: int,
+                 cap: int) -> BracketSlot:
+    """The towers of the full bracket through the cover, the bracket of the
+    primary operations and, for r = 2, the bracket with the tower's
+    connecting map, each on the maps after x, built once per (res, Y, r, s,
+    t, cap).  The towers refuse nothing; their read-offs refuse under cap."""
+    ops = [susp_map(res.d1op(s + j), t) for j in range(r)]
+    ws = susp_map(res.w[s], t)
+    full = bracket_tower([susp_map(res.p[s + 1], t)] + ops[1:], Y, cap=cap)
+    delta = (bracket_tower([ops[0], susp_map(res.w[s + 1], t)], Y, cap=cap)
+             if r == 2 else None)
+    return BracketSlot(pre_matrix(ws, Y), full, bracket_tower(ops, Y, cap=cap), delta)
+
+
 def _images(M: FpMatrix, rows) -> frozenset:
     """The images under M of a set of coordinate rows."""
     return frozenset(map(tuple, (stack_rows(M.p, rows, M.cols) @ M.transpose()).a.tolist()))
@@ -489,22 +546,22 @@ def dr_bracket_forms(res: AdamsResolution, Y: RModule, x: RMap, r: int,
     (the lifts it composes with are the negatives of (c)'s); for r = 2
     also the three 3-fold variants and the inclusion chain.  The tower
     of (c) and (e) is shared per slot (`restricted_slot`, built right
-    after (a)); the class enters at the lift.
+    after (a)), the class entering at the lift; so are the towers of the
+    other brackets (`bracket_slot`), each read off at x's coordinates.
     """
     a_set = dr_set(res, Y, x, r, s, t, cap)
     slot = restricted_slot(res, Y, r, s, t, cap)
+    towers = bracket_slot(res, Y, r, s, t, cap)
+    xc = stable_hom(x.src, Y).stable_coords(x)
 
     # (b) the (r+1)-fold bracket through the cover: x.w, p, then the
     # primary operations of the deeper stages
-    chain = [x @ susp_map(res.w[s], t), susp_map(res.p[s + 1], t)]
-    chain += [susp_map(res.d1op(s + j), t) for j in range(1, r)]
-    full = higher_bracket(chain, cap=cap)
+    full = bracket_read_off(towers.full, towers.cover.apply(xc))
     equal_full = full.elements == a_set.elements
 
     # the unrestricted bracket of the primary operations alone: d_r[x]
     # is contained in it, possibly properly
-    ops_bracket = higher_bracket(
-        [x] + [susp_map(res.d1op(s + j), t) for j in range(r)], cap=cap)
+    ops_bracket = bracket_read_off(towers.ops, xc)
 
     # (c) restricted bracket in the opposite context, read off the slot's tower
     rbs = restricted_read_off(slot.triangles, slot.stages, slot.g, x, OP, cap)
@@ -525,7 +582,7 @@ def dr_bracket_forms(res: AdamsResolution, Y: RModule, x: RMap, r: int,
         ws1 = susp_map(res.w[s + 1], t)
         ps2 = susp_map(res.p[s + 2], t + 1)
         # <x, d_1, delta>: the bracket with the tower's connecting map
-        v_delta = bracket3(x, d1s, ws1, cap=cap)
+        v_delta = fc_bracket(bracket_read_off(towers.delta, xc), x, d1s, ws1)
         variants["with_delta"] = v_delta
         # its composition with Sigma p at the E_1 slot: one product, as
         # composition is linear on stable classes

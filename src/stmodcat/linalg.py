@@ -293,6 +293,10 @@ class AffineSpace:
         """Q with Q v the class of v modulo the basis span, reduced once."""
         return quotient(FpMatrix._of(self.p, self.basis.copy()))[0]
 
+    def through(self, point: np.ndarray) -> "AffineSpace":
+        """The parallel space through `point`, a vector already reduced mod p."""
+        return _affine_space(self.p, point, self.basis)
+
     def generators(self) -> np.ndarray:
         """The representative over the basis rows."""
         return np.vstack([self.representative, self.basis])
@@ -332,6 +336,45 @@ def solve_affine(A: FpMatrix, b) -> AffineSpace | None:
     rep[pivots] = [row[n] for row in rows[:len(pivots)]]
     # pivoting is column by column, so the first n columns of R are rref(A)
     return _affine_space(A.p, rep, _kernel(rows, pivots, n, A.p)[0].a)
+
+
+@dataclass(frozen=True)
+class Fibers:
+    """The fibers {x : M x = c} of a linear map M, for every c at once.
+
+    One reduction of [M | I] reduces its first columns as rref(M) does, so
+    its last columns hold the row operations: the rows past the rank of M
+    give K, with a fiber over c exactly when K c = 0, and the rows above
+    give T, with T c holding those rows applied to c at the pivots.  On such
+    a c that is `solve_affine(M, c)`'s representative, and the fiber is the
+    kernel of M through it."""
+
+    K: np.ndarray
+    T: np.ndarray
+    kernel: AffineSpace
+
+    def has(self, c: np.ndarray) -> bool:
+        return not (self.K @ c % self.kernel.p).any()
+
+    def size(self) -> int:
+        """The points of each nonempty fiber."""
+        return self.kernel.size()
+
+    def at(self, c: np.ndarray) -> AffineSpace | None:
+        """The fiber over c (a vector reduced mod p), or None when it is empty."""
+        return self.kernel.through(self.T @ c % self.kernel.p) if self.has(c) else None
+
+
+def fibers(M: FpMatrix) -> Fibers:
+    """Every fiber of M, read off one reduction of [M | I] (`Fibers`)."""
+    m, n = M.rows, M.cols
+    R, pivots = rref(FpMatrix._of(M.p, np.hstack([M.a, np.eye(m, dtype=np.int64)])))
+    piv = [c for c in pivots if c < n]
+    T = np.zeros((n, m), dtype=np.int64)
+    T[piv] = R.a[:len(piv), n:]
+    basis = _kernel(R.a.tolist(), piv, n, M.p)[0].a
+    return Fibers(R.a[len(piv):, n:], T,
+                  _affine_space(M.p, np.zeros(n, dtype=np.int64), basis))
 
 
 def enumerate_points(space: AffineSpace, cap: int = 4096) -> list[np.ndarray]:

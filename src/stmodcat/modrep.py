@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,21 +50,36 @@ class NotRLinear(ModRepError):
     pass
 
 
+CacheInfo = namedtuple("CacheInfo", "hits misses size")
+
+
 def memo(fn):
     """Cache fn for the life of the process, keyed by its arguments' `key`s
-    (a plain int keys as itself).  A raised exception is not cached."""
+    (a plain int keys as itself).  A raised exception is not cached.  As
+    with `functools`, the wrapper's `cache_info()` gives its hits, misses
+    and size, and `cache_clear()` empties it (`stmodcat.cache_stats` and
+    `clear_caches` walk the engine for these)."""
     cache = {}
+    counts = [0, 0]   # hits, misses
 
     @functools.wraps(fn)
     def wrapper(*args):
         key = tuple([getattr(a, "key", a) for a in args])
         try:
-            return cache[key]
+            out = cache[key]
         except KeyError:
-            pass
-        cache[key] = out = fn(*args)
+            counts[1] += 1
+            cache[key] = out = fn(*args)
+            return out
+        counts[0] += 1
         return out
 
+    def cache_clear():
+        cache.clear()
+        counts[:] = [0, 0]
+
+    wrapper.cache_info = lambda: CacheInfo(counts[0], counts[1], len(cache))
+    wrapper.cache_clear = cache_clear
     return wrapper
 
 

@@ -7,15 +7,20 @@ are solved as affine spaces inside finite stable hom groups, and the
 composites over every pair of solutions are read off the composites of
 their generators (`_composite_set`): one affine space where the cross
 block is zero, as in every family, else the bilinear expansion over the
-pairs (`_pair_coords`).  The last stage of an n-fold bracket is read per
-group of branches sharing its middle map: their differing side is one
-affine preimage, so a group costs one cone, two solves and one read-off,
-however many branches it holds.  The fiber-cofiber bracket is the 3-fold
-higher bracket, one such group, with its indeterminacy added.  A bracket
-is a set of coordinates only; the one branch a filtered witness is built
-on is found by walking the branches in order (`_first_trace`).  A
-restricted bracket is a tower of octahedra on its triangles alone, then
-one lift and read-off at the fed-in map, so one tower serves every map.
+pairs (`_pair_coords`).  An n-fold bracket <f_n, ..., f_1> is built in
+two steps.  f_n only ever sits on an extension side, so everything else
+is a tower on (f_{n-1}, ..., f_1) (`bracket_tower`): branches that agree
+in all maps but the leftmost share one node, whose leftmost maps are a
+fiber over f_n's stable coordinates, and the last stage is read per group
+of branches sharing its middle map, with fixed lifts and with extensions
+that are again such a fiber.  The read-off (`bracket_read_off`) tests and
+slices those fibers at f_n's coordinates, a few products per node and
+group, so one tower serves every f_n.  The fiber-cofiber bracket is the
+3-fold higher bracket, one such group, with its indeterminacy added.  A
+bracket is a set of coordinates only; the one branch a filtered witness
+is built on is found by walking the branches in order (`_first_trace`).
+A restricted bracket is likewise a tower of octahedra on its triangles
+alone, then one lift and read-off at the fed-in map.
 Everything runs in a computation context (the category or its opposite),
 so every bracket here can also be evaluated in the opposite category for
 duality checks.
@@ -31,15 +36,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .linalg import (
     AffineSpace,
     EnumerationOverflow,
+    Fibers,
     FpMatrix,
     affine_image,
+    as_vector,
     enumerate_points,
+    fibers,
     in_span,
     preimage,
     row_space_basis,
@@ -79,7 +88,11 @@ class BracketSet:
         return not self.elements
 
     def __contains__(self, coords) -> bool:
-        return tuple(int(c) for c in coords) in self.elements
+        return self._key(coords) in self.elements
+
+    def _key(self, coords) -> tuple:
+        """The element tuple of coordinates given as any integers."""
+        return tuple(int(c) for c in as_vector(coords, self.src.ring.p))
 
     def same_ambient(self, other: "BracketSet") -> bool:
         return (self.src == other.src and self.tgt == other.tgt
@@ -164,12 +177,13 @@ def _single(ctx, f) -> AffineSpace:
                        np.zeros((0, len(coords)), dtype=np.int64))
 
 
-def _generator_composites(ctx, A, C, B, alpha_sols, beta_sols) -> np.ndarray:
-    """G[k, i]: stable coordinates in T(A, B) of beta generator k (in T(C, B))
-    composed with alpha generator i (in T(A, C)), in one broadcast product.
-    Composition is bilinear on stable classes, so only generators are lifted."""
+def _generator_composites(ctx, A, C, B, alpha_sols, beta_sols=None) -> np.ndarray:
+    """G[k, i]: stable coordinates in T(A, B) of beta generator k (in T(C, B);
+    with no beta_sols, basis class k) composed with alpha generator i (in
+    T(A, C)), in one broadcast product.  Composition is bilinear on stable
+    classes, so only generators are lifted."""
     alphas = ctx.hom(A, C).lifts(alpha_sols.generators())
-    betas = ctx.hom(C, B).lifts(beta_sols.generators())
+    betas = ctx.hom(C, B).lifts(None if beta_sols is None else beta_sols.generators())
     return ctx.hom(A, B).coords_of(ctx.compose(betas[:, None], alphas[None]))
 
 
@@ -234,8 +248,12 @@ def bracket3(f3, f2, f1, defn: str = "fc", ctx=DIRECT,
 
 
 def _bracket3_fc(ctx, f3, f2, f1, cap) -> BracketSet:
-    # the fiber-cofiber bracket is the 3-fold higher bracket
-    bs = higher_bracket([f3, f2, f1], ctx=ctx, cap=cap)
+    return fc_bracket(higher_bracket([f3, f2, f1], ctx=ctx, cap=cap), f3, f2, f1, ctx)
+
+
+def fc_bracket(bs: BracketSet, f3, f2, f1, ctx=DIRECT) -> BracketSet:
+    """The fiber-cofiber bracket <f3, f2, f1> from bs, the 3-fold higher
+    bracket of the same maps: bs with the indeterminacy added."""
     return replace(bs, indeterminacy=(indeterminacy_basis(ctx, f3, f2, f1)
                                       if bs.elements else None),
                    metadata={"defn": "fc", "branches": bs.metadata["branches"]})
@@ -358,142 +376,287 @@ def is_jseq(jseq, n: int) -> bool:
 
 
 @dataclass(frozen=True)
-class _Group:
-    """The last-stage branches (f3, mid, f1) sharing their middle map: one
-    of f3, f1 is a map, the other the side they differ in, held as the
-    affine space of the targets its branches ask of that side's solve."""
+class _Family:
+    """The family of a node's branches at its stage: the cone C of the
+    consumed triple's middle map, the lifts A, and the extensions.  At
+    j = 0 the extended map is the leftmost, so the extensions of a leftmost
+    b are the fiber of P = pre_matrix(q) over b (`ext`), and those of every
+    leftmost the node holds at c the fiber of M P over c (`cfib`); at
+    j >= 1 they are one solution set B."""
 
-    f3: RMap | AffineSpace
-    mid: RMap
-    f1: RMap | AffineSpace
+    j: int
+    C: RModule
+    A: AffineSpace | None
+    B: AffineSpace | None = None
+    P: FpMatrix | None = None
+    cfib: Fibers | None = None
 
+    @cached_property
+    def ext(self) -> Fibers:
+        return fibers(self.P)
 
-def _family_groups(ctx, j, maps, fam, Samb, cap) -> list[_Group]:
-    """The children (beta, sigma_alpha) of the branch `maps` through its
-    family fam = (C, q, iota, A, B), grouped by the last stage's middle map."""
-    C, q, iota, A, B = fam
-    X3, SX = ctx.tgt(maps[j]), ctx.sigma_ob(ctx.src(maps[j + 2]))
-    if j == 0:
-        # children (beta, sigma_alpha, Sigma f1): extensions of every beta at once
-        sf1 = ctx.sigma_map(maps[3])
-        return [_Group(B, a, sf1) for a in ctx.classes(SX, C, A, cap)]
-    # children (f4, beta, sigma_alpha): lifts of every -Sigma(sigma_alpha) at once
-    N = ctx.hom(SX, C).matrix_to(ctx.hom(Samb, ctx.sigma_ob(C)),
-                                 lambda u: -ctx.sigma_map(u))
-    lifts = affine_image(A, N)
-    return [_Group(maps[0], b, lifts) for b in ctx.classes(C, X3, B, cap)]
+    def pairs(self, p: int) -> int:
+        """The (lift, extension) pairs of each of its families."""
+        return p ** (self.A.dim + (self.ext.kernel.dim if self.j == 0 else self.B.dim))
 
 
-def _last_stage(ctx, grp: _Group, Samb, Xn):
-    """(C, q, iota, lifts, extensions) of the group through one cone of its
-    middle map.  The fixed side is one one-sided solve; the varying side is
-    one preimage, the union of its branches' disjoint solution sets, solved
-    only when the fixed side has a solution (else None)."""
-    C, q, iota = ctx.cone(grp.mid)
-    if isinstance(grp.f3, AffineSpace):
-        lifts = ctx.solve_post(iota, -ctx.sigma_map(grp.f1))
-        exts = None if lifts is None else preimage(ctx.pre_matrix(q, Xn), grp.f3)
-    else:
-        exts = ctx.solve_pre(q, grp.f3)
-        lifts = None if exts is None else preimage(ctx.post_matrix(iota, Samb), grp.f1)
-    return C, q, iota, lifts, exts
+class _Node:
+    """The branches of one stage that agree in every map but the leftmost
+    (`maps` holds the others).  At f_n's coordinates c their leftmost maps
+    are the fiber of M over c (`fib`), M composing the precomposition
+    matrices of the cone maps they were extended along.  The family,
+    children and last-stage groups are built the first time a read-off
+    reaches the node, and kept."""
+
+    def __init__(self, tower, depth, maps, M, fib):
+        self.tower, self.depth, self.maps, self.M, self.fib = tower, depth, maps, M, fib
+
+    @cached_property
+    def family(self) -> _Family:
+        t, ctx, maps = self.tower, self.tower.ctx, self.maps
+        j = t.js[self.depth]
+        C, q, iota = ctx.cone(maps[j])
+        A = ctx.solve_post(iota, -ctx.sigma_map(maps[j + 1]))
+        if j:
+            return _Family(j, C, A, B=ctx.solve_pre(q, maps[j - 1]))
+        P = ctx.pre_matrix(q, t.Xn)
+        return _Family(0, C, A, P=P, cfib=None if A is None else fibers(self.M @ P))
+
+    def branches(self, c) -> int:
+        """The branches its families make at c."""
+        fam = self.family
+        if fam.A is None:
+            return 0
+        if fam.j == 0:
+            return fam.A.size() * fam.cfib.size() if fam.cfib.has(c) else 0
+        return 0 if fam.B is None else fam.A.size() * fam.B.size() * self.fib.size()
+
+    def extensions(self, b) -> AffineSpace | None:
+        """The extensions in the family of the branch with leftmost b."""
+        fam = self.family
+        return fam.ext.at(b) if fam.j == 0 else fam.B
+
+    @cached_property
+    def children(self) -> list:
+        """The next stage's nodes, in the per-branch order of its pairs."""
+        t, ctx, fam, maps = self.tower, self.tower.ctx, self.family, self.maps
+        j = fam.j
+        rest = [ctx.sigma_map(g) for g in maps[j + 2:]]
+        alphas = ctx.classes(ctx.sigma_ob(ctx.src(maps[j + 1])), fam.C, fam.A, t.cap)
+        if j == 0:
+            M = self.M @ fam.P
+            return [_Node(t, self.depth + 1, [a] + rest, M, fam.cfib) for a in alphas]
+        betas = ctx.classes(fam.C, ctx.tgt(maps[j - 1]), fam.B, t.cap)
+        return [_Node(t, self.depth + 1, maps[:j - 1] + [b, a] + rest, self.M, self.fib)
+                for b in betas for a in alphas]
+
+    @cached_property
+    def groups(self) -> list:
+        """The last stage's groups of its branches, one per middle map: the
+        one group (f_n, f_2, f_1) when n = 3, else the children of the
+        family before the last, sigma_alpha (j = 0) or beta (j = 1)."""
+        t, ctx, maps = self.tower, self.tower.ctx, self.maps
+        if t.n == 3:
+            return [_Last(t, self.M, maps[0], maps[1])]
+        fam = self.family
+        SX = ctx.sigma_ob(ctx.src(maps[fam.j + 1]))
+        if fam.j == 0:
+            sf1 = ctx.sigma_map(maps[2])
+            return [_Last(t, self.M, a, sf1, fam.P)
+                    for a in ctx.classes(SX, fam.C, fam.A, t.cap)]
+        # every beta's children lift one of -Sigma(sigma_alpha), a in A
+        N = ctx.hom(SX, fam.C).matrix_to(ctx.hom(t.Samb, ctx.sigma_ob(fam.C)),
+                                         lambda u: -ctx.sigma_map(u))
+        targets = affine_image(fam.A, N)
+        return [_Last(t, self.M, b, targets)
+                for b in ctx.classes(fam.C, ctx.tgt(maps[0]), fam.B, t.cap)]
 
 
-def _first_reason(ctx, grp: _Group, sols, Samb) -> str | None:
-    """The empty reason of the group's first branch, at the first class of
-    its varying side."""
-    C, q, iota, lifts, exts = sols
-    if exts is None and isinstance(grp.f1, AffineSpace):
-        # the lifts were left unsolved: solve the first class's own
-        lifts = solve_affine(ctx.post_matrix(iota, Samb), grp.f1.representative)
-    return _empty_reason(lifts, exts)
+class _Last:
+    """A last-stage group: the branches sharing the middle map `mid`.  f1 is
+    the map whose -Sigma they lift, or (j = 1) the affine space of those
+    targets; either way the lifts are fixed.  Their extensions over the
+    parent's leftmost b are the fiber of `local` over b (the cone map's
+    precomposition, after the parent's P at j = 0), so over c the fiber of
+    M local (`fib`).  Composition is bilinear, so the generator composites G
+    of `_composite_set` are the composites of every basis class of
+    T(C, X_n) with the lift generators, read at the fiber's generators: the
+    direction rows (`dirs`) and so the cross block are fixed, and the
+    offset's row is one product with c (`offset`).  `first` is what the
+    first branch lifts when its extensions are missing: the lifts, or (j = 1)
+    those of the first target alone."""
+
+    def __init__(self, tower, M, mid, f1, before=None):
+        ctx, p = tower.ctx, tower.p
+        C, q, iota = ctx.cone(mid)
+        local = ctx.pre_matrix(q, tower.Xn)
+        self.local = local if before is None else before @ local
+        if isinstance(f1, AffineSpace):
+            self.post, self.targets = ctx.post_matrix(iota, tower.Samb), f1
+            self.lifts = preimage(self.post, f1)
+        else:
+            self.lifts = ctx.solve_post(iota, -ctx.sigma_map(f1))
+            self.first = self.lifts
+        if self.lifts is None:
+            return
+        self.fib = fibers(M @ self.local)
+        H = _generator_composites(ctx, tower.Samb, C, tower.Xn, self.lifts)
+        flat = H.reshape(H.shape[0], H.shape[1] * H.shape[2])
+        self.offset = self.fib.T.T @ flat % p
+        self.dirs = (self.fib.kernel.basis @ flat % p).reshape(
+            (self.fib.kernel.dim,) + H.shape[1:])
+        self.cross = self.dirs[:, 1:].any()
+
+    @cached_property
+    def first(self) -> AffineSpace | None:
+        return solve_affine(self.post, self.targets.representative)
+
+    def read(self, c, p: int) -> frozenset:
+        """Every composite of the group at c (`_composite_set`)."""
+        row = (c @ self.offset % p).reshape(self.dirs.shape[1:])
+        if self.cross:
+            G = np.concatenate([row[None], self.dirs])
+            return _coord_set(_pair_coords(G, self.lifts, self.fib.at(c)))
+        return span_points(p, row[0].tolist(), self.dirs[:, 0].tolist() + row[1:].tolist())
 
 
-def higher_bracket(maps, jseq=None, ctx=DIRECT, cap: int = 4096) -> BracketSet:
-    """n-fold Toda bracket of maps = (f_n, ..., f_1), leftmost first.
+class BracketTower:
+    """The n-fold bracket <f_n, ..., f_1> short of f_n (`bracket_tower`).
 
-    jseq selects which consecutive triple each reduction stage consumes
-    (0 <= j_i < i, applied innermost last); all zeros is the standard
-    bracket.
+    f_n enters a branch only as its leftmost map, and only on an extension
+    side: it is the extended map of every j = 0 stage and the fixed f3 of
+    every j = 1 group.  So the branches are held in nodes (`_Node`), and
+    the last stage in groups (`_Last`), whose leftmost maps and extensions
+    are fibers over f_n's coordinates; `bracket_read_off` reads them."""
 
-    Every stage but the last two carries each pair of its families on as
-    a branch.  The stage before the last (j = jseq[1]) makes one family
-    (C, q, iota, A, B) per branch, and its children (beta, sigma_alpha)
-    are read in groups sharing the last stage's middle map: sigma_alpha
-    when j = 0, beta when j = 1.  A group costs one cone, one one-sided
-    solve for its fixed side, one preimage for the side its children vary
-    in (every extension b' with b' . q' in B, or every lift of -Sigma a
-    for a in A), and one `_composite_set` (one affine space where the
-    group's cross block is zero).  For n = 3 the one group has no family:
-    its varying side is the class of f3 alone, and the bracket is the
-    fiber-cofiber one.  The solution sets of different groups' children
-    are disjoint, so `branches` counts the per-branch pairs and the cap
-    refuses them before any is listed.  The pairs behind one element are
-    found by `_first_trace`.
-    """
-    maps = list(maps)
-    n = len(maps)
-    if n < 2:
+    def __init__(self, tail, Xn, jseq, ctx, cap):
+        self.ctx, self.cap, self.Xn = ctx, cap, Xn
+        self.n, self.jseq = len(tail) + 1, jseq
+        self.space = ctx.hom(ctx.tgt(tail[0]), Xn)   # f_n's hom space
+        self.p = self.space.p
+        self.Samb = susp_in_ctx(ctx, ctx.src(tail[-1]), self.n - 2)
+        # the stages whose families carry branches on: every j but the last
+        self.js = list(reversed(jseq[2:])) + list(jseq[1:2])
+        if self.n == 2:
+            self.pre = ctx.pre_matrix(tail[0], Xn)
+        else:
+            I = FpMatrix.identity(self.p, self.space.sdim)
+            self.root = _Node(self, 0, list(tail), I, fibers(I))
+
+    def families(self, depth: int, c):
+        """(node, b) for every family of the stage at `depth` at c, b the
+        branch's leftmost, in the per-branch order: each family's pairs
+        beta-major, the extensions of a leftmost in enumerate_points order."""
+        def walk(node, b):
+            if node.depth == depth:
+                yield node, b
+                return
+            fam = node.family
+            ext = node.extensions(b)
+            if fam.A is None or ext is None:
+                return
+            for u in (enumerate_points(ext, self.cap) if fam.j == 0 else [b]):
+                for child in node.children:
+                    yield from walk(child, u)
+        return walk(self.root, c)
+
+    def overflow(self, depth: int, c) -> str:
+        """The refusal of the first family at `depth` whose pairs exceed the cap."""
+        for node, b in self.families(depth, c):
+            fam = node.family
+            if (fam.A is not None and node.extensions(b) is not None
+                    and fam.pairs(self.p) > self.cap):
+                return f"{fam.pairs(self.p)} filler pairs exceed cap {self.cap}"
+        raise AssertionError("no family exceeds the cap")
+
+    def reason(self, c) -> str | None:
+        """The empty reason of the per-branch order: the first failing
+        family, stage by stage, else the first branch of the first group."""
+        for depth in range(len(self.js)):
+            for node, b in self.families(depth, c):
+                reason = _empty_reason(node.family.A, node.extensions(b))
+                if reason:
+                    return reason
+        node, b = (self.root, c) if self.n == 3 else next(self.families(len(self.js) - 1, c))
+        grp = node.groups[0]
+        exts = solve_affine(grp.local, b)
+        return _empty_reason(grp.first if exts is None else grp.lifts, exts)
+
+
+def bracket_tower(tail, Xn: RModule, jseq=None, ctx=DIRECT, cap: int = 4096) -> BracketTower:
+    """The tower of the n-fold bracket <f_n, ..., f_1> on tail = (f_{n-1},
+    ..., f_1), for f_n any map into Xn (`BracketTower`).  jseq selects
+    which consecutive triple each reduction stage consumes (0 <= j_i < i,
+    applied innermost last); all zeros is the standard bracket.  Every
+    stage but the last two carries each pair of its families on as a
+    branch, the stage before the last makes one family per branch, and
+    the last reads its branches in groups sharing its middle map.  The
+    cap is the read-offs': the tower refuses nothing itself."""
+    tail = list(tail)
+    if not tail:
         raise BracketError("need at least two maps")
-    for a, b in zip(maps[1:], maps[:-1]):
+    for a, b in zip(tail[1:], tail[:-1]):
         if ctx.tgt(a) != ctx.src(b):
             raise BracketError("maps are not composable")
+    n = len(tail) + 1
     jseq = (0,) * (n - 2) if jseq is None else tuple(jseq)
     if not is_jseq(jseq, n):
         raise BracketError(f"invalid reduction sequence {jseq} for n={n}")
-    X0, Xn = ctx.src(maps[-1]), ctx.tgt(maps[0])
-    Samb = susp_in_ctx(ctx, X0, n - 2)
-    if n == 2:
-        c = ctx.hom(Samb, Xn).stable_coords(ctx.compose(*maps))
-        return BracketSet(Samb, Xn, ctx.name, frozenset([c]), None, None,
-                          {"n": n, "jseq": jseq, "branches": 1})
+    return BracketTower(tail, Xn, jseq, ctx, cap)
 
-    branches = [maps]
-    reason = None
-    # every stage but the last two carries each family pair on as a branch
-    for j in reversed(jseq[2:]):
-        new_branches = []
-        for bm in branches:
-            f3, f2, f1 = bm[j], bm[j + 1], bm[j + 2]
-            sols = _family_solutions(ctx, f3, f2, f1)
-            reason = reason or _empty_reason(*sols[3:])
-            rest = [ctx.sigma_map(g) for g in bm[j + 3:]]
-            for el in _family(ctx, f3, f1, sols, cap):
-                new_branches.append(bm[:j] + [el.beta, el.sigma_alpha] + rest)
-        if len(new_branches) > cap:
-            raise EnumerationOverflow(
-                f"{len(new_branches)} bracket branches exceed cap {cap}")
-        branches = new_branches
 
-    # the last stage, one group of branches per middle map
-    if n == 3:
-        groups = [_Group(_single(ctx, maps[0]), maps[1], maps[2])]
-    else:
-        j = jseq[1]
-        fams = []
-        for bm in branches:
-            sols = _family_solutions(ctx, *bm[j:j + 3])
-            reason = reason or _empty_reason(*sols[3:])
-            if sols[3] is not None and sols[4] is not None:
-                fams.append((bm, sols))
-        children = sum(A.size() * B.size() for _, (_, _, _, A, B) in fams)
-        if children > cap:
-            raise EnumerationOverflow(f"{children} bracket branches exceed cap {cap}")
-        groups = [grp for bm, fam in fams
-                  for grp in _family_groups(ctx, j, bm, fam, Samb, cap)]
-    last = [(grp, _last_stage(ctx, grp, Samb, Xn)) for grp in groups]
-    if reason is None and last:
-        reason = _first_reason(ctx, *last[0], Samb)
-    last = [sols for _, sols in last if sols[3] is not None and sols[4] is not None]
-    pairs = sum(lifts.size() * exts.size() for _, _, _, lifts, exts in last)
-    if pairs > cap:
-        raise EnumerationOverflow(f"{pairs} bracket branches exceed cap {cap}")
+def bracket_read_off(tower: BracketTower, coords) -> BracketSet:
+    """The bracket at f_n with stable coordinates `coords`.
 
-    elements = frozenset().union(*(_composite_set(ctx, Samb, C, Xn, lifts, exts)
-                                   for C, _, _, lifts, exts in last))
-    return BracketSet(Samb, Xn, ctx.name, elements, None,
-                      None if elements else reason,
-                      {"n": n, "jseq": jseq, "branches": pairs})
+    Stage by stage, the nodes holding a branch at c (their fiber over c is
+    nonempty) count their families' children, and the cap refuses, in the
+    per-branch order, a family's pairs (`overflow`) and then a stage's
+    branches, before the next stage is built.  The last stage's groups
+    count their (lift, extension) pairs, which `branches` reports and the
+    cap refuses before any is listed, and read their composites.  Only an
+    empty bracket walks its branches, for the reason the per-branch order
+    meets first (`reason`)."""
+    t, p = tower, tower.p
+    c = as_vector(coords, p)
+    meta = {"n": t.n, "jseq": t.jseq}
+    if t.n == 2:
+        elements = frozenset([tuple(int(v) for v in t.pre.apply(c))])
+        return BracketSet(t.Samb, t.Xn, t.ctx.name, elements, None, None,
+                          {**meta, "branches": 1})
+    nodes, last = [t.root], len(t.js) - 1
+    for depth in range(len(t.js)):
+        counts = [node.branches(c) for node in nodes]
+        nodes = [node for k, node in zip(counts, nodes) if k]
+        if depth < last and any(node.family.pairs(p) > t.cap for node in nodes):
+            raise EnumerationOverflow(t.overflow(depth, c))
+        if sum(counts) > t.cap:
+            raise EnumerationOverflow(f"{sum(counts)} bracket branches exceed cap {t.cap}")
+        if depth < last:
+            nodes = [child for node in nodes for child in node.children]
+    groups = [grp for node in nodes for grp in node.groups
+              if grp.lifts is not None and grp.fib.has(c)]
+    pairs = sum(grp.lifts.size() * grp.fib.size() for grp in groups)
+    if pairs > t.cap:
+        raise EnumerationOverflow(f"{pairs} bracket branches exceed cap {t.cap}")
+    elements = frozenset().union(*(grp.read(c, p) for grp in groups))
+    return BracketSet(t.Samb, t.Xn, t.ctx.name, elements, None,
+                      None if elements else t.reason(c), {**meta, "branches": pairs})
+
+
+def higher_bracket(maps, jseq=None, ctx=DIRECT, cap: int = 4096) -> BracketSet:
+    """n-fold Toda bracket of maps = (f_n, ..., f_1), leftmost first: the
+    tower on (f_{n-1}, ..., f_1) (`bracket_tower`), read off at f_n's
+    stable coordinates (`bracket_read_off`).  For n = 3 it is the
+    fiber-cofiber bracket.  The pairs behind one element are found by
+    `_first_trace`.
+    """
+    maps = list(maps)
+    if len(maps) < 2:
+        raise BracketError("need at least two maps")
+    if ctx.tgt(maps[1]) != ctx.src(maps[0]):   # the tower checks the rest
+        raise BracketError("maps are not composable")
+    tower = bracket_tower(maps[1:], ctx.tgt(maps[0]), jseq, ctx, cap)
+    return bracket_read_off(tower, tower.space.stable_coords(maps[0]))
 
 
 def _first_trace(ctx, maps, jseq, key, cap) -> list | None:
@@ -666,7 +829,7 @@ def filtered_witness(maps, element_coords, ctx=DIRECT,
     if n < 3:
         raise BracketError("a filtered witness needs at least three maps")
     bs = higher_bracket(maps, ctx=ctx, cap=cap)
-    key = tuple(int(c) for c in element_coords)
+    key = bs._key(element_coords)
     if key not in bs.elements:
         raise BracketError("element does not lie in the bracket")
     trace = _first_trace(ctx, maps, (0,) * (n - 2), key, cap)

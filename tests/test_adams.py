@@ -3,10 +3,11 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stmodcat.adams import (
     AdamsError,
+    CoupleChart,
     NotACycle,
     ProjectiveClass,
     adams_resolution,
@@ -16,7 +17,18 @@ from stmodcat.adams import (
     pages,
     sparse_check,
 )
-from stmodcat.linalg import DimensionMismatch, in_span, rref, solve_affine, stack_rows
+from stmodcat.linalg import (
+    AffineSpace,
+    DimensionMismatch,
+    EnumerationOverflow,
+    affine_image,
+    enumerate_points,
+    in_span,
+    preimage,
+    rref,
+    solve_affine,
+    stack_rows,
+)
 from stmodcat.modrep import (
     Ring,
     block_map,
@@ -25,7 +37,15 @@ from stmodcat.modrep import (
     module_from_partition,
     mu_map,
 )
-from stmodcat.stcat import is_stably_zero, stable_hom, stably_equal, susp_map, susp_ob
+from stmodcat.stcat import (
+    is_stably_zero,
+    stable_coords,
+    stable_hom,
+    stably_equal,
+    susp_map,
+    susp_ob,
+)
+from stmodcat.toda import BracketSet, bracket3, higher_bracket
 
 R24 = Ring(2, 4)
 k = module_from_partition(R24, [1])
@@ -684,3 +704,200 @@ except EnumerationOverflow as e:
     with pytest.raises(EnumerationOverflow) as refused:
         dr_bracket_forms(res, Y, x, 2, cap=8)
     assert str(refused.value) == cold
+
+
+# ---------------------------------------------------------------------------
+# the chain map and the bracket towers, shared per resolution slot
+
+
+def _per_class_chains(chart, s, t, r, coords, cap=None):
+    """d_r's chains of extensions solved for one class, as before the slot's
+    chain map: the affine space of the chains' last entries, one preimage
+    under alpha per stage."""
+    g = chart.gamma_mat(s, t).apply(coords)
+    space = AffineSpace(chart.Y.ring.p, g.shape[0], g,
+                        np.zeros((0, g.shape[0]), dtype=np.int64))
+    for j in range(1, r):
+        space = preimage(chart.alpha_mat(s + j, t + j - 1), space)
+        if space is None:
+            raise NotACycle(f"x is not a d_{r-1}-cycle: extension fails at stage {j}")
+        if cap is not None and space.size() > cap:
+            raise EnumerationOverflow(f"{space.size()} chains exceed cap {cap}")
+    return space
+
+
+def _per_class_dr_set(res, Y, x, r, s=0, t=0, cap=4096):
+    """dr_set with the chains solved for x alone (`_per_class_chains`)."""
+    chart = CoupleChart(res, Y)
+    chains = _per_class_chains(chart, s, t, r, chart.E_space(s, t).stable_coords(x), cap)
+    img = affine_image(chains, chart.beta_mat(s + r, t + r - 1))
+    elems = frozenset(tuple(int(y) for y in v) for v in enumerate_points(img, cap))
+    return BracketSet(chart.E_space(s + r, t + r - 1).src, Y, "direct", elems,
+                      tuple(tuple(int(v) for v in row) for row in img.basis),
+                      None, {"r": r, "s": s, "t": t, "chains": chains.size()})
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's value, or the type and message of the engine error it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except (NotACycle, EnumerationOverflow) as e:
+        return type(e).__name__, str(e)
+
+
+@pytest.mark.parametrize("p, m, parts", [(2, 4, [2]), (3, 4, [2]), (3, 5, [2, 1])])
+def test_dr_set_and_pages_read_the_per_class_chains(p, m, parts):
+    # every slot of the benchmark's resolutions, r = 1..3, the first 81
+    # classes of each; cap 2 refuses some chain and point sets
+    ring = Ring(p, m)
+    Y = module_from_partition(ring, parts)
+    res = adams_resolution(Y, ProjectiveClass(module_from_partition(ring, [1])), 6)
+    seen = set()
+    for r, s, t in itertools.product((1, 2, 3), range(5), range(res.cls.period)):
+        if s + r >= res.length:
+            continue
+        E0 = stable_hom(susp_ob(res.P[s], t), Y)
+        for c in itertools.islice(itertools.product(range(p), repeat=E0.sdim), 81):
+            x = E0.from_stable_coords(c)
+            for cap in (2, 4096):
+                got = _outcome(dr_set, res, Y, x, r, s, t, cap)
+                want = _outcome(_per_class_dr_set, res, Y, x, r, s, t, cap)
+                assert got == want, (r, s, t, c, cap)
+                if isinstance(got, BracketSet):
+                    assert got.metadata == want.metadata
+                seen.add(got[0] if isinstance(got, tuple) else "set")
+    assert seen == {"set", "NotACycle", "EnumerationOverflow"}
+    # the page differentials against one per-class chain per cycle row
+    chart = CoupleChart(res, Y)
+    for page in pages(res, Y, 3):
+        for (s, t), mat in page.differentials.items():
+            tgt = page.groups[(s + page.r, t + page.r - 1)]
+            beta = chart.beta_mat(s + page.r, t + page.r - 1)
+            cols = [tgt.class_coords(beta.apply(
+                _per_class_chains(chart, s, t, page.r, z).representative))
+                for z in page.groups[(s, t)].Z.a]
+            assert mat.a.T.tolist() == [list(col) for col in cols], (page.r, s, t)
+
+
+def _cold_forms(res, Y, x, r, s, t, cap):
+    """d_r's bracket forms read per class, as before the slot held their
+    towers and chain map: d_r from the chains solved for x alone, each
+    bracket built afresh on its own maps, the restricted fields of
+    `_per_class_restricted`; the refusals in the order of
+    `dr_bracket_forms` (the restricted tower never refuses at these caps)."""
+    from stmodcat.adams import DrFormsReport
+
+    a_set = _per_class_dr_set(res, Y, x, r, s, t, cap)
+    chain = [x @ susp_map(res.w[s], t), susp_map(res.p[s + 1], t)]
+    chain += [susp_map(res.d1op(s + j), t) for j in range(1, r)]
+    full = higher_bracket(chain, cap=cap)
+    ops = higher_bracket([x] + [susp_map(res.d1op(s + j), t) for j in range(r)], cap=cap)
+    fields, extends = _per_class_restricted(res, Y, x, r, t, cap)
+    c_elems = fields["restricted_elements"]
+    checks = {"extension_over_sigma_prime": extends,
+              "dr_subset_of_operations_bracket": a_set.elements <= ops.elements}
+    variants = {"operations_bracket": ops}
+    if r == 2:
+        delta = bracket3(x, susp_map(res.d1op(s), t), susp_map(res.w[s + 1], t), cap=cap)
+        composed = frozenset(stable_coords(f @ susp_map(res.p[s + 2], t + 1))
+                             for f in delta.rep_maps())
+        variants.update(with_delta=delta, with_delta_composed=composed, through_cover=full)
+        checks.update(composed_equals_dr=composed == a_set.elements,
+                      chain_inclusion=composed <= ops.elements,
+                      chain_proper=composed < ops.elements)
+    equal = c_elems == a_set.elements
+    return DrFormsReport(r, a_set, full, c_elems, c_elems, full.elements == a_set.elements,
+                         equal, equal, variants, checks)
+
+
+def _assert_forms_are_cold(rep, cold):
+    """A report equals the cold one, metadata (which BracketSet equality
+    skips) included."""
+    assert rep == cold
+    for got, want in ((rep.dr, cold.dr), (rep.full_bracket, cold.full_bracket),
+                      *((rep.variants[k], cold.variants[k])
+                        for k in ("operations_bracket", "with_delta") if k in cold.variants)):
+        assert got.metadata == want.metadata
+
+
+@pytest.mark.parametrize("p, m, a, r", [(2, 4, 2, 2), (3, 4, 2, 2), (2, 6, 3, 3), (3, 6, 3, 3),
+                                        (2, 8, 4, 4)])
+def test_the_bracket_towers_and_chain_map_are_built_once_per_slot(p, m, a, r, monkeypatch):
+    # the zero class reaches every node of the slot's towers (every fiber
+    # holds 0), so after it no class at the slot builds a tower, a node or a
+    # chain map; a cap no other test uses keeps the first class cold
+    import stmodcat
+    import stmodcat.adams as adams
+    import stmodcat.toda as toda
+
+    res, Y = _ghost_resolution(p, m, a, r + 1)
+    cap = 20021
+    for t in (0, 1):
+        E0 = stable_hom(susp_ob(res.P[0], t), Y)
+        xs = [E0.from_stable_coords([0] * E0.sdim)] + _cycles(res, Y, r, t)
+        want = [_cold_forms(res, Y, x, r, 0, t, cap) for x in xs]
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return bracket_tower(*args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a later class built a tower, node or chain map")
+
+        bracket_tower = toda.bracket_tower
+        before = stmodcat.cache_stats()
+        with monkeypatch.context() as mp:
+            mp.setattr(adams, "bracket_tower", counted)
+            reports = [dr_bracket_forms(res, Y, xs[0], r, t=t, cap=cap)]
+            assert len(built) == (3 if r == 2 else 2)
+            for mod in (adams, toda):
+                mp.setattr(mod, "fibers", refuse)
+            mp.setattr(adams, "bracket_tower", refuse)
+            reports += [dr_bracket_forms(res, Y, x, r, t=t, cap=cap) for x in xs[1:]]
+            reports += [dr_set(res, Y, x, r, 0, t, cap) for x in xs]
+        after = stmodcat.cache_stats()
+        slot = after["adams.bracket_slot"]
+        assert slot.misses == before["adams.bracket_slot"].misses + 1
+        assert slot.hits == before["adams.bracket_slot"].hits + len(xs) - 1
+        assert after["adams.chain_map"].misses == before["adams.chain_map"].misses
+        for rep, cold in zip(reports, want):
+            _assert_forms_are_cold(rep, cold)
+        assert [d.elements for d in reports[len(xs):]] == [w.dr.elements for w in want]
+
+
+# the slots of test_forms_agree_where_d_r_is_nonzero_for_r_at_least_3, and
+# the worked example's at r = 2; against P_0 some classes are not cycles
+FORM_SLOTS = [(2, 4, 2, 2), (2, 6, 3, 3), (3, 6, 3, 3), (2, 8, 4, 4), (3, 8, 4, 4),
+              (2, 10, 5, 5)]
+
+
+@functools.lru_cache(maxsize=None)
+def _slot_resolution(p, m, a, r):
+    return _ghost_resolution(p, m, a, r + 1)
+
+
+@given(st.sampled_from(FORM_SLOTS), st.booleans(), st.sampled_from([0, 1]),
+       st.lists(st.integers(0, 4), min_size=4, max_size=4))
+@example((3, 8, 4, 4), False, 0, [0, 0, 0, 0])   # refused: 23085 branches
+@example((2, 10, 5, 5), False, 1, [0, 0, 0, 0])
+@example((3, 6, 3, 3), True, 1, [1, 2, 0, 1])     # not a cycle
+@settings(max_examples=40, deadline=None)
+def test_warm_slots_read_every_drawn_class_as_a_cold_class(slot, against_p0, t, coords):
+    # E_1 classes drawn at the slots (zero, cycles, non-cycles, refused):
+    # the report and dr_set of the shared slot equal the cold per-class ones
+    p, m, a, r = slot
+    res, Y = _slot_resolution(p, m, a, r)
+    Y = res.P[0] if against_p0 else Y
+    E0 = stable_hom(susp_ob(res.P[0], t), Y)
+    x = E0.from_stable_coords([c % p for c in coords[:E0.sdim]])
+    cold = _outcome(_cold_forms, res, Y, x, r, 0, t, 20000)
+    warm = _outcome(dr_bracket_forms, res, Y, x, r, t=t, cap=20000)
+    if isinstance(cold, tuple):
+        assert warm == cold
+        assert _outcome(dr_set, res, Y, x, r, 0, t, 20000) == _outcome(
+            _per_class_dr_set, res, Y, x, r, 0, t, 20000)
+        return
+    _assert_forms_are_cold(warm, cold)
+    d = dr_set(res, Y, x, r, 0, t, 20000)
+    assert d == cold.dr and d.metadata == cold.dr.metadata

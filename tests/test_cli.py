@@ -195,6 +195,31 @@ def test_shipped_session_output_is_golden(name, as_json):
     assert out.getvalue().encode() == golden.read_bytes()
 
 
+def test_shipped_sessions_stay_golden_warm_and_after_clearing_the_caches():
+    # both sessions twice in one process, then once more after every memo
+    # cache is emptied: the per-slot towers and chain maps built by earlier
+    # commands (and runs) must not change any output
+    import stmodcat
+
+    def run_all():
+        for name in ("c3_negative", "prop_a1"):
+            for as_json in (False, True):
+                out = io.StringIO()
+                assert run_session(str(SESSIONS / f"{name}.toda"), as_json=as_json,
+                                   stream=out) == 0
+                golden = ROOT / "tests" / "golden" / f"{name}.{'json' if as_json else 'txt'}"
+                assert out.getvalue().encode() == golden.read_bytes(), (name, as_json)
+
+    run_all()
+    run_all()
+    warm = stmodcat.cache_stats()
+    assert warm["adams.bracket_slot"].hits and warm["adams.chain_map"].hits
+    stmodcat.clear_caches()
+    assert not any(info.size or info.hits or info.misses
+                   for info in stmodcat.cache_stats().values())
+    run_all()
+
+
 @pytest.mark.parametrize("commands", [
     ["sthom k"], ["cone"], ["adams M gen=k len=2", "dr kappa"], ["adams k len=2"],
     ["bracket fc f f"], ["heller f f"], ["sparse k 0 2"],

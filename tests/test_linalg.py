@@ -13,6 +13,7 @@ from stmodcat.linalg import (
     ModulusMismatch,
     enumerate_points,
     extending,
+    fibers,
     in_span,
     nullspace,
     preimage,
@@ -418,6 +419,22 @@ def test_extending_keeps_the_rows_that_grow_the_prefix_rank(span, data):
         if after > before:
             want.append(k)
     assert got == want
+
+
+@given(fp_matrices(max_rows=4, max_cols=5))
+@settings(max_examples=100, deadline=None)
+def test_fibers_are_the_solve_over_every_right_hand_side(M):
+    # every c: a fiber exactly when the system is consistent, through
+    # solve_affine's own representative, along its kernel basis
+    F = fibers(M)
+    for c in itertools.product(range(M.p), repeat=M.rows):
+        c = np.array(c, dtype=np.int64)
+        want, got = solve_affine(M, c), F.at(c)
+        assert (got is None) == (want is None) == (not F.has(c))
+        if want is not None:
+            assert np.array_equal(got.representative, want.representative)
+            assert np.array_equal(got.basis, want.basis)
+            assert F.size() == want.size()
 
 
 @given(fp_matrices(), st.data())

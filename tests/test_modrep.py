@@ -575,3 +575,52 @@ def test_canonical_layout_jordan_basis_needs_no_elimination(p, m, data):
     assert C == FpMatrix(p, np.array([v for c in chains for v in c],
                                      dtype=np.int64).reshape(M.dim, M.dim).T)
     assert Cinv == right_inverse(C)
+
+
+def test_memo_counts_hits_misses_and_size_and_clears():
+    from stmodcat.modrep import memo
+
+    calls = []
+
+    @memo
+    def square(n):
+        calls.append(n)
+        if n < 0:
+            raise ValueError(n)
+        return n * n
+
+    assert square.cache_info() == (0, 0, 0)
+    assert [square(n) for n in (2, 3, 2, 2)] == [4, 9, 4, 4]
+    assert square.cache_info() == (2, 2, 2)
+    assert square.cache_info().hits == 2 and square.cache_info().size == 2
+    with pytest.raises(ValueError):
+        square(-1)   # a miss, not cached
+    assert square.cache_info() == (2, 3, 2)
+    square.cache_clear()
+    assert square.cache_info() == (0, 0, 0)
+    assert square(2) == 4 and calls == [2, 3, -1, 2]
+
+
+def test_cache_stats_walks_every_memoized_engine_function():
+    import stmodcat
+    from stmodcat import stcat
+
+    stats = stmodcat.cache_stats()
+    assert {"stcat.stable_hom", "stcat.cone_triangle", "modrep._jordan_basis",
+            "adams.restricted_slot", "adams.bracket_slot", "adams.chain_map"} <= set(stats)
+    M = module_from_partition(Ring(2, 3), [2])
+    stcat.stable_hom(M, M)
+    stcat.stable_hom(M, M)
+    assert stmodcat.cache_stats()["stcat.stable_hom"].hits >= 1
+    stmodcat.clear_caches()
+    assert stmodcat.cache_stats()["stcat.stable_hom"] == (0, 0, 0)
+    # a wrapper installed over a memoized name (as a tracer does) is seen through
+    wrapped = stcat.stable_hom
+
+    def outer(*args):
+        return wrapped(*args)
+
+    outer.__wrapped__ = wrapped
+    with mock.patch.object(stcat, "stable_hom", outer):
+        assert "stcat.stable_hom" in stmodcat.cache_stats()
+

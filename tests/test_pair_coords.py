@@ -4,8 +4,13 @@
 spaces; it reads the set as one affine space where their cross block is
 zero and expands every pair bilinearly (`_pair_coords`) elsewhere.  These
 tests hold both read-offs, and the brackets built on them, to the
-per-pair compose loop they replaced.
+per-pair compose loop they replaced; and a bracket's tower on
+(f_{n-1}, ..., f_1), read off at every class of f_n, to the per-branch
+loop (`_loop_bracket`), refusals and empty reasons included.
 """
+
+import itertools
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +57,8 @@ from stmodcat.toda import (
     all_jseqs,
     bracket3,
     bracket3_restricted,
+    bracket_read_off,
+    bracket_tower,
     filtered_witness,
     higher_bracket,
     indeterminacy_basis,
@@ -223,24 +230,35 @@ def test_zero_cross_blocks_take_the_affine_branch(monkeypatch):
 def _loop_bracket(maps, jseq, ctx, cap=10**6, reasons=None):
     """Every branch built and composed, keeping each element's first trace.
 
-    A stage of more than `cap` branches raises EnumerationOverflow, and the
-    empty reason of every failing family is appended to `reasons`, in order.
+    The cap refuses as higher_bracket does, in the per-branch order: in
+    every stage but the last two, a family of more than `cap` pairs
+    (`_family`), then any stage of more than `cap` branches (the last two
+    counted before they are listed), each with higher_bracket's message.
+    The empty reason of every failing family is appended to `reasons`, in
+    order.
     """
     branches = [(list(maps), [])]
-    for j in reversed(jseq):
-        nxt = []
+    for k, j in enumerate(reversed(jseq)):
+        fams = []
         for bm, trace in branches:
-            f3, f2, f1 = bm[j:j + 3]
-            sols = _family_solutions(ctx, f3, f2, f1)
+            sols = _family_solutions(ctx, *bm[j:j + 3])
             reason = _empty_reason(*sols[3:])
             if reason and reasons is not None:
                 reasons.append(reason)
+            fams.append((bm, trace, sols))
+        if k >= len(jseq) - 2:
+            total = sum(A.size() * B.size() for _, _, (_, _, _, A, B) in fams
+                        if A is not None and B is not None)
+            if total > cap:
+                raise EnumerationOverflow(f"{total} bracket branches exceed cap {cap}")
+        nxt = []
+        for bm, trace, sols in fams:
             rest = [ctx.sigma_map(g) for g in bm[j + 3:]]
-            for el in _family(ctx, f3, f1, sols, cap):
+            for el in _family(ctx, bm[j], bm[j + 2], sols, cap):
                 nxt.append((bm[:j] + [el.beta, el.sigma_alpha] + rest,
                             trace + [el]))
         if len(nxt) > cap:
-            raise EnumerationOverflow(f"{len(nxt)} branches exceed cap {cap}")
+            raise EnumerationOverflow(f"{len(nxt)} bracket branches exceed cap {cap}")
         branches = nxt
     space = ctx.hom(susp_in_ctx(ctx, ctx.src(maps[-1]), len(maps) - 2),
                     ctx.tgt(maps[0]))
@@ -255,6 +273,19 @@ def _random_chains(seed, count, length):
     for i in range(count):
         maps = random_vanishing_chain(rng, RINGS[i % len(RINGS)], length, max_dim=4)
         yield (DIRECT, maps) if i % 2 else (OP, list(reversed(maps)))
+
+
+def _seeded_chain(seed, length, ctx):
+    """A vanishing chain (odd seed) or one of random maps (even seed) over
+    RINGS[seed % 6], in ctx's order."""
+    rng = np.random.default_rng(seed)
+    ring = RINGS[seed % len(RINGS)]
+    if seed % 2:
+        maps = random_vanishing_chain(rng, ring, length, max_dim=4)
+    else:
+        objs = [random_module(rng, ring, max_dim=4) for _ in range(length + 1)]
+        maps = [random_stable_map(rng, a, b) for a, b in zip(objs, objs[1:])][::-1]
+    return maps if ctx is DIRECT else maps[::-1]
 
 
 @pytest.mark.parametrize("length", [3, 4])
@@ -289,13 +320,18 @@ def test_over_cap_last_stage_raises():
 
 
 def test_empty_reason_solves_each_family_once(monkeypatch):
+    # a family is one cone of its middle map: the tower's node builds it
+    # once, and the read-off and the walk for the reason both read it
+    import stmodcat.stcat as stcat
+
     calls = []
 
-    def counting(*args):
-        calls.append(args)
-        return _family_solutions(*args)
+    def counting(f):
+        calls.append(f)
+        return cone_triangle(f)
 
-    monkeypatch.setattr(toda, "_family_solutions", counting)
+    cone_triangle = stcat.cone_triangle
+    monkeypatch.setattr(stcat, "cone_triangle", counting)
     bs = higher_bracket([MU1, MUX, identity_map(k33), MU1])
     assert bs.is_empty() and bs.empty_reason == "f2.f1 not stably zero"
     assert len(calls) == 1
@@ -307,8 +343,8 @@ def _assert_matches_the_loop(ctx, maps, jseq, cap):
     reasons = []
     try:
         first, pairs = _loop_bracket(maps, jseq, ctx, cap, reasons)
-    except EnumerationOverflow:
-        with pytest.raises(EnumerationOverflow):
+    except EnumerationOverflow as refused:
+        with pytest.raises(EnumerationOverflow, match=f"^{re.escape(str(refused))}$"):
             higher_bracket(maps, jseq, ctx=ctx, cap=cap)
         return None
     bs = higher_bracket(maps, jseq, ctx=ctx, cap=cap)
@@ -347,6 +383,93 @@ def test_higher_bracket_matches_the_loop_in_every_order(length, data):
     ctx, maps, jseq = data.draw(vanishing_chains(length))
     assume(len(maps) == length)
     _assert_matches_the_loop(ctx, maps, jseq, LOOP_CAP)
+
+
+def test_a_tower_reads_every_class_of_f_n_as_the_loop():
+    # one tower per drawn tail (f_{n-1}, ..., f_1), n = 3, 4, 5, in every
+    # reduction order, both contexts, under caps that refuse some; read off
+    # at every class of f_n's hom group, it gives the loop's elements,
+    # branch count, empty reason and refusal message
+    seen = {}
+    for length in (3, 4, 5):
+        for seed in range(16):
+            ctx = OP if seed % 4 >= 2 else DIRECT   # with seed % 2, all four kinds
+            maps = _seeded_chain(100 * length + seed, length, ctx)
+            tail, Xn = maps[1:], ctx.tgt(maps[0])
+            space = ctx.hom(ctx.tgt(tail[0]), Xn)
+            if space.p ** space.sdim > 27:
+                continue
+            for jseq, cap in itertools.product(all_jseqs(length), (3, 64)):
+                tower = bracket_tower(tail, Xn, jseq, ctx, cap)
+                for c in itertools.product(range(space.p), repeat=space.sdim):
+                    reasons = []
+                    try:
+                        first, pairs = _loop_bracket([space.from_stable_coords(c)] + tail,
+                                                     jseq, ctx, cap, reasons)
+                    except EnumerationOverflow as refused:
+                        with pytest.raises(EnumerationOverflow,
+                                           match=f"^{re.escape(str(refused))}$"):
+                            bracket_read_off(tower, c)
+                        outcome = str(refused).split(" ", 1)[1]
+                    else:
+                        bs = bracket_read_off(tower, c)
+                        assert bs.elements == frozenset(first), (jseq, cap, c)
+                        assert bs.metadata == {"n": length, "jseq": jseq, "branches": pairs}
+                        assert bs.empty_reason == (None if first else reasons[0])
+                        outcome = bs.empty_reason or "nonempty"
+                    seen[length, outcome] = seen.get((length, outcome), 0) + 1
+    kinds = {outcome.split(" cap")[0] for _, outcome in seen}
+    assert kinds == {"nonempty", "f2.f1 not stably zero", "f3.f2 not stably zero",
+                     "bracket branches exceed", "filler pairs exceed"}, seen
+    assert all(seen.get((n, "nonempty"), 0) >= 10 for n in (3, 4, 5)), seen
+
+
+@pytest.mark.parametrize("seed, ctx", [(8, OP), (12, DIRECT), (17, DIRECT)],
+                         ids=["op-8", "direct-12", "direct-17"])
+def test_the_reason_is_the_first_failing_family_in_the_per_branch_order(seed, ctx):
+    # 5-fold chains whose empty brackets have families failing with both
+    # reasons in one stage, so the order decides: of a node's children
+    # (seeds 8 and 12) and of a family's extensions (seed 17)
+    maps = _seeded_chain(seed, 5, ctx)
+    tail, Xn = maps[1:], ctx.tgt(maps[0])
+    space = ctx.hom(ctx.tgt(tail[0]), Xn)
+    empty = 0
+    for jseq in all_jseqs(5):
+        tower = bracket_tower(tail, Xn, jseq, ctx)
+        for c in itertools.product(range(space.p), repeat=space.sdim):
+            reasons = []
+            first, pairs = _loop_bracket([space.from_stable_coords(c)] + tail, jseq, ctx,
+                                         4096, reasons)
+            bs = bracket_read_off(tower, c)
+            assert (bs.elements, bs.metadata["branches"]) == (frozenset(first), pairs)
+            assert bs.empty_reason == (None if first else reasons[0]), (jseq, c)
+            empty += not first and len(set(reasons)) == 2
+    assert empty
+
+
+@pytest.mark.parametrize("seed, ctx", [(23, OP), (172, DIRECT)], ids=["op-23", "direct-172"])
+def test_a_beta_group_missing_its_extension_names_its_first_target(seed, ctx):
+    # under jseq (0, 1) the first group's children lift some of the targets
+    # -Sigma(sigma_alpha) but not the first one, so where f_4 does not
+    # extend over that group's cone the first branch names f2.f1
+    rng = np.random.default_rng(seed)
+    ring = RINGS[seed % len(RINGS)]
+    tail = random_vanishing_chain(rng, ring, 3, max_dim=4)
+    X4 = random_module(rng, ring, max_dim=4)
+    tail = tail if ctx is DIRECT else tail[::-1]
+    tower = bracket_tower(tail, X4, (0, 1), ctx)
+    first_group = tower.root.groups[0]
+    assert first_group.lifts is not None and first_group.first is None
+    space, named = tower.space, 0
+    for c in itertools.product(range(space.p), repeat=space.sdim):
+        reasons = []
+        first, pairs = _loop_bracket([space.from_stable_coords(c)] + tail, (0, 1), ctx,
+                                     4096, reasons)
+        bs = bracket_read_off(tower, c)
+        assert (bs.elements, bs.metadata["branches"]) == (frozenset(first), pairs)
+        assert bs.empty_reason == (None if first else reasons[0]), c
+        named += bs.empty_reason == "f2.f1 not stably zero"
+    assert named
 
 
 def test_the_cross_chain_reads_a_nonzero_cross_block(monkeypatch):

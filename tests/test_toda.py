@@ -77,6 +77,20 @@ def test_c3_bracket_is_minus_one():
     assert not bs.equal_sets(bs.negate())
 
 
+def test_membership_and_witness_reduce_coordinates_mod_p():
+    # {-1} at p = 3 is the element (2,); any integer representative of a
+    # coordinate names it, as in `from_stable_coords`
+    bs = bracket3(MU1, MUX, MU1)
+    assert bs.elements == {(2,)}
+    assert (-1,) in bs and (5,) in bs and (2,) in bs
+    assert (1,) not in bs and (-2,) not in bs
+    witness = filtered_witness([MU1, MUX, MU1], (-1,))
+    assert witness.checks == filtered_witness([MU1, MUX, MU1], (2,)).checks
+    assert all(witness.checks.values())
+    with pytest.raises(BracketError, match="does not lie"):
+        filtered_witness([MU1, MUX, MU1], (1,))
+
+
 def test_c3_bracket_same_for_all_definitions():
     sets = {d: bracket3(MU1, MUX, MU1, defn=d).elements for d in ("cc", "fc", "ff")}
     assert sets["cc"] == sets["fc"] == sets["ff"]
