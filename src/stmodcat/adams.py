@@ -19,10 +19,11 @@ stable coordinates, so everything else is built once per resolution slot
 (r, s, t) and memoized: the chains of extensions as one linear map
 (`chain_map`, read by `dr_set` and `pages`), the towers of the full, the
 operations and, for r = 2, the connecting-map brackets (`bracket_slot`),
-and the restricted form's octahedron tower (`restricted_slot`).  The
-injective-variance statements are exercised through the opposite
-context: the same resolution data, arrows reversed, feeds the generic
-restricted-bracket machinery.
+and the restricted form's octahedron tower and read (`restricted_slot`),
+so a class costs a few small products per form.  The injective-variance
+statements are exercised through the opposite context: the same
+resolution data, arrows reversed, feeds the generic restricted-bracket
+machinery.
 """
 
 from __future__ import annotations
@@ -39,13 +40,13 @@ from .linalg import (
     FpMatrix,
     affine_image,
     as_vector,
-    enumerate_points,
     extending,
     fibers,
     nullspace,
     quotient,
     rank,
     row_space_basis,
+    span_points,
     stack_rows,
 )
 from .modrep import (
@@ -78,9 +79,11 @@ from .toda import (
     BracketSet,
     BracketTower,
     CtxTriangle,
+    RestrictedRead,
     bracket_read_off,
     bracket_tower,
     fc_bracket,
+    restricted_read,
     restricted_read_off,
     restricted_tower,
     suspend_ctx_triangle,
@@ -407,6 +410,8 @@ def dr_set(res: AdamsResolution, Y: RModule, x: RMap, r: int,
     coordinates.  x is a d_{r-1}-cycle exactly when some chain extends
     through every stage.
     """
+    if r < 1 or s < 0:
+        raise AdamsError(f"d_r needs r >= 1 and s >= 0, got r = {r}, s = {s}")
     if s + r >= res.length:  # the pushout needs p_{s+r}
         raise AdamsError("insufficient resolution length for this differential")
     chart = CoupleChart(res, Y)
@@ -421,7 +426,9 @@ def dr_set(res: AdamsResolution, Y: RModule, x: RMap, r: int,
         if chains > cap:
             raise EnumerationOverflow(f"{chains} chains exceed cap {cap}")
     img = cm.image.through(cm.offset @ xc % p)
-    elems = frozenset(tuple(int(y) for y in v) for v in enumerate_points(img, cap))
+    if img.size() > cap:
+        raise EnumerationOverflow(f"{img.size()} points exceeds cap {cap}")
+    elems = span_points(p, img.representative.tolist(), img.basis.tolist())
     Etgt = chart.E_space(s + r, t + r - 1)
     return BracketSet(Etgt.src, Y, "direct", elems,
                       tuple(tuple(int(v) for v in row) for row in img.basis),
@@ -452,9 +459,7 @@ def op_adams_data(res: AdamsResolution, r: int, s: int, t: int):
 class RestrictedSlot:
     """The x-free part of d_r's restricted form at one slot (`restricted_slot`)."""
 
-    triangles: tuple
-    g: RMap
-    stages: tuple
+    read: RestrictedRead
     transport: FpMatrix
     checks: dict
 
@@ -462,10 +467,11 @@ class RestrictedSlot:
 @memo
 def restricted_slot(res: AdamsResolution, Y: RModule, r: int, s: int, t: int,
                     cap: int) -> RestrictedSlot:
-    """The x-free part of the restricted form of d_r at slot (r, s, t):
-    `op_adams_data`'s triangles and capping map g, the octahedron tower on
-    them, the matrix carrying the op bracket's elements (maps into
-    Omega^{r-1} Y) to maps into Y, and the tower's x-free checks.  Built
+    """The x-free part of the restricted form of d_r at slot (r, s, t): the
+    read (`restricted_read`) of the octahedron tower on `op_adams_data`'s
+    triangles and capping map g, the matrix carrying the op bracket's
+    elements (maps into Omega^{r-1} Y) to maps into Y, and the tower's
+    x-free checks.  Built
     once per (res, Y, r, s, t, cap): a smaller cap is a new slot, so it
     refuses what a cold call refuses."""
     triangles, g = op_adams_data(res, r, s, t)
@@ -486,7 +492,7 @@ def restricted_slot(res: AdamsResolution, Y: RModule, r: int, s: int, t: int,
     A, comp = OP.tgt(g), sigma_omega_comparison(Y, r - 1)
     transport = stable_hom(A, susp_ob(Y, 1 - r)).matrix_to(
         stable_hom(susp_ob(A, r - 1), Y), lambda u: comp @ susp_map(u, r - 1))
-    return RestrictedSlot(tuple(triangles), g, stages, transport, checks)
+    return RestrictedSlot(restricted_read(triangles, stages, g, Y, OP), transport, checks)
 
 
 @dataclass(frozen=True)
@@ -563,8 +569,8 @@ def dr_bracket_forms(res: AdamsResolution, Y: RModule, x: RMap, r: int,
     # is contained in it, possibly properly
     ops_bracket = bracket_read_off(towers.ops, xc)
 
-    # (c) restricted bracket in the opposite context, read off the slot's tower
-    rbs = restricted_read_off(slot.triangles, slot.stages, slot.g, x, OP, cap)
+    # (c) restricted bracket in the opposite context, read off the slot at x
+    rbs = restricted_read_off(slot.read, xc, cap)
     c_elems = _images(slot.transport, rbs.elements)
     equal_restricted = c_elems == a_set.elements
 
@@ -572,7 +578,7 @@ def dr_bracket_forms(res: AdamsResolution, Y: RModule, x: RMap, r: int,
     # b = -(g . beta_last)) has the elements b . l, l a lift of Sigma^{r-1} x
     # through the top iota; the -l lift -Sigma^{r-1} x, so the set is (c)'s
     checks = dict(slot.checks)
-    w_elems, equal_w = (c_elems, equal_restricted) if slot.stages else (None, None)
+    w_elems, equal_w = (c_elems, equal_restricted) if r > 1 else (None, None)
 
     variants: dict = {"operations_bracket": ops_bracket}
     checks["dr_subset_of_operations_bracket"] = (

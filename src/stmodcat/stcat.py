@@ -341,6 +341,8 @@ def _comparison_inverse(f: RMap) -> RMap:
 
 def sigma_omega_comparison(A: RModule, k: int) -> RMap:
     """The iterated identification Sigma^k Omega^k A -> A (stable iso)."""
+    if k < 0:
+        raise StCatError(f"no comparison Sigma^k Omega^k A -> A for k = {k} < 0")
     if k == 0:
         return identity_map(A)
     step = susp_map(_comparison_inverse(unit_iso(susp_ob(A, 1 - k))), k - 1)

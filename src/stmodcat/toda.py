@@ -20,7 +20,8 @@ group, so one tower serves every f_n.  The fiber-cofiber bracket is the
 bracket is a set of coordinates only; the one branch a filtered witness
 is built on is found by walking the branches in order (`_first_trace`).
 A restricted bracket is likewise a tower of octahedra on its triangles
-alone, then one lift and read-off at the fed-in map.
+alone and a read linear in the fed-in map's coordinates (`restricted_read`),
+so a map costs one fiber test and one product (`restricted_read_off`).
 Everything runs in a computation context (the category or its opposite),
 so every bracket here can also be evaluated in the opposite category for
 duality checks.
@@ -208,12 +209,6 @@ def _composite_set(ctx, A, C, B, alpha_sols, beta_sols) -> frozenset:
     if G[1:, 1:].any():
         return _coord_set(_pair_coords(G, alpha_sols, beta_sols))
     return span_points(alpha_sols.p, G[0, 0].tolist(), G[1:, 0].tolist() + G[0, 1:].tolist())
-
-
-def _composites_after(ctx, b, A, sols, cap) -> frozenset:
-    """Stable coordinates of b . a for every class a: A -> src b in sols."""
-    _check_pairs(sols.p, sols.dim, cap)
-    return _composite_set(ctx, A, ctx.src(b), ctx.tgt(b), sols, _single(ctx, b))
 
 
 def indeterminacy_basis(ctx, f3, f2, f1) -> tuple:
@@ -749,7 +744,7 @@ def restricted_tower(triangles, ctx=DIRECT, cap: int = 4096) -> tuple:
     (none for one triangle).  Each stage completes the octahedron on the
     last two triangles and replaces them with its own (alpha, beta,
     gamma), the rest suspended.  The fed-in map plays no part, so one
-    tower serves every map read off it (`restricted_read_off`)."""
+    tower serves every map read off it (`restricted_read`)."""
     triangles, stages = list(triangles), []
     while len(triangles) > 1:
         st = _restricted_octahedron(ctx, triangles[-2], triangles[-1], cap)
@@ -759,32 +754,57 @@ def restricted_tower(triangles, ctx=DIRECT, cap: int = 4096) -> tuple:
     return tuple(stages)
 
 
-def restricted_read_off(triangles, stages, g: RMap, x: RMap, ctx=DIRECT,
-                        cap: int = 4096) -> BracketSet:
-    """The restricted bracket at x on a built tower of k stages: every lift
-    of -Sigma^k x through the top stage's iota, composed with g . beta;
-    with no stage (n = 2) the one composite g . h_1 . x."""
-    B, A = ctx.src(x), ctx.tgt(g)
-    if not stages:
-        comp = ctx.compose(g, ctx.compose(triangles[0].h, x))
-        return BracketSet(B, A, ctx.name, frozenset([ctx.hom(B, A).stable_coords(comp)]),
-                          None, None, {"n": 2})
-    SB, meta = susp_in_ctx(ctx, B, len(stages)), {"n": len(stages) + 2}
-    for _ in stages:
-        x = ctx.sigma_map(x)
-    lift_sols = ctx.solve_post(stages[-1].iota, -x)
-    if lift_sols is None:
-        return _empty_bracket(ctx, SB, A, "x does not lift", meta)
-    elems = _composites_after(ctx, ctx.compose(g, stages[-1].beta), SB, lift_sols, cap)
-    return BracketSet(SB, A, ctx.name, elems, None, None, meta)
+@dataclass(frozen=True)
+class RestrictedRead:
+    """The restricted bracket on a built tower of k stages, linear in the
+    stable coordinates c of x: B -> J_1 (`restricted_read`): S c are those
+    of Sigma^k x, the lifts of -Sigma^k x through the top iota are the fiber
+    of `lifts` over -S c, and `post` composes a lift with g . beta.  With no
+    stage, S = I, iota = -1 and `post` composes with g . h_1."""
+
+    empty: BracketSet   # the value where x does not lift
+    S: np.ndarray
+    lifts: Fibers
+    post: np.ndarray
+
+
+def restricted_read(triangles, stages, g: RMap, B: RModule, ctx=DIRECT) -> RestrictedRead:
+    """The x-free read of the restricted bracket on `stages`, for x: B -> J_1."""
+    J = ctx.src(triangles[0].h)
+    SB, SJ = (susp_in_ctx(ctx, M, len(stages)) for M in (B, J))
+
+    def susp(u):
+        for _ in stages:
+            u = ctx.sigma_map(u)
+        return u
+
+    S = ctx.hom(B, J).matrix_to(ctx.hom(SB, SJ), susp)
+    if stages:
+        iota, b = ctx.post_matrix(stages[-1].iota, SB), ctx.compose(g, stages[-1].beta)
+    else:
+        iota, b = -FpMatrix.identity(S.p, S.rows), ctx.compose(g, triangles[0].h)
+    empty = _empty_bracket(ctx, SB, ctx.tgt(g), "x does not lift", {"n": len(stages) + 2})
+    return RestrictedRead(empty, S.a, fibers(iota), ctx.post_matrix(b, SB).a)
+
+
+def restricted_read_off(read: RestrictedRead, coords, cap: int = 4096) -> BracketSet:
+    """The restricted bracket at x's stable coordinates: one fiber test, one product."""
+    e, p = read.empty, read.lifts.kernel.p
+    lifts = read.lifts.at(-read.S @ as_vector(coords, p) % p)
+    if lifts is None:
+        return replace(e, metadata=dict(e.metadata))
+    _check_pairs(p, lifts.dim, cap)
+    pts = lifts.generators() @ read.post.T % p
+    return replace(e, elements=span_points(p, pts[0].tolist(), pts[1:].tolist()),
+                   empty_reason=None, metadata=dict(e.metadata))
 
 
 def restricted_higher_bracket(triangles, g: RMap, x: RMap, ctx=DIRECT,
                               cap: int = 4096):
     """The inductively defined restricted bracket for factored maps, and
     the octahedron stages it was built from (none when n = 2): the
-    x-free tower (`restricted_tower`), then the read-off at x
-    (`restricted_read_off`).
+    x-free tower (`restricted_tower`) and read (`restricted_read`), then
+    the read-off at x's stable coordinates (`restricted_read_off`).
 
     triangles: CtxTriangle list t_1 ... t_{n-1} (Z_i -> J_i -> Z_{i+1} ->
     Sigma Z_i), rightmost factorization first; g: Z_n -> A caps the left
@@ -793,7 +813,9 @@ def restricted_higher_bracket(triangles, g: RMap, x: RMap, ctx=DIRECT,
     """
     triangles = list(triangles)
     stages = restricted_tower(triangles, ctx, cap)
-    return restricted_read_off(triangles, stages, g, x, ctx, cap), list(stages)
+    read = restricted_read(triangles, stages, g, ctx.src(x), ctx)
+    xc = ctx.hom(ctx.src(x), ctx.src(triangles[0].h)).stable_coords(x)
+    return restricted_read_off(read, xc, cap), list(stages)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Shared helpers: random modules, random maps, vanishing chains."""
+"""Shared helpers: random modules, random maps, vanishing chains, and the
+per-class restricted read-off kept as a reference."""
 
 import numpy as np
 from hypothesis import settings, strategies as st
@@ -6,7 +7,8 @@ from hypothesis import settings, strategies as st
 from stmodcat.linalg import FpMatrix, solve_columns
 from stmodcat.modrep import RModule, Ring, module_from_partition
 from stmodcat.stcat import DIRECT, OP, stable_hom
-from stmodcat.toda import all_jseqs
+from stmodcat.toda import (BracketSet, _check_pairs, _composite_set, _empty_bracket,
+                           _single, all_jseqs, susp_in_ctx)
 
 # every property draws the same examples on every run, and none is
 # replayed from a local example database
@@ -104,3 +106,30 @@ def modules(draw, ring):
     entries = st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n)
     return change_basis(M, np.array(draw(entries)).reshape(n, n),
                         np.array(draw(entries)).reshape(n, n))
+
+
+def composites_after(ctx, b, A, sols, cap):
+    """Stable coordinates of b . a for every class a: A -> src b in sols,
+    refused over cap first, as the restricted read-off once listed them."""
+    _check_pairs(sols.p, sols.dim, cap)
+    return _composite_set(ctx, A, ctx.src(b), ctx.tgt(b), sols, _single(ctx, b))
+
+
+def restricted_per_class(triangles, stages, g, x, ctx=DIRECT, cap=4096):
+    """The restricted bracket at x on a built tower, read for x alone: x
+    suspended once per stage, one lift solve through the top stage's iota,
+    and the composites of every lift with g . beta; with no stage the one
+    composite g . h_1 . x."""
+    B, A = ctx.src(x), ctx.tgt(g)
+    if not stages:
+        comp = ctx.compose(g, ctx.compose(triangles[0].h, x))
+        return BracketSet(B, A, ctx.name, frozenset([ctx.hom(B, A).stable_coords(comp)]),
+                          None, None, {"n": 2})
+    SB, meta = susp_in_ctx(ctx, B, len(stages)), {"n": len(stages) + 2}
+    for _ in stages:
+        x = ctx.sigma_map(x)
+    lift_sols = ctx.solve_post(stages[-1].iota, -x)
+    if lift_sols is None:
+        return _empty_bracket(ctx, SB, A, "x does not lift", meta)
+    elems = composites_after(ctx, ctx.compose(g, stages[-1].beta), SB, lift_sols, cap)
+    return BracketSet(SB, A, ctx.name, elems, None, None, meta)

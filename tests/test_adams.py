@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import restricted_per_class
+
 from stmodcat.adams import (
     AdamsError,
     CoupleChart,
@@ -551,12 +553,11 @@ def _cycles(res, Y, r, t, cap=4096):
 def _per_class_restricted(res, Y, x, r, t, cap):
     """The restricted fields of a `DrFormsReport` as they were read before the
     tower moved into the slot: per class, the stage triangles, the tower
-    (the loop of `restricted_higher_bracket`, suspending x alongside), the
-    lift and read-off, the op bracket carried element by element, and the
-    extension over sigma'."""
+    (the loop of `restricted_tower`), the lift and read-off for x alone
+    (`restricted_per_class`), the op bracket carried element by element, and
+    the extension over sigma'."""
     from stmodcat.stcat import OP, Triangle, rotate_back, sigma_omega_comparison, stable_coords
-    from stmodcat.toda import (BracketSet, CtxTriangle, _composites_after,
-                               _restricted_octahedron, susp_in_ctx, suspend_ctx_triangle)
+    from stmodcat.toda import CtxTriangle, _restricted_octahedron, suspend_ctx_triangle
     from stmodcat.adams import _connecting_map
 
     assert r >= 2
@@ -571,8 +572,7 @@ def _per_class_restricted(res, Y, x, r, t, cap):
     g = susp_map(res.p[r], t + r - 1)
     for _ in range(r - 1):
         g = OP.sigma_map(g)
-    n, B, A = r + 1, OP.src(x), OP.tgt(g)
-    tri, stages, xs = list(triangles), [], x
+    tri, stages = list(triangles), []
     while True:
         st = _restricted_octahedron(OP, tri[-2], tri[-1], cap)
         stages.append(st)
@@ -580,14 +580,9 @@ def _per_class_restricted(res, Y, x, r, t, cap):
             break
         tri = [suspend_ctx_triangle(OP, u) for u in tri[:-2]]
         tri.append(CtxTriangle(st.alpha, st.beta, st.gamma))
-        xs = OP.sigma_map(xs)
-    lift_sols = OP.solve_post(stages[-1].iota, -OP.sigma_map(xs))
-    SB = susp_in_ctx(OP, B, n - 2)
-    elems = (frozenset() if lift_sols is None else
-             _composites_after(OP, OP.compose(g, stages[-1].beta), SB, lift_sols, cap))
     comp = sigma_omega_comparison(Y, r - 1)
-    c_elems = frozenset(stable_coords(comp @ susp_map(u, r - 1))
-                        for u in BracketSet(SB, A, OP.name, elems).rep_maps(OP))
+    c_elems = frozenset(stable_coords(comp @ susp_map(u, r - 1)) for u in
+                        restricted_per_class(triangles, stages, g, x, OP, cap).rep_maps(OP))
     sigma_prime = stages[0].q
     for st in stages[1:]:
         sigma_prime = OP.compose(st.q, sigma_prime)
@@ -603,10 +598,12 @@ def _per_class_restricted(res, Y, x, r, t, cap):
 def test_the_restricted_tower_is_built_once_per_slot(p, m, a, r, monkeypatch):
     # (2, 4, 2) is the worked example at r = 2; the others are the R/x^a
     # resolutions where d_r is nonzero.  A cap no other test uses keeps the
-    # first class of each slot cold.
+    # first class of each slot cold; a later class suspends nothing, solves
+    # no lift in the opposite context and reads no composite set.
     import dataclasses
 
     import stmodcat.adams as adams
+    import stmodcat.stcat as stcat
     import stmodcat.toda as toda
 
     res, Y = _ghost_resolution(p, m, a, r + 1)
@@ -624,15 +621,17 @@ def test_the_restricted_tower_is_built_once_per_slot(p, m, a, r, monkeypatch):
             return wrapper
 
         def refuse(*args):
-            raise AssertionError("the slot rebuilt its tower")
+            raise AssertionError("a warm slot rebuilt its tower or read a class per class")
 
         with monkeypatch.context() as mp:
             mp.setattr(toda, "_restricted_octahedron", counted(toda._restricted_octahedron))
             mp.setattr(adams, "op_adams_data", counted(adams.op_adams_data))
             reports = [dr_bracket_forms(res, Y, xs[0], r, t=t, cap=cap)]
             assert sorted(calls) == ["_restricted_octahedron"] * (r - 1) + ["op_adams_data"]
-            mp.setattr(toda, "_restricted_octahedron", refuse)
-            mp.setattr(adams, "op_adams_data", refuse)
+            for mod, name in ((toda, "_restricted_octahedron"), (adams, "op_adams_data"),
+                              (stcat, "omega_map"), (stcat.OpContext, "solve_post"),
+                              (toda, "_composite_set")):
+                mp.setattr(mod, name, refuse)
             reports += [dr_bracket_forms(res, Y, x, r, t=t, cap=cap) for x in xs[1:]]
         for rep, (fields, extends) in zip(reports, want):
             checks = {**rep.checks, "extension_over_sigma_prime": extends}
@@ -654,13 +653,53 @@ def test_slot_transport_is_the_per_element_loop(p):
         comp = sigma_omega_comparison(Y, r - 1)
         E0 = stable_hom(susp_ob(res.P[0], t), Y)
         for c in itertools.product(range(p), repeat=E0.sdim):
-            rbs = restricted_read_off(slot.triangles, slot.stages, slot.g,
-                                      E0.from_stable_coords(c), OP)
+            rbs = restricted_read_off(slot.read, c)
             loop = frozenset(stable_coords(comp @ susp_map(u, r - 1))
                              for u in rbs.rep_maps(OP))
             assert _images(slot.transport, rbs.elements) == loop, (r, t, c)
             nonzero += sum(map(any, loop))
     assert nonzero >= 12
+
+
+@pytest.mark.parametrize("p, m, a, r, cap", [(2, 6, 3, 3, 15), (3, 6, 3, 3, 9), (2, 8, 4, 4, 4)])
+def test_a_warm_restricted_read_refuses_filler_pairs_as_a_cold_call(p, m, a, r, cap):
+    # at these caps the tower's octahedra still list their points, but a
+    # cycle's lifts through the top stage exceed the cap: a cold call and the
+    # per-class read-off refuse at the lifts, and so does a warm slot's read
+    from stmodcat.adams import op_adams_data, restricted_slot
+    from stmodcat.stcat import OP
+    from stmodcat.toda import restricted_higher_bracket, restricted_read_off, restricted_tower
+
+    res, Y = _ghost_resolution(p, m, a, r + 1)
+    triangles, g = op_adams_data(res, r, 0, 0)
+    read = restricted_slot(res, Y, r, 0, 0, 4096).read
+    want = f"{read.lifts.size()} filler pairs exceed cap {cap}"
+    assert read.lifts.size() > cap
+    E0 = stable_hom(res.P[0], Y)
+    for x in _cycles(res, Y, r, 0):
+        for refused in (lambda: restricted_read_off(read, E0.stable_coords(x), cap),
+                        lambda: restricted_higher_bracket(triangles, g, x, OP, cap),
+                        lambda: restricted_per_class(
+                            triangles, restricted_tower(triangles, OP, cap), g, x, OP, cap)):
+            with pytest.raises(EnumerationOverflow) as e:
+                refused()
+            assert str(e.value) == want
+
+
+def test_dr_refuses_r_below_1_and_s_below_0():
+    # refused before any slot is built
+    import stmodcat
+
+    res, Y = _ghost_resolution(2, 4, 2, 4)
+    x = stable_hom(res.P[0], Y).from_stable_coords((1, 0))
+    before = stmodcat.cache_stats()
+    for fn, r, s in ((dr_set, 0, 0), (dr_set, -1, 0), (dr_set, 1, -1),
+                     (dr_bracket_forms, 0, 0), (dr_bracket_forms, 2, -1)):
+        with pytest.raises(AdamsError, match=f"got r = {r}, s = {s}$"):
+            fn(res, Y, x, r, s)
+    after = stmodcat.cache_stats()
+    for name in ("adams.chain_map", "adams.restricted_slot", "adams.bracket_slot"):
+        assert after[name].misses == before[name].misses, name
 
 
 def test_a_smaller_cap_on_a_warm_slot_refuses_as_a_cold_call():
@@ -748,7 +787,8 @@ def _outcome(fn, *args, **kwargs):
 @pytest.mark.parametrize("p, m, parts", [(2, 4, [2]), (3, 4, [2]), (3, 5, [2, 1])])
 def test_dr_set_and_pages_read_the_per_class_chains(p, m, parts):
     # every slot of the benchmark's resolutions, r = 1..3, the first 81
-    # classes of each; cap 2 refuses some chain and point sets
+    # classes of each; cap 2 refuses some chain sets, cap 0 also the one
+    # point of d_1
     ring = Ring(p, m)
     Y = module_from_partition(ring, parts)
     res = adams_resolution(Y, ProjectiveClass(module_from_partition(ring, [1])), 6)
@@ -759,14 +799,15 @@ def test_dr_set_and_pages_read_the_per_class_chains(p, m, parts):
         E0 = stable_hom(susp_ob(res.P[s], t), Y)
         for c in itertools.islice(itertools.product(range(p), repeat=E0.sdim), 81):
             x = E0.from_stable_coords(c)
-            for cap in (2, 4096):
+            for cap in (0, 2, 4096):
                 got = _outcome(dr_set, res, Y, x, r, s, t, cap)
                 want = _outcome(_per_class_dr_set, res, Y, x, r, s, t, cap)
                 assert got == want, (r, s, t, c, cap)
                 if isinstance(got, BracketSet):
                     assert got.metadata == want.metadata
-                seen.add(got[0] if isinstance(got, tuple) else "set")
-    assert seen == {"set", "NotACycle", "EnumerationOverflow"}
+                seen.add("set" if isinstance(got, BracketSet) else
+                         got[0] if got[0] == "NotACycle" else got[1].split()[1])
+    assert seen == {"set", "NotACycle", "chains", "points"}
     # the page differentials against one per-class chain per cycle row
     chart = CoupleChart(res, Y)
     for page in pages(res, Y, 3):

@@ -47,7 +47,6 @@ from stmodcat.modrep import (
 from stmodcat.stcat import DIRECT, OP
 from stmodcat.toda import (
     _composite_set,
-    _composites_after,
     _empty_reason,
     _family,
     _family_solutions,
@@ -197,7 +196,7 @@ def _no_fallback(*args):
 
 def test_zero_cross_blocks_take_the_affine_branch(monkeypatch):
     # the session bracket <mu_1, mu_x, mu_1>, d_2[kappa]'s bracket forms on
-    # the worked example, and one restricted read-off, with no fallback
+    # the worked example, and one set with a one-point side, with no fallback
     ctx, maps = ZERO_DIM_SIDES
     R24 = Ring(2, 4)
     k, M = module_from_partition(R24, [1]), module_from_partition(R24, [2])
@@ -211,7 +210,7 @@ def test_zero_cross_blocks_take_the_affine_branch(monkeypatch):
         return (bracket3(*maps, defn="fc", ctx=ctx),
                 bracket3_restricted(*maps, ctx=ctx),
                 dr_bracket_forms(res, M, kappa, 2),
-                _composites_after(DIRECT, MU1, M33, whole, 4096))
+                _composite_set(DIRECT, M33, MU1.src, MU1.tgt, whole, toda._single(DIRECT, MU1)))
 
     want = compute()
     monkeypatch.setattr(toda, "_pair_coords", _no_fallback)

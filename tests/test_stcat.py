@@ -51,9 +51,11 @@ from stmodcat.stcat import (
     rotate_back,
     sigma_map,
     sigma_ob,
+    sigma_omega_comparison,
     stable_hom,
     stable_inverse,
     stably_equal,
+    susp_ob,
     unit_iso,
 )
 
@@ -187,6 +189,20 @@ def test_fiber_matches_rotated_cone():
     bt = rotate_back(cone_triangle(f))
     assert is_distinguished(bt)
     assert jordan_type(bt.f.src) == jordan_type(ft.f.src)
+
+
+@pytest.mark.parametrize("A", [k24, M24, Ok24, M33, direct_sum([k33, M33])[0]])
+@pytest.mark.parametrize("k", range(4))
+def test_sigma_omega_comparison_is_a_stable_iso(A, k):
+    f = sigma_omega_comparison(A, k)
+    assert f.src == susp_ob(susp_ob(A, -k), k) and f.tgt == A
+    assert is_stable_iso(f)
+
+
+@pytest.mark.parametrize("k", [-1, -3])
+def test_sigma_omega_comparison_refuses_a_negative_k(k):
+    with pytest.raises(StCatError, match=f"k = {k} < 0"):
+        sigma_omega_comparison(M24, k)
 
 
 def test_is_stable_iso_examples():

@@ -3,17 +3,18 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import (
     RINGS,
     change_basis,
     random_module,
     random_vanishing_chain,
+    restricted_per_class,
     vanishing_triples,
 )
 
-from stmodcat.adams import ProjectiveClass, adams_resolution
+from stmodcat.adams import ProjectiveClass, adams_resolution, op_adams_data
 from stmodcat.linalg import EnumerationOverflow, FpMatrix, in_span, stack_rows
 from stmodcat.modrep import (
     RMap,
@@ -37,6 +38,7 @@ from stmodcat.stcat import (
 )
 from stmodcat.toda import (
     BracketError,
+    CtxTriangle,
     PrescribedMapError,
     all_jseqs,
     bracket3,
@@ -44,6 +46,8 @@ from stmodcat.toda import (
     filtered_witness,
     higher_bracket,
     is_jseq,
+    restricted_higher_bracket,
+    restricted_tower,
     toda_family,
 )
 
@@ -585,9 +589,67 @@ def test_bracket_membership_matches_enumeration():
         done += 1
 
 
+# restricted brackets fed by every class of one hom space: ("op", p, m, a,
+# r, t, b) reads d_r's op triangles at slot (r, 0, t) of R/x^a resolved by
+# k, fed from R/x^b (b = a is d_r's own E_1^{0,t}); ("direct", p, m, a, n,
+# b) the resolution's fiber triangles, stages n - 2 .. 0, capped by the
+# identity, fed by maps R/x^b -> P_{n-2}.  Against b != a, and from k, some
+# classes do not lift.
+RESTRICTED_CASES = [("op", 2, 4, 2, 1, 0, 2), ("op", 2, 4, 2, 2, 1, 1), ("op", 3, 4, 2, 2, 0, 2),
+                    ("op", 2, 6, 3, 3, 0, 3), ("op", 3, 6, 3, 3, 1, 1), ("op", 2, 8, 4, 4, 0, 4),
+                    ("direct", 2, 4, 2, 2, 1), ("direct", 3, 4, 2, 3, 1),
+                    ("direct", 2, 6, 3, 4, 1), ("direct", 3, 5, 2, 3, 2)]
+
+
+@functools.lru_cache(maxsize=None)
+def _restricted_case(case):
+    """(ctx, triangles, g, space of the fed-in maps)."""
+    kind, p, m, a, *rest = case
+    ring = Ring(p, m)
+    Y = module_from_partition(ring, [a])
+    res = adams_resolution(Y, ProjectiveClass(module_from_partition(ring, [1])), rest[0] + 1)
+    B = module_from_partition(ring, [rest[-1]])
+    if kind == "op":
+        r, t, _ = rest
+        triangles, g = op_adams_data(res, r, 0, t)
+        ctx, space = OP, stable_hom(susp_ob(res.P[0], t), B)
+    else:
+        n = rest[0]
+        triangles = [CtxTriangle(res.w[s], res.p[s], res.dbar[s]) for s in range(n - 2, -1, -1)]
+        ctx, g, space = DIRECT, identity_map(Y), stable_hom(B, res.P[n - 2])
+    return ctx, triangles, g, space
+
+
+@given(st.sampled_from(RESTRICTED_CASES), st.lists(st.integers(0, 2), min_size=4, max_size=4),
+       st.sampled_from([4096, 4, 2]))
+@example(("direct", 3, 4, 2, 3, 1), [1, 0, 0, 0], 4096)   # does not lift
+@example(("op", 3, 6, 3, 3, 1, 1), [1, 0, 0, 0], 4096)    # lifts
+@example(("op", 2, 6, 3, 3, 0, 3), [1, 0, 0, 0], 4)       # 16 filler pairs over cap 4
+@settings(max_examples=40, deadline=None)
+def test_restricted_bracket_is_the_per_class_read_off(case, coords, cap):
+    # the read off the x-free read (x's suspension, lifts and composites as
+    # matrices) against suspending x, solving its lift and composing, per
+    # class, on a tower built under the same cap; refusals included
+    ctx, triangles, g, space = _restricted_case(case)
+    x = space.from_stable_coords([c % space.p for c in coords[:space.sdim]])
+
+    def outcome(fn):
+        try:
+            bs = fn()
+        except EnumerationOverflow as e:
+            return str(e)
+        bs = bs[0] if isinstance(bs, tuple) else bs
+        return bs, bs.metadata
+
+    got = outcome(lambda: restricted_higher_bracket(triangles, g, x, ctx, cap))
+    assert got == outcome(lambda: restricted_per_class(
+        triangles, restricted_tower(triangles, ctx, cap), g, x, ctx, cap))
+    if not isinstance(got, str) and not got[0].elements:
+        assert got[0].empty_reason == "x does not lift"
+
+
 def test_restricted_degenerate_case():
     # with a single factorization triangle, the value is just the composite
-    from stmodcat.toda import CtxTriangle, restricted_higher_bracket
     from stmodcat.stcat import cone_triangle
 
     f = MUX  # k -> M
