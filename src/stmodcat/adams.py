@@ -335,6 +335,9 @@ def pages(res: AdamsResolution, Y: RModule, r_max: int,
     A slot (s,t) appears when the resolution is long enough to compute
     both the cycles at (s,t) and the differential mapping out of it.
     """
+    if r_max < 1 or any(b is not None and b < 0 for b in (s_max, t_max)):
+        raise AdamsError(f"pages need r_max >= 1, s_max >= 0 and t_max >= 0, got "
+                         f"r_max = {r_max}, s_max = {s_max}, t_max = {t_max}")
     if s_max is None:
         s_max = res.length - r_max
     if t_max is None:
@@ -625,6 +628,8 @@ def sparse_check(G: RModule, N: int, window: int) -> SparseReport:
     N-sparse means every nonzero degree is a multiple of N; a projective
     generator has no nonzero degrees at all and is vacuously sparse.
     """
+    if N < 1 or window < 0:
+        raise AdamsError(f"sparseness needs N >= 1 and window >= 0, got {N}, {window}")
     shifts = {0: G}
     for n in range(1, window + 1):
         shifts[n], shifts[-n] = sigma_ob(shifts[n - 1]), omega_ob(shifts[1 - n])

@@ -501,6 +501,9 @@ def parse_session(path: str) -> Session:
 def run_session(path: str, as_json=False, max_enumerate=4096,
                 stream=None) -> int:
     stream = stream or sys.stdout
+    if max_enumerate < 0:
+        print(f"error: --max-enumerate {max_enumerate} is below 0", file=sys.stderr)
+        return 2
     try:
         sess = parse_session(path)
         sess.cap = max_enumerate

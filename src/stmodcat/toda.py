@@ -17,8 +17,9 @@ that are again such a fiber.  The read-off (`bracket_read_off`) tests and
 slices those fibers at f_n's coordinates, a few products per node and
 group, so one tower serves every f_n.  The fiber-cofiber bracket is the
 3-fold higher bracket, one such group, with its indeterminacy added.  A
-bracket is a set of coordinates only; the one branch a filtered witness
-is built on is found by walking the branches in order (`_first_trace`).
+bracket is a set of coordinates only; the tower's one walk of its
+branches in order (`BracketTower.families`) finds the family the cap
+refuses, the empty reason and the branch of a filtered witness.
 A restricted bracket is likewise a tower of octahedra on its triangles
 alone and a read linear in the fed-in map's coordinates (`restricted_read`),
 so a map costs one fiber test and one product (`restricted_read_off`).
@@ -53,7 +54,6 @@ from .linalg import (
     in_span,
     preimage,
     row_space_basis,
-    solve_affine,
     span_points,
     stack_rows,
 )
@@ -471,40 +471,30 @@ class _Last:
     """A last-stage group: the branches sharing the middle map `mid`.  f1 is
     the map whose -Sigma they lift, or (j = 1) the affine space of those
     targets; either way the lifts are fixed.  Their extensions over the
-    parent's leftmost b are the fiber of `local` over b (the cone map's
-    precomposition, after the parent's P at j = 0), so over c the fiber of
-    M local (`fib`).  Composition is bilinear, so the generator composites G
-    of `_composite_set` are the composites of every basis class of
-    T(C, X_n) with the lift generators, read at the fiber's generators: the
-    direction rows (`dirs`) and so the cross block are fixed, and the
-    offset's row is one product with c (`offset`).  `first` is what the
-    first branch lifts when its extensions are missing: the lifts, or (j = 1)
-    those of the first target alone."""
+    parent's leftmost b are the fiber over b of the cone map's
+    precomposition (after the parent's P at j = 0), so over c the fiber of
+    M times it (`fib`).  Composition is bilinear, so the generator
+    composites G of `_composite_set` are the composites of every basis
+    class of T(C, X_n) with the lift generators, read at the fiber's
+    generators: the direction rows (`dirs`) and so the cross block are
+    fixed, and the offset's row is one product with c (`offset`)."""
 
     def __init__(self, tower, M, mid, f1, before=None):
         ctx, p = tower.ctx, tower.p
         C, q, iota = ctx.cone(mid)
         local = ctx.pre_matrix(q, tower.Xn)
-        self.local = local if before is None else before @ local
-        if isinstance(f1, AffineSpace):
-            self.post, self.targets = ctx.post_matrix(iota, tower.Samb), f1
-            self.lifts = preimage(self.post, f1)
-        else:
-            self.lifts = ctx.solve_post(iota, -ctx.sigma_map(f1))
-            self.first = self.lifts
+        self.lifts = (preimage(ctx.post_matrix(iota, tower.Samb), f1)
+                      if isinstance(f1, AffineSpace)
+                      else ctx.solve_post(iota, -ctx.sigma_map(f1)))
         if self.lifts is None:
             return
-        self.fib = fibers(M @ self.local)
+        self.fib = fibers(M @ (local if before is None else before @ local))
         H = _generator_composites(ctx, tower.Samb, C, tower.Xn, self.lifts)
         flat = H.reshape(H.shape[0], H.shape[1] * H.shape[2])
         self.offset = self.fib.T.T @ flat % p
         self.dirs = (self.fib.kernel.basis @ flat % p).reshape(
             (self.fib.kernel.dim,) + H.shape[1:])
         self.cross = self.dirs[:, 1:].any()
-
-    @cached_property
-    def first(self) -> AffineSpace | None:
-        return solve_affine(self.post, self.targets.representative)
 
     def read(self, c, p: int) -> frozenset:
         """Every composite of the group at c (`_composite_set`)."""
@@ -539,25 +529,32 @@ class BracketTower:
             self.root = _Node(self, 0, list(tail), I, fibers(I))
 
     def families(self, depth: int, c):
-        """(node, b) for every family of the stage at `depth` at c, b the
-        branch's leftmost, in the per-branch order: each family's pairs
-        beta-major, the extensions of a leftmost in enumerate_points order."""
-        def walk(node, b):
+        """The path to every node at `depth` holding a branch at c, in the
+        per-branch order (each family's pairs beta-major, the extensions of
+        a leftmost in enumerate_points order): its (node, u, child) steps
+        from (None, c, root), u the child's leftmost.  One stage past the
+        tower, at depth len(js), the paths end at the last stage's branches,
+        each the triple (u, *child.maps) (`last_triple`)."""
+        def walk(path):
+            _, b, node = path[-1]
             if node.depth == depth:
-                yield node, b
+                yield path
                 return
-            fam = node.family
-            ext = node.extensions(b)
+            fam, ext = node.family, node.extensions(b)
             if fam.A is None or ext is None:
                 return
             for u in (enumerate_points(ext, self.cap) if fam.j == 0 else [b]):
                 for child in node.children:
-                    yield from walk(child, u)
-        return walk(self.root, c)
+                    yield from walk(path + ((node, u, child),))
+        return walk(((None, c, self.root),))
+
+    def last_triple(self, u, node) -> list:
+        """The maps of a last-stage branch: u's class, then node.maps."""
+        return [self.ctx.make(self.ctx.tgt(node.maps[0]), self.Xn, u)] + node.maps
 
     def overflow(self, depth: int, c) -> str:
         """The refusal of the first family at `depth` whose pairs exceed the cap."""
-        for node, b in self.families(depth, c):
+        for *_, (_, b, node) in self.families(depth, c):
             fam = node.family
             if (fam.A is not None and node.extensions(b) is not None
                     and fam.pairs(self.p) > self.cap):
@@ -566,16 +563,14 @@ class BracketTower:
 
     def reason(self, c) -> str | None:
         """The empty reason of the per-branch order: the first failing
-        family, stage by stage, else the first branch of the first group."""
+        family, stage by stage, else that of the first branch's last stage."""
         for depth in range(len(self.js)):
-            for node, b in self.families(depth, c):
+            for *_, (_, b, node) in self.families(depth, c):
                 reason = _empty_reason(node.family.A, node.extensions(b))
                 if reason:
                     return reason
-        node, b = (self.root, c) if self.n == 3 else next(self.families(len(self.js) - 1, c))
-        grp = node.groups[0]
-        exts = solve_affine(grp.local, b)
-        return _empty_reason(grp.first if exts is None else grp.lifts, exts)
+        *_, (_, u, node) = next(self.families(len(self.js), c))
+        return _empty_reason(*_family_solutions(self.ctx, *self.last_triple(u, node))[3:])
 
 
 def bracket_tower(tail, Xn: RModule, jseq=None, ctx=DIRECT, cap: int = 4096) -> BracketTower:
@@ -642,44 +637,51 @@ def higher_bracket(maps, jseq=None, ctx=DIRECT, cap: int = 4096) -> BracketSet:
     """n-fold Toda bracket of maps = (f_n, ..., f_1), leftmost first: the
     tower on (f_{n-1}, ..., f_1) (`bracket_tower`), read off at f_n's
     stable coordinates (`bracket_read_off`).  For n = 3 it is the
-    fiber-cofiber bracket.  The pairs behind one element are found by
-    `_first_trace`.
+    fiber-cofiber bracket.  The pairs behind one element are found on the
+    same tower (`_first_trace`).
     """
+    return bracket_read_off(*_tower_at(maps, jseq, ctx, cap))
+
+
+def _tower_at(maps, jseq, ctx, cap):
+    """The tower of <f_n, ..., f_1> short of f_n, and f_n's stable coordinates."""
     maps = list(maps)
     if len(maps) < 2:
         raise BracketError("need at least two maps")
     if ctx.tgt(maps[1]) != ctx.src(maps[0]):   # the tower checks the rest
         raise BracketError("maps are not composable")
     tower = bracket_tower(maps[1:], ctx.tgt(maps[0]), jseq, ctx, cap)
-    return bracket_read_off(tower, tower.space.stable_coords(maps[0]))
+    return tower, tower.space.stable_coords(maps[0])
 
 
-def _first_trace(ctx, maps, jseq, key, cap) -> list | None:
-    """The stages (one TodaFamilyElement each) of the first branch whose
-    composite has stable coordinates key, or None.  Branches are walked
-    depth-first in the per-branch order: stages in reversed(jseq), each
-    family's pairs beta-major."""
-    amb = ctx.hom(susp_in_ctx(ctx, ctx.src(maps[-1]), len(maps) - 2),
-                  ctx.tgt(maps[0]))
+def _first_trace(tower: BracketTower, coords, key) -> list | None:
+    """The stages (one TodaFamilyElement each) of the first branch of the
+    tower at f_n's coordinates whose composite is key, or None: the
+    branches in order (`families`), each stage but the last read off the
+    path, and the last stage's family solved."""
+    ctx, Xn = tower.ctx, tower.Xn
+    amb = ctx.hom(tower.Samb, Xn)
 
-    def walk(bm, js):
-        if not js:
-            return [] if amb.stable_coords(ctx.compose(*bm)) == key else None
-        j = js[-1]
-        rest = [ctx.sigma_map(g) for g in bm[j + 3:]]
-        for el in toda_family(ctx, *bm[j:j + 3], cap=cap):
-            trace = walk(bm[:j] + [el.beta, el.sigma_alpha] + rest, js[:-1])
-            if trace is not None:
-                return [el] + trace
-        return None
+    def stage(node, u, child):
+        j = node.family.j
+        C, q, iota = ctx.cone(node.maps[j])
+        beta = ctx.make(C, Xn, u) if j == 0 else child.maps[j - 1]
+        return TodaFamilyElement(C, child.maps[j], beta, q, iota)
 
-    return walk(list(maps), tuple(jseq))
+    for path in tower.families(len(tower.js), as_vector(coords, tower.p)):
+        *_, (_, u, node) = path
+        for el in toda_family(ctx, *tower.last_triple(u, node), cap=tower.cap):
+            if amb.stable_coords(ctx.compose(el.beta, el.sigma_alpha)) == key:
+                return [stage(*step) for step in path[1:]] + [el]
+    return None
 
 
-def susp_in_ctx(ctx, M: RModule, k: int) -> RModule:
+def susp_in_ctx(ctx, x, k: int):
+    """Sigma^k of an object or of a map, in ctx."""
+    step = ctx.sigma_map if isinstance(x, RMap) else ctx.sigma_ob
     for _ in range(k):
-        M = ctx.sigma_ob(M)
-    return M
+        x = step(x)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -772,13 +774,7 @@ def restricted_read(triangles, stages, g: RMap, B: RModule, ctx=DIRECT) -> Restr
     """The x-free read of the restricted bracket on `stages`, for x: B -> J_1."""
     J = ctx.src(triangles[0].h)
     SB, SJ = (susp_in_ctx(ctx, M, len(stages)) for M in (B, J))
-
-    def susp(u):
-        for _ in stages:
-            u = ctx.sigma_map(u)
-        return u
-
-    S = ctx.hom(B, J).matrix_to(ctx.hom(SB, SJ), susp)
+    S = ctx.hom(B, J).matrix_to(ctx.hom(SB, SJ), lambda u: susp_in_ctx(ctx, u, len(stages)))
     if stages:
         iota, b = ctx.post_matrix(stages[-1].iota, SB), ctx.compose(g, stages[-1].beta)
     else:
@@ -841,8 +837,9 @@ def filtered_witness(maps, element_coords, ctx=DIRECT,
 
     maps = (f_n, ..., f_1), n >= 3, with the standard reduction sequence;
     the element is given in quotient coordinates of T(Sigma^{n-2} X0, Xn).
-    The tower is built on the element's first branch in the per-branch
-    order (`_first_trace`).  Verifies every stage triangle, the stage
+    One bracket tower gives both the bracket and the element's first
+    branch in the per-branch order (`_first_trace`), on which the filtered
+    object is built.  Verifies every stage triangle, the stage
     composites, and the witness diagram for the element; any failure
     lands in .checks.
     """
@@ -850,11 +847,12 @@ def filtered_witness(maps, element_coords, ctx=DIRECT,
     n = len(maps)
     if n < 3:
         raise BracketError("a filtered witness needs at least three maps")
-    bs = higher_bracket(maps, ctx=ctx, cap=cap)
+    tower, c = _tower_at(maps, None, ctx, cap)
+    bs = bracket_read_off(tower, c)
     key = bs._key(element_coords)
     if key not in bs.elements:
         raise BracketError("element does not lie in the bracket")
-    trace = _first_trace(ctx, maps, (0,) * (n - 2), key, cap)
+    trace = _first_trace(tower, c, key)
     nf, f_n, f_1 = n - 1, maps[0], maps[-1]
     lam = list(reversed(maps[1:-1]))  # lambda_1 = f_2, ..., lambda_{nf-1} = f_{n-1}
     X_last = ctx.tgt(maps[1])         # X_{n-1}
@@ -867,10 +865,9 @@ def filtered_witness(maps, element_coords, ctx=DIRECT,
         stages.append(el.intermediate)
         i_maps.append(-el.cone_q if j == 1 else el.cone_q)
         q_maps.append(el.cone_iota)
-        if j == 1:
-            e_maps.append(ctx.sigma_map(maps[1]))       # Sigma f_{n-1}
-        else:
-            e_maps.append(-ctx.sigma_map(trace[j - 2].sigma_alpha))
+        # e_1 = Sigma f_{n-1}
+        e_maps.append(ctx.sigma_map(maps[1]) if j == 1
+                      else -ctx.sigma_map(trace[j - 2].sigma_alpha))
 
     # stage triangles (i_j, q_{j+1}, e_j) must be distinguished
     for j in range(1, nf):
@@ -878,10 +875,7 @@ def filtered_witness(maps, element_coords, ctx=DIRECT,
     # composite conditions (Sigma q_j) . e_j = Sigma^j lambda_{nf-j}
     for j in range(1, nf):
         lhs = ctx.compose(ctx.sigma_map(q_maps[j - 1]), e_maps[j - 1])
-        rhs = lam[nf - j - 1]
-        for _ in range(j):
-            rhs = ctx.sigma_map(rhs)
-        checks[f"composite_{j}"] = stably_equal(lhs, rhs)
+        checks[f"composite_{j}"] = stably_equal(lhs, susp_in_ctx(ctx, lam[nf - j - 1], j))
 
     sigma = q_maps[-1]
     sigma_prime = -trace[0].cone_q
@@ -889,10 +883,7 @@ def filtered_witness(maps, element_coords, ctx=DIRECT,
         sigma_prime = ctx.compose(el.cone_q, sigma_prime)
 
     a, b = -trace[-1].sigma_alpha, -trace[-1].beta
-    snf1 = f_1
-    for _ in range(n - 2):
-        snf1 = ctx.sigma_map(snf1)
-    checks["witness_lift"] = stably_equal(ctx.compose(sigma, a), snf1)
+    checks["witness_lift"] = stably_equal(ctx.compose(sigma, a), susp_in_ctx(ctx, f_1, n - 2))
     checks["witness_extension"] = stably_equal(ctx.compose(b, sigma_prime), f_n)
     elem_map = ctx.make(bs.src, bs.tgt, key)
     checks["witness_composite"] = stably_equal(ctx.compose(b, a), elem_map)

@@ -378,6 +378,13 @@ def test_sparse_projective_vacuous():
     assert rep.sparse and rep.vacuous
 
 
+def test_sparse_check_refuses_bad_bounds():
+    # N = 0 used to divide by zero, and window = -1 to report vacuously sparse
+    for N, window in [(0, 4), (-3, 4), (2, -1)]:
+        with pytest.raises(AdamsError, match="N >= 1 and window >= 0"):
+            sparse_check(k, N, window)
+
+
 def test_sparse_m2_every_degree():
     ring = Ring(2, 2)
     rep = sparse_check(module_from_partition(ring, [1]), 2, 4)
@@ -519,8 +526,14 @@ def test_higher_pages_inject_into_homology(res6):
 
 def test_pages_require_length():
     res2 = adams_resolution(M, GHOST, 2)
-    with pytest.raises(AdamsError):
+    with pytest.raises(AdamsError, match="too short"):
         pages(res2, M, 5)
+    # bounds below their least value are refused by name, not read as no pages
+    res4 = adams_resolution(M, GHOST, 4)
+    for bounds, named in [((0,), "r_max = 0"), ((-2,), "r_max = -2"),
+                          ((1, None, -1), "t_max = -1"), ((1, -1), "s_max = -1")]:
+        with pytest.raises(AdamsError, match=named):
+            pages(res4, M, *bounds)
 
 
 # ---------------------------------------------------------------------------

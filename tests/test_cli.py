@@ -109,6 +109,14 @@ def test_engine_error_exit_code(tmp_path):
     assert proc.returncode == 1
 
 
+def test_negative_cap_is_a_validation_error():
+    # 0 stays a valid cap (it forces an overflow); below 0 is refused up front
+    proc = run_cli([str(SESSIONS / "prop_a1.toda"), "--max-enumerate=-1"])
+    assert proc.returncode == 2
+    assert proc.stderr == "error: --max-enumerate -1 is below 0\n"
+    assert proc.stdout == ""
+
+
 def test_dr_past_resolution_length_is_an_engine_error(tmp_path):
     # d_2 of a class in E_1^{0,*} pushes out along p_2, which a length-2
     # resolution does not have

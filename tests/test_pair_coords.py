@@ -267,6 +267,12 @@ def _loop_bracket(maps, jseq, ctx, cap=10**6, reasons=None):
     return first, len(branches)
 
 
+def _trace(ctx, maps, jseq, key, cap):
+    """The first trace of key, found on the tower of maps short of f_n."""
+    tower = bracket_tower(maps[1:], ctx.tgt(maps[0]), jseq, ctx, cap)
+    return _first_trace(tower, tower.space.stable_coords(maps[0]), key)
+
+
 def _random_chains(seed, count, length):
     rng = np.random.default_rng(seed)
     for i in range(count):
@@ -299,7 +305,7 @@ def test_traces_are_the_first_pairs_of_the_loop(length):
             except EnumerationOverflow:
                 continue
             assert bs.elements == frozenset(first)
-            assert {c: _first_trace(ctx, maps, jseq, c, cap) for c in first} == first
+            assert {c: _trace(ctx, maps, jseq, c, cap) for c in first} == first
             assert bs.metadata["branches"] == pairs
             checked += bool(first)
     assert checked >= 4
@@ -337,7 +343,7 @@ def test_empty_reason_solves_each_family_once(monkeypatch):
 
 
 def _assert_matches_the_loop(ctx, maps, jseq, cap):
-    """higher_bracket and _first_trace against the loop: elements, traces,
+    """higher_bracket and the first traces against the loop: elements, traces,
     branch count, empty reason, and whether the cap refuses the bracket."""
     reasons = []
     try:
@@ -347,7 +353,7 @@ def _assert_matches_the_loop(ctx, maps, jseq, cap):
             higher_bracket(maps, jseq, ctx=ctx, cap=cap)
         return None
     bs = higher_bracket(maps, jseq, ctx=ctx, cap=cap)
-    assert {c: _first_trace(ctx, maps, jseq, c, cap) for c in first} == first
+    assert {c: _trace(ctx, maps, jseq, c, cap) for c in first} == first
     assert bs.elements == frozenset(first)
     assert bs.metadata["branches"] == pairs
     assert bs.empty_reason == (None if first else reasons[0])
@@ -457,8 +463,10 @@ def test_a_beta_group_missing_its_extension_names_its_first_target(seed, ctx):
     X4 = random_module(rng, ring, max_dim=4)
     tail = tail if ctx is DIRECT else tail[::-1]
     tower = bracket_tower(tail, X4, (0, 1), ctx)
-    first_group = tower.root.groups[0]
-    assert first_group.lifts is not None and first_group.first is None
+    # the first group lifts, but not its first branch's target
+    assert tower.root.groups[0].lifts is not None
+    beta, sigma_alpha = tower.root.children[0].maps
+    assert ctx.solve_post(ctx.cone(beta)[2], -ctx.sigma_map(sigma_alpha)) is None
     space, named = tower.space, 0
     for c in itertools.product(range(space.p), repeat=space.sdim):
         reasons = []

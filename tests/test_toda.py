@@ -11,6 +11,7 @@ from conftest import (
     random_module,
     random_vanishing_chain,
     restricted_per_class,
+    vanishing_chains,
     vanishing_triples,
 )
 
@@ -514,6 +515,20 @@ def test_filtered_witness_n4():
         assert all(fo.checks.values())
         assert len(fo.stages) == 4
         done += 1
+
+
+@pytest.mark.parametrize("length", [3, 4, 5])
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_filtered_witness_on_drawn_chains(length, data):
+    # in both contexts, under the standard reduction order
+    ctx, maps, _ = data.draw(vanishing_chains(length))
+    try:
+        for el in higher_bracket(maps, ctx=ctx).sorted_elements()[:3]:
+            fo = filtered_witness(maps, el, ctx=ctx)
+            assert all(fo.checks.values()) and len(fo.stages) == length
+    except EnumerationOverflow:
+        pass
 
 
 def test_filtered_witness_rejects_outsider():
