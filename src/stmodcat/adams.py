@@ -15,12 +15,13 @@ extensions through dbar, and one p-composition.  d_r[x] is returned as
 the full set of E_1 representatives.
 
 A class x enters d_r and its bracket forms only linearly, through its
-stable coordinates, so everything else is built once per resolution slot
-(r, s, t) and memoized: the chains of extensions as one linear map
-(`chain_map`, read by `dr_set` and `pages`), the towers of the full, the
-operations and, for r = 2, the connecting-map brackets (`bracket_slot`),
-and the restricted form's octahedron tower and read (`restricted_slot`),
-so a class costs a few small products per form.  The injective-variance
+stable coordinates, so everything else is built once and memoized: the
+fibers of each alpha^k (`alpha_fibers`, which Z_r, B_r and d_r's chains
+read), and per slot (r, s, t) the chains as one linear map (`chain_map`,
+read by `dr_set` and `pages`), the towers of the full, operations and
+(r = 2) connecting-map brackets (`bracket_slot`, one for every cap) and
+the restricted form's octahedron tower and read (`restricted_slot`), so
+a class costs a few small products per form.  The injective-variance
 statements are exercised through the opposite context: the same
 resolution data, arrows reversed, feeds the generic restricted-bracket
 machinery.
@@ -37,6 +38,7 @@ from .linalg import (
     AffineSpace,
     DimensionMismatch,
     EnumerationOverflow,
+    Fibers,
     FpMatrix,
     affine_image,
     as_vector,
@@ -260,12 +262,16 @@ class CoupleChart:
         """D^{s+1,t+1} -> D^{s,t}: precompose the signed connecting map."""
         return pre_matrix(_connecting_map(self.res, s, t), self.Y)
 
-    def alpha_chain_into(self, s1: int, t1: int, k: int) -> FpMatrix:
-        """Composite alpha^k : D^{s1+k, t1+k} -> D^{s1,t1}."""
-        out = FpMatrix.identity(self.Y.ring.p, self.D_space(s1, t1).sdim)
-        for j in range(k):
-            out = out @ self.alpha_mat(s1 + j, t1 + j)
-        return out
+
+@memo
+def alpha_fibers(res: AdamsResolution, Y: RModule, s: int, t: int, k: int) -> Fibers:
+    """The fibers (`linalg.fibers`) of alpha^k: D^{s+k,t+k} -> D^{s,t}, the
+    identity at k = 0, which Z_r, B_r and d_r's chains all read."""
+    chart = CoupleChart(res, Y)
+    out = FpMatrix.identity(Y.ring.p, chart.D_space(s, t).sdim)
+    for j in range(k):
+        out = out @ chart.alpha_mat(s + j, t + j)
+    return fibers(out)
 
 
 @dataclass
@@ -306,26 +312,17 @@ class SSPage:
 
 
 def _zr_rows(chart: CoupleChart, s: int, t: int, r: int) -> FpMatrix:
-    if r == 1:
-        return FpMatrix.identity(chart.Y.ring.p, chart.E_space(s, t).sdim)
-    # the cycles e with gamma(e) in the image of alpha^{r-1}: Q gamma(e) = 0
-    # for Q the quotient by that image
-    Q = quotient(chart.alpha_chain_into(s + 1, t, r - 1).transpose())[0]
-    return row_space_basis(nullspace(Q @ chart.gamma_mat(s, t)))
+    # the cycles e with gamma(e) in the image of alpha^{r-1}: K gamma(e) = 0
+    K, gamma = alpha_fibers(chart.res, chart.Y, s + 1, t, r - 1).K, chart.gamma_mat(s, t)
+    return row_space_basis(nullspace(FpMatrix(gamma.p, K @ gamma.a)))
 
 
 def _br_rows(chart: CoupleChart, s: int, t: int, r: int) -> FpMatrix:
-    p = chart.Y.ring.p
-    E = chart.E_space(s, t)
-    if r == 1:
-        return FpMatrix.zeros(p, 0, E.sdim)
-    # alpha^{r-1} out of D^{s,t}; below stage 0 the tower is extended by
-    # identities, so the chain stops at stage 0
+    # beta of the kernel of alpha^{r-1} out of D^{s,t}; below stage 0 the
+    # tower is extended by identities, so the chain stops at stage 0
     k = min(r - 1, s)
-    ker = nullspace(chart.alpha_chain_into(s - k, t - k, k))
-    beta = chart.beta_mat(s, t)
-    img = (ker.a @ beta.a.T) % p
-    return row_space_basis(FpMatrix(p, img.reshape(ker.rows, E.sdim)))
+    ker = alpha_fibers(chart.res, chart.Y, s - k, t - k, k).kernel.basis
+    return row_space_basis(FpMatrix(chart.Y.ring.p, ker @ chart.beta_mat(s, t).a.T))
 
 
 def pages(res: AdamsResolution, Y: RModule, r_max: int,
@@ -374,10 +371,10 @@ class ChainMap:
     """d_r's chains of extensions at one slot, for every E_1 class x at once
     (`chain_map`).  The chains extend gamma(x) through the tower maps, one
     preimage under alpha per stage, so the stage-j ends are the fiber over
-    gamma(x) of the composite alpha_1 ... alpha_j: a class gets past stage j
-    exactly when K_j gamma x = 0 (`stages`: that matrix and the stage's
-    chain count), and d_r[x] is the image under beta of the last fiber, the
-    point `offset` x along the fixed directions of `image`."""
+    gamma(x) of alpha^j into D^{s+1,t} (`alpha_fibers`): a class gets past
+    stage j exactly when K_j gamma x = 0 (`stages`: that matrix and the
+    stage's chain count), and d_r[x] is the image under beta of the last
+    fiber, the point `offset` x along the fixed directions of `image`."""
 
     stages: tuple
     offset: np.ndarray
@@ -389,14 +386,9 @@ class ChainMap:
 def chain_map(res: AdamsResolution, Y: RModule, r: int, s: int, t: int) -> ChainMap:
     """The chain map of d_r at slot (s, t), built once per (res, Y, r, s, t)."""
     chart, p = CoupleChart(res, Y), Y.ring.p
-    gamma = chart.gamma_mat(s, t)
-    ends = FpMatrix.identity(p, gamma.rows)
-    fibs = []
-    for j in range(1, r):
-        ends = ends @ chart.alpha_mat(s + j, t + j - 1)
-        fibs.append(fibers(ends))
-    last = fibs[-1] if fibs else fibers(ends)
-    beta = chart.beta_mat(s + r, t + r - 1)
+    gamma, beta = chart.gamma_mat(s, t), chart.beta_mat(s + r, t + r - 1)
+    fibs = [alpha_fibers(res, Y, s + 1, t, j) for j in range(1, r)]
+    last = alpha_fibers(res, Y, s + 1, t, r - 1)
     return ChainMap(tuple((f.K @ gamma.a % p, f.size()) for f in fibs),
                     beta.a @ (last.T @ gamma.a % p) % p,
                     affine_image(last.kernel, beta), last.size())
@@ -510,18 +502,16 @@ class BracketSlot:
 
 
 @memo
-def bracket_slot(res: AdamsResolution, Y: RModule, r: int, s: int, t: int,
-                 cap: int) -> BracketSlot:
+def bracket_slot(res: AdamsResolution, Y: RModule, r: int, s: int, t: int) -> BracketSlot:
     """The towers of the full bracket through the cover, the bracket of the
     primary operations and, for r = 2, the bracket with the tower's
     connecting map, each on the maps after x, built once per (res, Y, r, s,
-    t, cap).  The towers refuse nothing; their read-offs refuse under cap."""
+    t).  The towers hold no cap: one slot serves every cap, and their
+    read-offs refuse under the caller's."""
     ops = [susp_map(res.d1op(s + j), t) for j in range(r)]
-    ws = susp_map(res.w[s], t)
-    full = bracket_tower([susp_map(res.p[s + 1], t)] + ops[1:], Y, cap=cap)
-    delta = (bracket_tower([ops[0], susp_map(res.w[s + 1], t)], Y, cap=cap)
-             if r == 2 else None)
-    return BracketSlot(pre_matrix(ws, Y), full, bracket_tower(ops, Y, cap=cap), delta)
+    full = bracket_tower([susp_map(res.p[s + 1], t)] + ops[1:], Y)
+    delta = bracket_tower([ops[0], susp_map(res.w[s + 1], t)], Y) if r == 2 else None
+    return BracketSlot(pre_matrix(susp_map(res.w[s], t), Y), full, bracket_tower(ops, Y), delta)
 
 
 def _images(M: FpMatrix, rows) -> frozenset:
@@ -560,17 +550,17 @@ def dr_bracket_forms(res: AdamsResolution, Y: RModule, x: RMap, r: int,
     """
     a_set = dr_set(res, Y, x, r, s, t, cap)
     slot = restricted_slot(res, Y, r, s, t, cap)
-    towers = bracket_slot(res, Y, r, s, t, cap)
+    towers = bracket_slot(res, Y, r, s, t)
     xc = stable_hom(x.src, Y).stable_coords(x)
 
     # (b) the (r+1)-fold bracket through the cover: x.w, p, then the
     # primary operations of the deeper stages
-    full = bracket_read_off(towers.full, towers.cover.apply(xc))
+    full = bracket_read_off(towers.full, towers.cover.apply(xc), cap)
     equal_full = full.elements == a_set.elements
 
     # the unrestricted bracket of the primary operations alone: d_r[x]
     # is contained in it, possibly properly
-    ops_bracket = bracket_read_off(towers.ops, xc)
+    ops_bracket = bracket_read_off(towers.ops, xc, cap)
 
     # (c) restricted bracket in the opposite context, read off the slot at x
     rbs = restricted_read_off(slot.read, xc, cap)
@@ -591,7 +581,7 @@ def dr_bracket_forms(res: AdamsResolution, Y: RModule, x: RMap, r: int,
         ws1 = susp_map(res.w[s + 1], t)
         ps2 = susp_map(res.p[s + 2], t + 1)
         # <x, d_1, delta>: the bracket with the tower's connecting map
-        v_delta = fc_bracket(bracket_read_off(towers.delta, xc), x, d1s, ws1)
+        v_delta = fc_bracket(bracket_read_off(towers.delta, xc, cap), x, d1s, ws1)
         variants["with_delta"] = v_delta
         # its composition with Sigma p at the E_1 slot: one product, as
         # composition is linear on stable classes

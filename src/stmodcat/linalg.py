@@ -309,6 +309,10 @@ class AffineSpace:
         out[:, 1:] = np.indices((self.p,) * d, dtype=np.int64).reshape(d, size).T
         return out
 
+    def points(self) -> np.ndarray:
+        """Every point, uncapped: row k is coefficient row k @ generators()."""
+        return self.coefficients() @ self.generators() % self.p
+
 
 def _affine_space(p: int, representative: np.ndarray,
                   basis: np.ndarray) -> AffineSpace:
@@ -386,7 +390,7 @@ def enumerate_points(space: AffineSpace, cap: int = 4096) -> list[np.ndarray]:
     total = space.size()
     if total > cap:
         raise EnumerationOverflow(f"{total} points exceeds cap {cap}")
-    return list((space.coefficients() @ space.generators()) % space.p)
+    return list(space.points())
 
 
 def span_points(p: int, offset: list, directions: list) -> frozenset:

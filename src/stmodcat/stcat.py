@@ -37,6 +37,7 @@ import numpy as np
 
 from .linalg import (
     AffineSpace,
+    DimensionMismatch,
     FpMatrix,
     LinAlgError,
     enumerate_points,
@@ -150,6 +151,8 @@ class StableHomSpace:
         """(k, dim N, dim M) representatives of the classes whose stable
         coordinates are the rows of coords (by default the quotient basis)."""
         c = np.asarray(np.eye(self.sdim) if coords is None else coords, dtype=np.int64) % self.p
+        if c.ndim != 2 or c.shape[1] != self.sdim:
+            raise DimensionMismatch(f"coordinates of shape {c.shape}, expected length {self.sdim}")
         return ((c @ self._lift) % self.p).reshape(len(c), self.tgt.dim, self.src.dim)
 
     def coords_of(self, mats: np.ndarray) -> np.ndarray:
@@ -530,11 +533,9 @@ class DirectContext:
     def is_distinguished(self, a: RMap, b: RMap, c: RMap) -> bool:
         return is_distinguished(Triangle(a, b, c))
 
-    def classes(self, A: RModule, B: RModule, sols: AffineSpace,
-                cap: int = 4096) -> list[RMap]:
-        """One representative per stable class in an affine solution set."""
-        space = self.hom(A, B)
-        return [space.from_stable_coords(v) for v in enumerate_points(sols, cap)]
+    def classes(self, A: RModule, B: RModule, sols: AffineSpace) -> list[RMap]:
+        """One representative per stable class in a bounded affine solution set."""
+        return list(map(self.hom(A, B).from_stable_coords, sols.points()))
 
     def make(self, A: RModule, B: RModule, coords) -> RMap:
         return self.hom(A, B).from_stable_coords(coords)

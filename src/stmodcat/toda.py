@@ -14,12 +14,13 @@ in all maps but the leftmost share one node, whose leftmost maps are a
 fiber over f_n's stable coordinates, and the last stage is read per group
 of branches sharing its middle map, with fixed lifts and with extensions
 that are again such a fiber.  The read-off (`bracket_read_off`) tests and
-slices those fibers at f_n's coordinates, a few products per node and
-group, so one tower serves every f_n.  The fiber-cofiber bracket is the
-3-fold higher bracket, one such group, with its indeterminacy added.  A
-bracket is a set of coordinates only; the tower's one walk of its
-branches in order (`BracketTower.families`) finds the family the cap
-refuses, the empty reason and the branch of a filtered witness.
+slices those fibers at f_n's coordinates under its own cap, a few
+products per node and group, so one tower serves every f_n and every cap.
+The fiber-cofiber bracket is the 3-fold higher bracket, one such group,
+with its indeterminacy added.  A bracket is a set of coordinates only;
+the tower's one walk of its branches in order (`BracketTower.families`)
+finds the family the cap refuses, the empty reason and the branch of a
+filtered witness.
 A restricted bracket is likewise a tower of octahedra on its triangles
 alone and a read linear in the fed-in map's coordinates (`restricted_read`),
 so a map costs one fiber test and one product (`restricted_read_off`).
@@ -44,6 +45,7 @@ import numpy as np
 
 from .linalg import (
     AffineSpace,
+    DimensionMismatch,
     EnumerationOverflow,
     Fibers,
     FpMatrix,
@@ -163,12 +165,9 @@ def _family(ctx, f3, f1, sols, cap) -> list[TodaFamilyElement]:
     if alpha_sols is None or beta_sols is None:
         return []
     _check_pairs(alpha_sols.p, alpha_sols.dim + beta_sols.dim, cap)
-    SX0 = ctx.sigma_ob(ctx.src(f1))
-    X3 = ctx.tgt(f3)
-    alphas = ctx.classes(SX0, C, alpha_sols, cap)
-    betas = ctx.classes(C, X3, beta_sols, cap)
-    return [TodaFamilyElement(C, a, b, q, iota)
-            for b in betas for a in alphas]
+    alphas = ctx.classes(ctx.sigma_ob(ctx.src(f1)), C, alpha_sols)
+    betas = ctx.classes(C, ctx.tgt(f3), beta_sols)
+    return [TodaFamilyElement(C, a, b, q, iota) for b in betas for a in alphas]
 
 
 def _single(ctx, f) -> AffineSpace:
@@ -437,11 +436,11 @@ class _Node:
         t, ctx, fam, maps = self.tower, self.tower.ctx, self.family, self.maps
         j = fam.j
         rest = [ctx.sigma_map(g) for g in maps[j + 2:]]
-        alphas = ctx.classes(ctx.sigma_ob(ctx.src(maps[j + 1])), fam.C, fam.A, t.cap)
+        alphas = ctx.classes(ctx.sigma_ob(ctx.src(maps[j + 1])), fam.C, fam.A)
         if j == 0:
             M = self.M @ fam.P
             return [_Node(t, self.depth + 1, [a] + rest, M, fam.cfib) for a in alphas]
-        betas = ctx.classes(fam.C, ctx.tgt(maps[j - 1]), fam.B, t.cap)
+        betas = ctx.classes(fam.C, ctx.tgt(maps[j - 1]), fam.B)
         return [_Node(t, self.depth + 1, maps[:j - 1] + [b, a] + rest, self.M, self.fib)
                 for b in betas for a in alphas]
 
@@ -457,14 +456,13 @@ class _Node:
         SX = ctx.sigma_ob(ctx.src(maps[fam.j + 1]))
         if fam.j == 0:
             sf1 = ctx.sigma_map(maps[2])
-            return [_Last(t, self.M, a, sf1, fam.P)
-                    for a in ctx.classes(SX, fam.C, fam.A, t.cap)]
+            return [_Last(t, self.M @ fam.P, a, sf1) for a in ctx.classes(SX, fam.C, fam.A)]
         # every beta's children lift one of -Sigma(sigma_alpha), a in A
         N = ctx.hom(SX, fam.C).matrix_to(ctx.hom(t.Samb, ctx.sigma_ob(fam.C)),
                                          lambda u: -ctx.sigma_map(u))
         targets = affine_image(fam.A, N)
         return [_Last(t, self.M, b, targets)
-                for b in ctx.classes(fam.C, ctx.tgt(maps[0]), fam.B, t.cap)]
+                for b in ctx.classes(fam.C, ctx.tgt(maps[0]), fam.B)]
 
 
 class _Last:
@@ -472,23 +470,22 @@ class _Last:
     the map whose -Sigma they lift, or (j = 1) the affine space of those
     targets; either way the lifts are fixed.  Their extensions over the
     parent's leftmost b are the fiber over b of the cone map's
-    precomposition (after the parent's P at j = 0), so over c the fiber of
-    M times it (`fib`).  Composition is bilinear, so the generator
+    precomposition, so over c the fiber of M times it (`fib`), M taking
+    in the parent's P at j = 0.  Composition is bilinear, so the generator
     composites G of `_composite_set` are the composites of every basis
     class of T(C, X_n) with the lift generators, read at the fiber's
     generators: the direction rows (`dirs`) and so the cross block are
     fixed, and the offset's row is one product with c (`offset`)."""
 
-    def __init__(self, tower, M, mid, f1, before=None):
+    def __init__(self, tower, M, mid, f1):
         ctx, p = tower.ctx, tower.p
         C, q, iota = ctx.cone(mid)
-        local = ctx.pre_matrix(q, tower.Xn)
         self.lifts = (preimage(ctx.post_matrix(iota, tower.Samb), f1)
                       if isinstance(f1, AffineSpace)
                       else ctx.solve_post(iota, -ctx.sigma_map(f1)))
         if self.lifts is None:
             return
-        self.fib = fibers(M @ (local if before is None else before @ local))
+        self.fib = fibers(M @ ctx.pre_matrix(q, tower.Xn))
         H = _generator_composites(ctx, tower.Samb, C, tower.Xn, self.lifts)
         flat = H.reshape(H.shape[0], H.shape[1] * H.shape[2])
         self.offset = self.fib.T.T @ flat % p
@@ -514,8 +511,8 @@ class BracketTower:
     the last stage in groups (`_Last`), whose leftmost maps and extensions
     are fibers over f_n's coordinates; `bracket_read_off` reads them."""
 
-    def __init__(self, tail, Xn, jseq, ctx, cap):
-        self.ctx, self.cap, self.Xn = ctx, cap, Xn
+    def __init__(self, tail, Xn, jseq, ctx):
+        self.ctx, self.Xn = ctx, Xn
         self.n, self.jseq = len(tail) + 1, jseq
         self.space = ctx.hom(ctx.tgt(tail[0]), Xn)   # f_n's hom space
         self.p = self.space.p
@@ -534,7 +531,8 @@ class BracketTower:
         a leftmost in enumerate_points order): its (node, u, child) steps
         from (None, c, root), u the child's leftmost.  One stage past the
         tower, at depth len(js), the paths end at the last stage's branches,
-        each the triple (u, *child.maps) (`last_triple`)."""
+        each the triple (u, *child.maps) (`last_triple`), every family
+        bounded by the read-off."""
         def walk(path):
             _, b, node = path[-1]
             if node.depth == depth:
@@ -543,7 +541,7 @@ class BracketTower:
             fam, ext = node.family, node.extensions(b)
             if fam.A is None or ext is None:
                 return
-            for u in (enumerate_points(ext, self.cap) if fam.j == 0 else [b]):
+            for u in (ext.points() if fam.j == 0 else [b]):
                 for child in node.children:
                     yield from walk(path + ((node, u, child),))
         return walk(((None, c, self.root),))
@@ -552,13 +550,13 @@ class BracketTower:
         """The maps of a last-stage branch: u's class, then node.maps."""
         return [self.ctx.make(self.ctx.tgt(node.maps[0]), self.Xn, u)] + node.maps
 
-    def overflow(self, depth: int, c) -> str:
-        """The refusal of the first family at `depth` whose pairs exceed the cap."""
+    def overflow(self, depth: int, c, cap: int) -> str:
+        """The refusal of the first family at `depth` whose pairs exceed cap."""
         for *_, (_, b, node) in self.families(depth, c):
             fam = node.family
             if (fam.A is not None and node.extensions(b) is not None
-                    and fam.pairs(self.p) > self.cap):
-                return f"{fam.pairs(self.p)} filler pairs exceed cap {self.cap}"
+                    and fam.pairs(self.p) > cap):
+                return f"{fam.pairs(self.p)} filler pairs exceed cap {cap}"
         raise AssertionError("no family exceeds the cap")
 
     def reason(self, c) -> str | None:
@@ -573,7 +571,7 @@ class BracketTower:
         return _empty_reason(*_family_solutions(self.ctx, *self.last_triple(u, node))[3:])
 
 
-def bracket_tower(tail, Xn: RModule, jseq=None, ctx=DIRECT, cap: int = 4096) -> BracketTower:
+def bracket_tower(tail, Xn: RModule, jseq=None, ctx=DIRECT) -> BracketTower:
     """The tower of the n-fold bracket <f_n, ..., f_1> on tail = (f_{n-1},
     ..., f_1), for f_n any map into Xn (`BracketTower`).  jseq selects
     which consecutive triple each reduction stage consumes (0 <= j_i < i,
@@ -581,7 +579,7 @@ def bracket_tower(tail, Xn: RModule, jseq=None, ctx=DIRECT, cap: int = 4096) -> 
     stage but the last two carries each pair of its families on as a
     branch, the stage before the last makes one family per branch, and
     the last reads its branches in groups sharing its middle map.  The
-    cap is the read-offs': the tower refuses nothing itself."""
+    tower holds no cap and refuses nothing: each read-off takes its own."""
     tail = list(tail)
     if not tail:
         raise BracketError("need at least two maps")
@@ -592,11 +590,11 @@ def bracket_tower(tail, Xn: RModule, jseq=None, ctx=DIRECT, cap: int = 4096) -> 
     jseq = (0,) * (n - 2) if jseq is None else tuple(jseq)
     if not is_jseq(jseq, n):
         raise BracketError(f"invalid reduction sequence {jseq} for n={n}")
-    return BracketTower(tail, Xn, jseq, ctx, cap)
+    return BracketTower(tail, Xn, jseq, ctx)
 
 
-def bracket_read_off(tower: BracketTower, coords) -> BracketSet:
-    """The bracket at f_n with stable coordinates `coords`.
+def bracket_read_off(tower: BracketTower, coords, cap: int = 4096) -> BracketSet:
+    """The bracket at f_n with stable coordinates `coords`, under `cap`.
 
     Stage by stage, the nodes holding a branch at c (their fiber over c is
     nonempty) count their families' children, and the cap refuses, in the
@@ -607,7 +605,8 @@ def bracket_read_off(tower: BracketTower, coords) -> BracketSet:
     empty bracket walks its branches, for the reason the per-branch order
     meets first (`reason`)."""
     t, p = tower, tower.p
-    c = as_vector(coords, p)
+    if len(c := as_vector(coords, p)) != t.space.sdim:
+        raise DimensionMismatch(f"coordinates of length {len(c)}, expected {t.space.sdim}")
     meta = {"n": t.n, "jseq": t.jseq}
     if t.n == 2:
         elements = frozenset([tuple(int(v) for v in t.pre.apply(c))])
@@ -617,17 +616,17 @@ def bracket_read_off(tower: BracketTower, coords) -> BracketSet:
     for depth in range(len(t.js)):
         counts = [node.branches(c) for node in nodes]
         nodes = [node for k, node in zip(counts, nodes) if k]
-        if depth < last and any(node.family.pairs(p) > t.cap for node in nodes):
-            raise EnumerationOverflow(t.overflow(depth, c))
-        if sum(counts) > t.cap:
-            raise EnumerationOverflow(f"{sum(counts)} bracket branches exceed cap {t.cap}")
+        if depth < last and any(node.family.pairs(p) > cap for node in nodes):
+            raise EnumerationOverflow(t.overflow(depth, c, cap))
+        if sum(counts) > cap:
+            raise EnumerationOverflow(f"{sum(counts)} bracket branches exceed cap {cap}")
         if depth < last:
             nodes = [child for node in nodes for child in node.children]
     groups = [grp for node in nodes for grp in node.groups
               if grp.lifts is not None and grp.fib.has(c)]
     pairs = sum(grp.lifts.size() * grp.fib.size() for grp in groups)
-    if pairs > t.cap:
-        raise EnumerationOverflow(f"{pairs} bracket branches exceed cap {t.cap}")
+    if pairs > cap:
+        raise EnumerationOverflow(f"{pairs} bracket branches exceed cap {cap}")
     elements = frozenset().union(*(grp.read(c, p) for grp in groups))
     return BracketSet(t.Samb, t.Xn, t.ctx.name, elements, None,
                       None if elements else t.reason(c), {**meta, "branches": pairs})
@@ -640,25 +639,25 @@ def higher_bracket(maps, jseq=None, ctx=DIRECT, cap: int = 4096) -> BracketSet:
     fiber-cofiber bracket.  The pairs behind one element are found on the
     same tower (`_first_trace`).
     """
-    return bracket_read_off(*_tower_at(maps, jseq, ctx, cap))
+    return bracket_read_off(*_tower_at(maps, jseq, ctx), cap)
 
 
-def _tower_at(maps, jseq, ctx, cap):
+def _tower_at(maps, jseq, ctx):
     """The tower of <f_n, ..., f_1> short of f_n, and f_n's stable coordinates."""
     maps = list(maps)
     if len(maps) < 2:
         raise BracketError("need at least two maps")
     if ctx.tgt(maps[1]) != ctx.src(maps[0]):   # the tower checks the rest
         raise BracketError("maps are not composable")
-    tower = bracket_tower(maps[1:], ctx.tgt(maps[0]), jseq, ctx, cap)
+    tower = bracket_tower(maps[1:], ctx.tgt(maps[0]), jseq, ctx)
     return tower, tower.space.stable_coords(maps[0])
 
 
-def _first_trace(tower: BracketTower, coords, key) -> list | None:
+def _first_trace(tower: BracketTower, coords, key, cap: int) -> list | None:
     """The stages (one TodaFamilyElement each) of the first branch of the
     tower at f_n's coordinates whose composite is key, or None: the
     branches in order (`families`), each stage but the last read off the
-    path, and the last stage's family solved."""
+    path, and the last stage's family solved under cap."""
     ctx, Xn = tower.ctx, tower.Xn
     amb = ctx.hom(tower.Samb, Xn)
 
@@ -670,7 +669,7 @@ def _first_trace(tower: BracketTower, coords, key) -> list | None:
 
     for path in tower.families(len(tower.js), as_vector(coords, tower.p)):
         *_, (_, u, node) = path
-        for el in toda_family(ctx, *tower.last_triple(u, node), cap=tower.cap):
+        for el in toda_family(ctx, *tower.last_triple(u, node), cap=cap):
             if amb.stable_coords(ctx.compose(el.beta, el.sigma_alpha)) == key:
                 return [stage(*step) for step in path[1:]] + [el]
     return None
@@ -786,7 +785,9 @@ def restricted_read(triangles, stages, g: RMap, B: RModule, ctx=DIRECT) -> Restr
 def restricted_read_off(read: RestrictedRead, coords, cap: int = 4096) -> BracketSet:
     """The restricted bracket at x's stable coordinates: one fiber test, one product."""
     e, p = read.empty, read.lifts.kernel.p
-    lifts = read.lifts.at(-read.S @ as_vector(coords, p) % p)
+    if len(c := as_vector(coords, p)) != read.S.shape[1]:
+        raise DimensionMismatch(f"coordinates of length {len(c)}, expected {read.S.shape[1]}")
+    lifts = read.lifts.at(-read.S @ c % p)
     if lifts is None:
         return replace(e, metadata=dict(e.metadata))
     _check_pairs(p, lifts.dim, cap)
@@ -847,12 +848,12 @@ def filtered_witness(maps, element_coords, ctx=DIRECT,
     n = len(maps)
     if n < 3:
         raise BracketError("a filtered witness needs at least three maps")
-    tower, c = _tower_at(maps, None, ctx, cap)
-    bs = bracket_read_off(tower, c)
+    tower, c = _tower_at(maps, None, ctx)
+    bs = bracket_read_off(tower, c, cap)
     key = bs._key(element_coords)
     if key not in bs.elements:
         raise BracketError("element does not lie in the bracket")
-    trace = _first_trace(tower, c, key)
+    trace = _first_trace(tower, c, key, cap)
     nf, f_n, f_1 = n - 1, maps[0], maps[-1]
     lam = list(reversed(maps[1:-1]))  # lambda_1 = f_2, ..., lambda_{nf-1} = f_{n-1}
     X_last = ctx.tgt(maps[1])         # X_{n-1}

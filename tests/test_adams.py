@@ -12,21 +12,29 @@ from stmodcat.adams import (
     CoupleChart,
     NotACycle,
     ProjectiveClass,
+    _br_rows,
+    _zr_rows,
     adams_resolution,
+    bracket_slot,
     dr_bracket_forms,
     dr_set,
     ghost_cover,
     pages,
+    restricted_slot,
     sparse_check,
 )
 from stmodcat.linalg import (
     AffineSpace,
     DimensionMismatch,
     EnumerationOverflow,
+    FpMatrix,
     affine_image,
     enumerate_points,
     in_span,
+    nullspace,
     preimage,
+    quotient,
+    row_space_basis,
     rref,
     solve_affine,
     stack_rows,
@@ -40,6 +48,7 @@ from stmodcat.modrep import (
     mu_map,
 )
 from stmodcat.stcat import (
+    DIRECT,
     is_stably_zero,
     stable_coords,
     stable_hom,
@@ -47,7 +56,13 @@ from stmodcat.stcat import (
     susp_map,
     susp_ob,
 )
-from stmodcat.toda import BracketSet, bracket3, higher_bracket
+from stmodcat.toda import (
+    BracketSet,
+    bracket3,
+    bracket_read_off,
+    higher_bracket,
+    restricted_read_off,
+)
 
 R24 = Ring(2, 4)
 k = module_from_partition(R24, [1])
@@ -762,6 +777,84 @@ except EnumerationOverflow as e:
 # the chain map and the bracket towers, shared per resolution slot
 
 
+def _alpha_product(chart, s, t, k):
+    """alpha^k: D^{s+k,t+k} -> D^{s,t} as one product of the alpha maps."""
+    out = FpMatrix.identity(chart.Y.ring.p, chart.D_space(s, t).sdim)
+    for j in range(k):
+        out = out @ chart.alpha_mat(s + j, t + j)
+    return out
+
+
+@pytest.mark.parametrize("p, m, parts", [(2, 4, [2]), (3, 4, [2]), (3, 5, [2, 1])])
+def test_zr_and_br_read_off_the_alpha_fibers_as_the_old_formulas(p, m, parts):
+    # the benchmark's resolutions, r = 1..3 and every slot with s + r <= length
+    # (s + r = length has no differential out of it): Z_r from the quotient
+    # by the image of the transposed product, B_r from its nullspace out of
+    # D^{s,t}, each with its own r = 1 case
+    ring = Ring(p, m)
+    Y = module_from_partition(ring, parts)
+    res = adams_resolution(Y, ProjectiveClass(module_from_partition(ring, [1])), 6)
+    chart = CoupleChart(res, Y)
+    for r, s, t in itertools.product((1, 2, 3), range(res.length), range(res.cls.period + 1)):
+        if s + r > res.length:
+            continue
+        E = chart.E_space(s, t).sdim
+        if r == 1:
+            Z, B = FpMatrix.identity(p, E), FpMatrix.zeros(p, 0, E)
+        else:
+            Q = quotient(_alpha_product(chart, s + 1, t, r - 1).transpose())[0]
+            Z = row_space_basis(nullspace(Q @ chart.gamma_mat(s, t)))
+            k = min(r - 1, s)
+            ker = nullspace(_alpha_product(chart, s - k, t - k, k))
+            img = ker.a @ chart.beta_mat(s, t).a.T % p
+            B = row_space_basis(FpMatrix(p, img.reshape(ker.rows, E)))
+        assert np.array_equal(_zr_rows(chart, s, t, r).a, Z.a), (r, s, t)
+        assert np.array_equal(_br_rows(chart, s, t, r).a, B.a), (r, s, t)
+
+
+def test_one_bracket_slot_serves_every_cap():
+    # p = 3, m = 8, R/x^4 at r = 4: the zero class's operations bracket has
+    # 23085 branches.  The slot built at cap 30000 refuses at cap 20000 as a
+    # cold per-class call does, then reads at 30000 again, with no new slot
+    import stmodcat
+
+    stmodcat.clear_caches()
+    res, Y = _ghost_resolution(3, 8, 4, 5)
+    E0 = stable_hom(res.P[0], Y)
+    x = E0.from_stable_coords([0] * E0.sdim)
+    rep = dr_bracket_forms(res, Y, x, 4, cap=30000)
+    assert rep.dr.elements == {(0, 0)}
+    assert rep.variants["operations_bracket"].metadata["branches"] == 23085
+    cold = _outcome(_cold_forms, res, Y, x, 4, 0, 0, 20000)
+    assert cold == ("EnumerationOverflow", "23085 bracket branches exceed cap 20000")
+    assert _outcome(dr_bracket_forms, res, Y, x, 4, cap=20000) == cold
+    _assert_forms_are_cold(dr_bracket_forms(res, Y, x, 4, cap=30000), rep)
+    assert stmodcat.cache_stats()["adams.bracket_slot"].misses == 1
+
+
+def test_coordinates_of_the_wrong_length_raise_dimension_mismatch():
+    # one coordinate short and one over, at every entry point that reads a
+    # class's stable coordinates: each names the length it expects
+    res, Y = _ghost_resolution(2, 4, 2, 4)
+    S = stable_hom(Y, Y)
+    towers = bracket_slot(res, Y, 2, 0, 0)
+    read = restricted_slot(res, Y, 2, 0, 0, 4096).read
+    entries = {
+        "lifts": (S.sdim, lambda c: S.lifts([c])),
+        "from_stable_coords": (S.sdim, S.from_stable_coords),
+        "make": (S.sdim, lambda c: DIRECT.make(Y, Y, c)),
+        "rep_maps": (S.sdim, lambda c: BracketSet(Y, Y, "direct", frozenset([tuple(c)]))
+                     .rep_maps()),
+        "bracket_read_off": (towers.ops.space.sdim, lambda c: bracket_read_off(towers.ops, c)),
+        "restricted_read_off": (read.S.shape[1], lambda c: restricted_read_off(read, c)),
+    }
+    for name, (n, call) in entries.items():
+        assert n >= 1, name
+        for c in ([1] * (n - 1), [1] * (n + 1)):
+            with pytest.raises(DimensionMismatch, match=f"expected (length )?{n}$"):
+                call(c)
+
+
 def _per_class_chains(chart, s, t, r, coords, cap=None):
     """d_r's chains of extensions solved for one class, as before the slot's
     chain map: the affine space of the chains' last entries, one preimage
@@ -879,11 +972,13 @@ def _assert_forms_are_cold(rep, cold):
 def test_the_bracket_towers_and_chain_map_are_built_once_per_slot(p, m, a, r, monkeypatch):
     # the zero class reaches every node of the slot's towers (every fiber
     # holds 0), so after it no class at the slot builds a tower, a node or a
-    # chain map; a cap no other test uses keeps the first class cold
+    # chain map; one slot serves every cap, so the caches are cleared to keep
+    # the first class cold
     import stmodcat
     import stmodcat.adams as adams
     import stmodcat.toda as toda
 
+    stmodcat.clear_caches()
     res, Y = _ghost_resolution(p, m, a, r + 1)
     cap = 20021
     for t in (0, 1):

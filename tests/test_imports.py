@@ -12,6 +12,11 @@ names it (as a bare name, an attribute or an imported name).
 The trusted constructor `FpMatrix._of` skips the modulus check and the
 reduction, so neither the session parser (`cli.py`) nor any test names it.
 
+Every named parameter of an engine function (methods and lambdas
+included, `self` and `cls` aside) is read in its body, but for the named
+exceptions in `UNREAD_PARAMETERS`, each with its reason.  Star parameters
+are left out: the immutability guards take `*args` only to refuse them.
+
 `modrep.memo` is the engine's one cache: no engine module binds a
 module-level name to an empty container (`{}`, `[]`, `dict()`, `list()`,
 `set()`), a store a function could fill, or uses `functools.lru_cache` or
@@ -159,3 +164,50 @@ def f(x):
 def test_memo_is_the_only_cache(module):
     found = _second_caches(ast.parse((SRC / module).read_text(encoding="utf-8")))
     assert not found, f"{module} keeps a cache besides memo: {found}"
+
+
+# (module, function, parameter) an engine function keeps without reading it
+UNREAD_PARAMETERS = {
+    ("heller.py", "heller_check", "cap"):
+        "the benchmark's workloads pass it, and the benchmark is fixed",
+    ("toda.py", "indeterminacy_basis", "f2"):
+        "it keeps the bracket triple's signature (f3, f2, f1)",
+}
+
+
+def _unread_parameters(tree):
+    """(function, parameter) of every named parameter its body never reads."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            out += [(getattr(node, "name", "<lambda>"), a.arg)
+                    for a in args.posonlyargs + args.args + args.kwonlyargs
+                    if a.arg not in read and a.arg not in ("self", "cls")]
+    return out
+
+
+def test_the_parameter_walk_finds_an_unread_parameter():
+    planted = """
+def f(x, y, *rest, z=1, **kw):
+    def g(u):
+        return x + z
+    return lambda v, w: v
+class C:
+    def m(self, q):
+        return self
+"""
+    assert _unread_parameters(ast.parse(planted)) == [
+        ("f", "y"), ("g", "u"), ("m", "q"), ("<lambda>", "w")]
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_every_parameter_is_read(module):
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    found = {(module, fn, arg) for fn, arg in _unread_parameters(tree)}
+    unread = sorted(found - set(UNREAD_PARAMETERS))
+    assert not unread, f"{module} keeps parameters it never reads: {unread}"
+    stale = sorted(k for k in UNREAD_PARAMETERS if k[0] == module and k not in found)
+    assert not stale, f"{module} now reads the allowed parameters {stale}"

@@ -269,8 +269,8 @@ def _loop_bracket(maps, jseq, ctx, cap=10**6, reasons=None):
 
 def _trace(ctx, maps, jseq, key, cap):
     """The first trace of key, found on the tower of maps short of f_n."""
-    tower = bracket_tower(maps[1:], ctx.tgt(maps[0]), jseq, ctx, cap)
-    return _first_trace(tower, tower.space.stable_coords(maps[0]), key)
+    tower = bracket_tower(maps[1:], ctx.tgt(maps[0]), jseq, ctx)
+    return _first_trace(tower, tower.space.stable_coords(maps[0]), key, cap)
 
 
 def _random_chains(seed, count, length):
@@ -391,10 +391,11 @@ def test_higher_bracket_matches_the_loop_in_every_order(length, data):
 
 
 def test_a_tower_reads_every_class_of_f_n_as_the_loop():
-    # one tower per drawn tail (f_{n-1}, ..., f_1), n = 3, 4, 5, in every
-    # reduction order, both contexts, under caps that refuse some; read off
-    # at every class of f_n's hom group, it gives the loop's elements,
-    # branch count, empty reason and refusal message
+    # one tower per drawn tail (f_{n-1}, ..., f_1), n = 3, 4, 5, and
+    # reduction order, both contexts, read at cap 64 and then, warm, at a
+    # cap of 3 that refuses some; read off at every class of f_n's hom
+    # group, it gives the loop's elements, branch count, empty reason and
+    # refusal message at that cap
     seen = {}
     for length in (3, 4, 5):
         for seed in range(16):
@@ -404,9 +405,10 @@ def test_a_tower_reads_every_class_of_f_n_as_the_loop():
             space = ctx.hom(ctx.tgt(tail[0]), Xn)
             if space.p ** space.sdim > 27:
                 continue
-            for jseq, cap in itertools.product(all_jseqs(length), (3, 64)):
-                tower = bracket_tower(tail, Xn, jseq, ctx, cap)
-                for c in itertools.product(range(space.p), repeat=space.sdim):
+            classes = list(itertools.product(range(space.p), repeat=space.sdim))
+            for jseq in all_jseqs(length):
+                tower = bracket_tower(tail, Xn, jseq, ctx)
+                for cap, c in itertools.product((64, 3), classes):
                     reasons = []
                     try:
                         first, pairs = _loop_bracket([space.from_stable_coords(c)] + tail,
@@ -414,10 +416,10 @@ def test_a_tower_reads_every_class_of_f_n_as_the_loop():
                     except EnumerationOverflow as refused:
                         with pytest.raises(EnumerationOverflow,
                                            match=f"^{re.escape(str(refused))}$"):
-                            bracket_read_off(tower, c)
+                            bracket_read_off(tower, c, cap)
                         outcome = str(refused).split(" ", 1)[1]
                     else:
-                        bs = bracket_read_off(tower, c)
+                        bs = bracket_read_off(tower, c, cap)
                         assert bs.elements == frozenset(first), (jseq, cap, c)
                         assert bs.metadata == {"n": length, "jseq": jseq, "branches": pairs}
                         assert bs.empty_reason == (None if first else reasons[0])
