@@ -63,7 +63,6 @@ from .modrep import (
 )
 from .stcat import (
     OP,
-    StableHomSpace,
     Triangle,
     fiber_triangle,
     omega_ob,
@@ -237,40 +236,28 @@ def _connecting_map(res: AdamsResolution, s: int, t: int) -> RMap:
     return -sd if t % 2 else sd
 
 
-class CoupleChart:
-    """Cached groups and structure maps of the exact couple for T(-, Y)."""
+def _gamma(res: AdamsResolution, Y: RModule, s: int, t: int) -> FpMatrix:
+    """E^{s,t} -> D^{s+1,t}: precompose the suspended w_s."""
+    return pre_matrix(susp_map(res.w[s], t), Y)
 
-    def __init__(self, res: AdamsResolution, Y: RModule):
-        self.res = res
-        self.Y = Y
 
-    def E_space(self, s: int, t: int) -> StableHomSpace:
-        return stable_hom(susp_ob(self.res.P[s], t), self.Y)
+def _beta(res: AdamsResolution, Y: RModule, s: int, t: int) -> FpMatrix:
+    """D^{s,t} -> E^{s,t}: precompose the suspended p_s."""
+    return pre_matrix(susp_map(res.p[s], t), Y)
 
-    def D_space(self, s: int, t: int) -> StableHomSpace:
-        return stable_hom(susp_ob(self.res.X[s], t), self.Y)
 
-    def gamma_mat(self, s: int, t: int) -> FpMatrix:
-        """E^{s,t} -> D^{s+1,t}: precompose the suspended w_s."""
-        return pre_matrix(susp_map(self.res.w[s], t), self.Y)
-
-    def beta_mat(self, s: int, t: int) -> FpMatrix:
-        """D^{s,t} -> E^{s,t}: precompose the suspended p_s."""
-        return pre_matrix(susp_map(self.res.p[s], t), self.Y)
-
-    def alpha_mat(self, s: int, t: int) -> FpMatrix:
-        """D^{s+1,t+1} -> D^{s,t}: precompose the signed connecting map."""
-        return pre_matrix(_connecting_map(self.res, s, t), self.Y)
+def _alpha(res: AdamsResolution, Y: RModule, s: int, t: int) -> FpMatrix:
+    """D^{s+1,t+1} -> D^{s,t}: precompose the signed connecting map."""
+    return pre_matrix(_connecting_map(res, s, t), Y)
 
 
 @memo
 def alpha_fibers(res: AdamsResolution, Y: RModule, s: int, t: int, k: int) -> Fibers:
     """The fibers (`linalg.fibers`) of alpha^k: D^{s+k,t+k} -> D^{s,t}, the
     identity at k = 0, which Z_r, B_r and d_r's chains all read."""
-    chart = CoupleChart(res, Y)
-    out = FpMatrix.identity(Y.ring.p, chart.D_space(s, t).sdim)
+    out = FpMatrix.identity(Y.ring.p, stable_hom(susp_ob(res.X[s], t), Y).sdim)
     for j in range(k):
-        out = out @ chart.alpha_mat(s + j, t + j)
+        out = out @ _alpha(res, Y, s + j, t + j)
     return fibers(out)
 
 
@@ -292,16 +279,20 @@ class PageGroup:
         zpiv = [int(np.flatnonzero(row)[0]) for row in self.Z.a]
         return zpiv, quotient(FpMatrix(self.Z.p, self.B.a[:, zpiv]))[0]
 
+    def classes(self, V: np.ndarray) -> np.ndarray:
+        """The E_r classes (rows, complement basis) of a stack of E_1 cycles
+        (the rows of V, reduced mod p): one cycle test and one product."""
+        zpiv, Q = self._class_map
+        if ((V[:, zpiv] @ self.Z.a - V) % self.Z.p).any():
+            raise NotACycle("class does not survive to this page")
+        return V[:, zpiv] @ Q.a.T % self.Z.p
+
     def class_coords(self, coords) -> tuple[int, ...]:
         """Coordinates of an E_1 cycle in the E_r subquotient (complement basis)."""
-        p = self.Z.p
-        v = as_vector(coords, p)
+        v = as_vector(coords, self.Z.p)
         if v.shape[0] != self.Z.cols:
             raise DimensionMismatch("vector length != E_1 dimension")
-        zpiv, Q = self._class_map
-        if ((v[zpiv] @ self.Z.a - v) % p).any():
-            raise NotACycle("class does not survive to this page")
-        return tuple(int(x) for x in Q.apply(v[zpiv]))
+        return tuple(int(x) for x in self.classes(v[None])[0])
 
 
 @dataclass
@@ -311,46 +302,37 @@ class SSPage:
     differentials: dict
 
 
-def _zr_rows(chart: CoupleChart, s: int, t: int, r: int) -> FpMatrix:
+def _zr_rows(res: AdamsResolution, Y: RModule, s: int, t: int, r: int) -> FpMatrix:
     # the cycles e with gamma(e) in the image of alpha^{r-1}: K gamma(e) = 0
-    K, gamma = alpha_fibers(chart.res, chart.Y, s + 1, t, r - 1).K, chart.gamma_mat(s, t)
+    K, gamma = alpha_fibers(res, Y, s + 1, t, r - 1).K, _gamma(res, Y, s, t)
     return row_space_basis(nullspace(FpMatrix(gamma.p, K @ gamma.a)))
 
 
-def _br_rows(chart: CoupleChart, s: int, t: int, r: int) -> FpMatrix:
+def _br_rows(res: AdamsResolution, Y: RModule, s: int, t: int, r: int) -> FpMatrix:
     # beta of the kernel of alpha^{r-1} out of D^{s,t}; below stage 0 the
     # tower is extended by identities, so the chain stops at stage 0
     k = min(r - 1, s)
-    ker = alpha_fibers(chart.res, chart.Y, s - k, t - k, k).kernel.basis
-    return row_space_basis(FpMatrix(chart.Y.ring.p, ker @ chart.beta_mat(s, t).a.T))
+    ker = alpha_fibers(res, Y, s - k, t - k, k).kernel.basis
+    return row_space_basis(FpMatrix(Y.ring.p, ker @ _beta(res, Y, s, t).a.T))
 
 
-def pages(res: AdamsResolution, Y: RModule, r_max: int,
-          s_max: int | None = None, t_max: int | None = None) -> list[SSPage]:
+def pages(res: AdamsResolution, Y: RModule, r_max: int) -> list[SSPage]:
     """Pages E_1 .. E_{r_max} with their differentials where defined.
 
-    A slot (s,t) appears when the resolution is long enough to compute
-    both the cycles at (s,t) and the differential mapping out of it.
+    Page r lists the slots s <= length - r_max, 0 <= t <= period, and the
+    differential out of each slot whose target (s + r, t + r - 1) is listed.
     """
-    if r_max < 1 or any(b is not None and b < 0 for b in (s_max, t_max)):
-        raise AdamsError(f"pages need r_max >= 1, s_max >= 0 and t_max >= 0, got "
-                         f"r_max = {r_max}, s_max = {s_max}, t_max = {t_max}")
-    if s_max is None:
-        s_max = res.length - r_max
-    if t_max is None:
-        t_max = res.cls.period
-    if s_max < 0:
+    if r_max < 1:
+        raise AdamsError(f"pages need r_max >= 1, got r_max = {r_max}")
+    if r_max > res.length:
         raise AdamsError("resolution too short for the requested pages")
-    chart = CoupleChart(res, Y)
     out = []
     for r in range(1, r_max + 1):
         groups, diffs = {}, {}
-        for s in range(0, s_max + 1):
-            for t in range(0, t_max + 1):
-                if s + r > res.length:
-                    continue
-                Z = _zr_rows(chart, s, t, r)
-                B = _br_rows(chart, s, t, r)
+        for s in range(res.length - r_max + 1):
+            for t in range(res.cls.period + 1):
+                Z = _zr_rows(res, Y, s, t, r)
+                B = _br_rows(res, Y, s, t, r)
                 groups[(s, t)] = PageGroup(s, t, Z, B, Z.rows - B.rows)
         for (s, t), g in groups.items():
             tgt = groups.get((s + r, t + r - 1))
@@ -358,10 +340,7 @@ def pages(res: AdamsResolution, Y: RModule, r_max: int,
                 continue
             # one element of d_r[z] per cycle row z; its class is that of all
             images = g.Z.a @ chain_map(res, Y, r, s, t).offset.T % Y.ring.p
-            cols = [tgt.class_coords(v) for v in images]
-            mat = (np.array(cols, dtype=np.int64).T.reshape(tgt.dim, g.Z.rows)
-                   if cols else np.zeros((tgt.dim, 0), dtype=np.int64))
-            diffs[(s, t)] = FpMatrix(Y.ring.p, mat)
+            diffs[(s, t)] = FpMatrix(Y.ring.p, tgt.classes(images).T)
         out.append(SSPage(r, groups, diffs))
     return out
 
@@ -385,8 +364,8 @@ class ChainMap:
 @memo
 def chain_map(res: AdamsResolution, Y: RModule, r: int, s: int, t: int) -> ChainMap:
     """The chain map of d_r at slot (s, t), built once per (res, Y, r, s, t)."""
-    chart, p = CoupleChart(res, Y), Y.ring.p
-    gamma, beta = chart.gamma_mat(s, t), chart.beta_mat(s + r, t + r - 1)
+    p = Y.ring.p
+    gamma, beta = _gamma(res, Y, s, t), _beta(res, Y, s + r, t + r - 1)
     fibs = [alpha_fibers(res, Y, s + 1, t, j) for j in range(1, r)]
     last = alpha_fibers(res, Y, s + 1, t, r - 1)
     return ChainMap(tuple((f.K @ gamma.a % p, f.size()) for f in fibs),
@@ -409,8 +388,7 @@ def dr_set(res: AdamsResolution, Y: RModule, x: RMap, r: int,
         raise AdamsError(f"d_r needs r >= 1 and s >= 0, got r = {r}, s = {s}")
     if s + r >= res.length:  # the pushout needs p_{s+r}
         raise AdamsError("insufficient resolution length for this differential")
-    chart = CoupleChart(res, Y)
-    E0 = chart.E_space(s, t)
+    E0 = stable_hom(susp_ob(res.P[s], t), Y)
     if x.src != E0.src or x.tgt != Y:
         raise AdamsError("class does not live in the requested E_1 slot")
     cm, p = chain_map(res, Y, r, s, t), Y.ring.p
@@ -424,8 +402,7 @@ def dr_set(res: AdamsResolution, Y: RModule, x: RMap, r: int,
     if img.size() > cap:
         raise EnumerationOverflow(f"{img.size()} points exceeds cap {cap}")
     elems = span_points(p, img.representative.tolist(), img.basis.tolist())
-    Etgt = chart.E_space(s + r, t + r - 1)
-    return BracketSet(Etgt.src, Y, "direct", elems,
+    return BracketSet(susp_ob(res.P[s + r], t + r - 1), Y, "direct", elems,
                       tuple(tuple(int(v) for v in row) for row in img.basis),
                       None, {"r": r, "s": s, "t": t, "chains": cm.chains})
 

@@ -63,8 +63,17 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def as_array(v, p: int) -> np.ndarray:
+    """v as an int64 array reduced mod p; non-integer entries are refused,
+    not truncated."""
+    a = np.asarray(v)
+    if a.size and a.dtype.kind not in "iu":
+        raise LinAlgError(f"expected integer entries, got dtype {a.dtype}")
+    return a.astype(np.int64, copy=False) % p
+
+
 def as_vector(v, p: int) -> np.ndarray:
-    a = np.asarray(v, dtype=np.int64) % p
+    a = as_array(v, p)
     if a.ndim != 1:
         raise DimensionMismatch(f"expected a vector, got shape {a.shape}")
     return a

@@ -40,6 +40,7 @@ from .linalg import (
     DimensionMismatch,
     FpMatrix,
     LinAlgError,
+    as_array,
     enumerate_points,
     quotient,
     rank,
@@ -150,7 +151,7 @@ class StableHomSpace:
     def lifts(self, coords=None) -> np.ndarray:
         """(k, dim N, dim M) representatives of the classes whose stable
         coordinates are the rows of coords (by default the quotient basis)."""
-        c = np.asarray(np.eye(self.sdim) if coords is None else coords, dtype=np.int64) % self.p
+        c = as_array(np.eye(self.sdim, dtype=np.int64) if coords is None else coords, self.p)
         if c.ndim != 2 or c.shape[1] != self.sdim:
             raise DimensionMismatch(f"coordinates of shape {c.shape}, expected length {self.sdim}")
         return ((c @ self._lift) % self.p).reshape(len(c), self.tgt.dim, self.src.dim)

@@ -809,6 +809,8 @@ def restricted_higher_bracket(triangles, g: RMap, x: RMap, ctx=DIRECT,
     T(Sigma^{n-2} B, A).
     """
     triangles = list(triangles)
+    if not triangles:
+        raise BracketError("need at least one triangle")
     stages = restricted_tower(triangles, ctx, cap)
     read = restricted_read(triangles, stages, g, ctx.src(x), ctx)
     xc = ctx.hom(ctx.src(x), ctx.src(triangles[0].h)).stable_coords(x)

@@ -1,0 +1,77 @@
+"""The library refuses bad input with its own documented errors: each call
+below raises exactly the named engine error, never a raw numpy or Python
+exception, and never returns a silent answer."""
+
+import functools
+
+import numpy as np
+import pytest
+
+from stmodcat.adams import AdamsError, ProjectiveClass, adams_resolution, dr_set, pages
+from stmodcat.linalg import EnumerationOverflow, LinAlgError, as_vector
+from stmodcat.modrep import Ring, RingMismatch, identity_map, module_from_partition
+from stmodcat.stcat import stable_hom
+from stmodcat.toda import (BracketError, bracket3, bracket_read_off, bracket_tower,
+                           restricted_higher_bracket)
+
+R24 = Ring(2, 4)
+k = module_from_partition(R24, [1])
+M = module_from_partition(R24, [2])
+M3 = module_from_partition(R24, [3])
+
+
+@functools.cache
+def _res():
+    return adams_resolution(M, ProjectiveClass(k), 4)
+
+
+def _first(A, B):
+    return stable_hom(A, B).quotient_basis_maps()[0]
+
+
+R34_MAP = identity_map(module_from_partition(Ring(3, 4), [2]))
+
+
+def _tower():
+    # the tail (f_2, f_1) of <f_3, f_2, f_1> on k -> M -> k -> M3
+    return bracket_tower([_first(M, k), _first(k, M)], M3)
+
+
+CASES = {
+    "restricted bracket with no triangles": (
+        BracketError, lambda: restricted_higher_bracket([], identity_map(M), identity_map(M))),
+    "float stable coordinates": (
+        LinAlgError, lambda: stable_hom(M, M).from_stable_coords([0.7, 0.7])),
+    "float bracket membership": (
+        LinAlgError, lambda: (0.9,) in bracket3(_first(k, M3), _first(M, k), _first(k, M))),
+    "float bracket read-off": (
+        LinAlgError, lambda: bracket_read_off(_tower(), [0.5] * _tower().space.sdim)),
+    "bool stable coordinates": (
+        LinAlgError, lambda: stable_hom(M, M).from_stable_coords([True, False])),
+    "d_r of a class over another ring": (
+        AdamsError, lambda: dr_set(_res(), M, R34_MAP, 1)),
+    "resolution by a generator over another ring": (
+        RingMismatch, lambda: adams_resolution(M, ProjectiveClass(R34_MAP.src), 2)),
+    "reduction sequence out of range": (
+        BracketError, lambda: bracket_tower([_first(M, k), _first(k, M)], M3, jseq=(1,))),
+    "negative cap": (
+        EnumerationOverflow, lambda: dr_set(_res(), M, _first(_res().P[0], M), 1, cap=-1)),
+    "pages with r_max = 0": (AdamsError, lambda: pages(_res(), M, 0)),
+    "pages past the resolution length": (AdamsError, lambda: pages(_res(), M, 5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_bad_input_raises_the_named_engine_error(case):
+    err, call = CASES[case]
+    with pytest.raises(Exception) as raised:
+        call()
+    assert type(raised.value) is err, (type(raised.value), raised.value)
+
+
+def test_empty_input_stays_valid():
+    # an empty array has numpy's default float dtype, but no entry to truncate
+    S = stable_hom(M, M)
+    assert S.lifts(np.zeros((0, S.sdim))).shape == (0, M.dim, M.dim)
+    assert S.lifts().shape == (S.sdim, M.dim, M.dim)
+    assert as_vector([], 2).shape == (0,)
