@@ -17,11 +17,14 @@ the full set of E_1 representatives.
 A class x enters d_r and its bracket forms only linearly, through its
 stable coordinates, so everything else is built once and memoized: the
 fibers of each alpha^k (`alpha_fibers`, which Z_r, B_r and d_r's chains
-read), and per slot (r, s, t) the chains as one linear map (`chain_map`,
-read by `dr_set` and `pages`), the towers of the full, operations and
-(r = 2) connecting-map brackets (`bracket_slot`, one for every cap) and
-the restricted form's octahedron tower and read (`restricted_slot`), so
-a class costs a few small products per form.  The injective-variance
+read), and per slot the chains as one linear map (`chain_map`, read by
+`dr_set` and `pages`), the towers of the full, operations and (r = 2)
+connecting-map brackets (`bracket_slot`, one for every cap) and the
+restricted form's octahedron tower and read (`restricted_slot`), so a
+class costs a few small products per form.  A slot (r, s, t) reads only
+the stages s .. s+r, so it is keyed by that window of the resolution
+(`AdamsResolution.window`) and t: equal windows, as a periodic
+resolution repeats them, share one slot.  The injective-variance
 statements are exercised through the opposite context: the same
 resolution data, arrows reversed, feeds the generic restricted-bracket
 machinery.
@@ -44,6 +47,7 @@ from .linalg import (
     as_vector,
     extending,
     fibers,
+    identity_fibers,
     nullspace,
     quotient,
     rank,
@@ -193,9 +197,23 @@ class AdamsResolution:
 
     @functools.cached_property
     def key(self):
-        """The memo key: the stage maps fix every object of the tower (read
-        once; the stages are never changed after construction)."""
-        return tuple(f.key for f in self.w + self.p + self.dbar)
+        """The memo key: per stage, the keys of its three maps, which fix
+        every object of the tower (read once; the stages are never changed
+        after construction)."""
+        return tuple((w.key, p.key, d.key) for w, p, d in zip(self.w, self.p, self.dbar))
+
+    def window(self, s: int, r: int) -> "AdamsResolution":
+        """Stages s .. s+r, re-indexed from 0: all that a d_r slot at s reads.
+        Its `key`, the slice of ours for those stages, is the keys of its
+        maps, so equal windows are one slot."""
+        if s < 0 or r < 1 or s + r >= self.length:
+            raise AdamsError(f"a window needs s >= 0, r >= 1 and s + r < length "
+                             f"{self.length}, got s = {s}, r = {r}")
+        win = AdamsResolution(self.cls, self.X[s:s + r + 2], self.P[s:s + r + 1],
+                              self.w[s:s + r + 1], self.p[s:s + r + 1],
+                              self.dbar[s:s + r + 1])
+        win.key = self.key[s:s + r + 1]
+        return win
 
     def d1op(self, s: int) -> RMap:
         """The primary operation P_{s+1} -> P_s (degree-shifting in the tower)."""
@@ -255,7 +273,10 @@ def _alpha(res: AdamsResolution, Y: RModule, s: int, t: int) -> FpMatrix:
 def alpha_fibers(res: AdamsResolution, Y: RModule, s: int, t: int, k: int) -> Fibers:
     """The fibers (`linalg.fibers`) of alpha^k: D^{s+k,t+k} -> D^{s,t}, the
     identity at k = 0, which Z_r, B_r and d_r's chains all read."""
-    out = FpMatrix.identity(Y.ring.p, stable_hom(susp_ob(res.X[s], t), Y).sdim)
+    p, n = Y.ring.p, stable_hom(susp_ob(res.X[s], t), Y).sdim
+    if not k:
+        return identity_fibers(p, n)
+    out = FpMatrix.identity(p, n)
     for j in range(k):
         out = out @ _alpha(res, Y, s + j, t + j)
     return fibers(out)
@@ -339,7 +360,7 @@ def pages(res: AdamsResolution, Y: RModule, r_max: int) -> list[SSPage]:
             if tgt is None:
                 continue
             # one element of d_r[z] per cycle row z; its class is that of all
-            images = g.Z.a @ chain_map(res, Y, r, s, t).offset.T % Y.ring.p
+            images = g.Z.a @ chain_map(res.window(s, r), Y, r, t).offset.T % Y.ring.p
             diffs[(s, t)] = FpMatrix(Y.ring.p, tgt.classes(images).T)
         out.append(SSPage(r, groups, diffs))
     return out
@@ -350,10 +371,11 @@ class ChainMap:
     """d_r's chains of extensions at one slot, for every E_1 class x at once
     (`chain_map`).  The chains extend gamma(x) through the tower maps, one
     preimage under alpha per stage, so the stage-j ends are the fiber over
-    gamma(x) of alpha^j into D^{s+1,t} (`alpha_fibers`): a class gets past
-    stage j exactly when K_j gamma x = 0 (`stages`: that matrix and the
-    stage's chain count), and d_r[x] is the image under beta of the last
-    fiber, the point `offset` x along the fixed directions of `image`."""
+    gamma(x) of alpha^j into D^{s+1,t}, the window's D^{1,t}
+    (`alpha_fibers`): a class gets past stage j exactly when K_j gamma x = 0
+    (`stages`: that matrix and the stage's chain count), and d_r[x] is the
+    image under beta of the last fiber, the point `offset` x along the
+    fixed directions of `image`."""
 
     stages: tuple
     offset: np.ndarray
@@ -362,12 +384,13 @@ class ChainMap:
 
 
 @memo
-def chain_map(res: AdamsResolution, Y: RModule, r: int, s: int, t: int) -> ChainMap:
-    """The chain map of d_r at slot (s, t), built once per (res, Y, r, s, t)."""
+def chain_map(win: AdamsResolution, Y: RModule, r: int, t: int) -> ChainMap:
+    """The chain map of d_r at the slot of `win` (`AdamsResolution.window`)
+    and t, built once per (win, Y, r, t)."""
     p = Y.ring.p
-    gamma, beta = _gamma(res, Y, s, t), _beta(res, Y, s + r, t + r - 1)
-    fibs = [alpha_fibers(res, Y, s + 1, t, j) for j in range(1, r)]
-    last = alpha_fibers(res, Y, s + 1, t, r - 1)
+    gamma, beta = _gamma(win, Y, 0, t), _beta(win, Y, r, t + r - 1)
+    fibs = [alpha_fibers(win, Y, 1, t, j) for j in range(1, r)]
+    last = alpha_fibers(win, Y, 1, t, r - 1)
     return ChainMap(tuple((f.K @ gamma.a % p, f.size()) for f in fibs),
                     beta.a @ (last.T @ gamma.a % p) % p,
                     affine_image(last.kernel, beta), last.size())
@@ -391,7 +414,7 @@ def dr_set(res: AdamsResolution, Y: RModule, x: RMap, r: int,
     E0 = stable_hom(susp_ob(res.P[s], t), Y)
     if x.src != E0.src or x.tgt != Y:
         raise AdamsError("class does not live in the requested E_1 slot")
-    cm, p = chain_map(res, Y, r, s, t), Y.ring.p
+    cm, p = chain_map(res.window(s, r), Y, r, t), Y.ring.p
     xc = np.array(E0.stable_coords(x), dtype=np.int64)
     for j, (K, chains) in enumerate(cm.stages, start=1):
         if (K @ xc % p).any():
@@ -411,20 +434,21 @@ def dr_set(res: AdamsResolution, Y: RModule, x: RMap, r: int,
 # bracket forms of the differential
 
 
-def op_adams_data(res: AdamsResolution, r: int, s: int, t: int):
-    """Triangles and the capping map for the restricted form, in the opposite
-    context: triangle i is stage s+i's fiber triangle at level t+i, read as
-    the op-triangle X -> P -> X' -> Sigma_op X and suspended i times."""
+def op_adams_data(win: AdamsResolution, r: int, t: int):
+    """Triangles and the capping map for the restricted form of d_r at the
+    slot of `win` (`AdamsResolution.window`), in the opposite context:
+    triangle i is stage i's fiber triangle at level t+i, read as the
+    op-triangle X -> P -> X' -> Sigma_op X and suspended i times."""
     triangles = []
     for i in range(r):
-        sw, sp = susp_map(res.w[s + i], t + i), susp_map(res.p[s + i], t + i)
-        tri = rotate_back(Triangle(sw, sp, _connecting_map(res, s + i, t + i)))
+        sw, sp = susp_map(win.w[i], t + i), susp_map(win.p[i], t + i)
+        tri = rotate_back(Triangle(sw, sp, _connecting_map(win, i, t + i)))
         base = CtxTriangle(sp, sw, tri.f)
         for _ in range(i):
             base = suspend_ctx_triangle(OP, base)
         triangles.append(base)
-    # Sigma_op^{r-1} of the suspended p_{s+r}
-    return triangles, susp_map(susp_map(res.p[s + r], t + r - 1), 1 - r)
+    # Sigma_op^{r-1} of the suspended p_r (the resolution's p_{s+r})
+    return triangles, susp_map(susp_map(win.p[r], t + r - 1), 1 - r)
 
 
 @dataclass(frozen=True)
@@ -437,16 +461,16 @@ class RestrictedSlot:
 
 
 @memo
-def restricted_slot(res: AdamsResolution, Y: RModule, r: int, s: int, t: int,
+def restricted_slot(win: AdamsResolution, Y: RModule, r: int, t: int,
                     cap: int) -> RestrictedSlot:
-    """The x-free part of the restricted form of d_r at slot (r, s, t): the
-    read (`restricted_read`) of the octahedron tower on `op_adams_data`'s
-    triangles and capping map g, the matrix carrying the op bracket's
-    elements (maps into Omega^{r-1} Y) to maps into Y, and the tower's
-    x-free checks.  Built
-    once per (res, Y, r, s, t, cap): a smaller cap is a new slot, so it
-    refuses what a cold call refuses."""
-    triangles, g = op_adams_data(res, r, s, t)
+    """The x-free part of the restricted form of d_r at the slot of `win`
+    (`AdamsResolution.window`) and t: the read (`restricted_read`) of the
+    octahedron tower on `op_adams_data`'s triangles and capping map g, the
+    matrix carrying the op bracket's elements (maps into Omega^{r-1} Y) to
+    maps into Y, and the tower's x-free checks.  Built once per (win, Y, r,
+    t, cap): a smaller cap is a new slot, so it refuses what a cold call
+    refuses."""
+    triangles, g = op_adams_data(win, r, t)
     stages = restricted_tower(triangles, OP, cap)
     checks = {}
     if stages:
@@ -479,16 +503,16 @@ class BracketSlot:
 
 
 @memo
-def bracket_slot(res: AdamsResolution, Y: RModule, r: int, s: int, t: int) -> BracketSlot:
+def bracket_slot(win: AdamsResolution, Y: RModule, r: int, t: int) -> BracketSlot:
     """The towers of the full bracket through the cover, the bracket of the
     primary operations and, for r = 2, the bracket with the tower's
-    connecting map, each on the maps after x, built once per (res, Y, r, s,
-    t).  The towers hold no cap: one slot serves every cap, and their
-    read-offs refuse under the caller's."""
-    ops = [susp_map(res.d1op(s + j), t) for j in range(r)]
-    full = bracket_tower([susp_map(res.p[s + 1], t)] + ops[1:], Y)
-    delta = bracket_tower([ops[0], susp_map(res.w[s + 1], t)], Y) if r == 2 else None
-    return BracketSlot(pre_matrix(susp_map(res.w[s], t), Y), full, bracket_tower(ops, Y), delta)
+    connecting map, each on the maps after x, built once per (win, Y, r, t)
+    (`AdamsResolution.window`).  The towers hold no cap: one slot serves
+    every cap, and their read-offs refuse under the caller's."""
+    ops = [susp_map(win.d1op(j), t) for j in range(r)]
+    full = bracket_tower([susp_map(win.p[1], t)] + ops[1:], Y)
+    delta = bracket_tower([ops[0], susp_map(win.w[1], t)], Y) if r == 2 else None
+    return BracketSlot(pre_matrix(susp_map(win.w[0], t), Y), full, bracket_tower(ops, Y), delta)
 
 
 def _images(M: FpMatrix, rows) -> frozenset:
@@ -526,8 +550,9 @@ def dr_bracket_forms(res: AdamsResolution, Y: RModule, x: RMap, r: int,
     other brackets (`bracket_slot`), each read off at x's coordinates.
     """
     a_set = dr_set(res, Y, x, r, s, t, cap)
-    slot = restricted_slot(res, Y, r, s, t, cap)
-    towers = bracket_slot(res, Y, r, s, t)
+    win = res.window(s, r)
+    slot = restricted_slot(win, Y, r, t, cap)
+    towers = bracket_slot(win, Y, r, t)
     xc = stable_hom(x.src, Y).stable_coords(x)
 
     # (b) the (r+1)-fold bracket through the cover: x.w, p, then the

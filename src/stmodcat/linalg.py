@@ -90,14 +90,14 @@ class FpMatrix:
     def __init__(self, p: int, entries):
         if not (p < MAX_MODULUS and is_prime(p)):
             raise ModulusMismatch(f"modulus {p} is not a prime below {MAX_MODULUS}")
-        a = np.asarray(entries, dtype=np.int64)
+        a = as_array(entries, p)
         if a.ndim == 1:
             a = a.reshape(1, -1)
         if a.ndim != 2:
             raise DimensionMismatch(f"expected a 2-D array, got shape {a.shape}")
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "a", a % p)
-        self.a.setflags(write=False)
+        object.__setattr__(self, "a", a)
+        a.setflags(write=False)
 
     def __setattr__(self, *args):
         raise AttributeError("FpMatrix is immutable")
@@ -279,7 +279,7 @@ class AffineSpace:
         rep = as_vector(self.representative, self.p)
         if rep.shape[0] != self.ambient_dim:
             raise DimensionMismatch("representative length != ambient_dim")
-        b = np.asarray(self.basis, dtype=np.int64) % self.p
+        b = as_array(self.basis, self.p)
         if b.size == 0:
             b = np.zeros((b.shape[0] if b.ndim == 2 else 0, self.ambient_dim),
                          dtype=np.int64)
@@ -388,6 +388,14 @@ def fibers(M: FpMatrix) -> Fibers:
     basis = _kernel(R.a.tolist(), piv, n, M.p)[0].a
     return Fibers(R.a[len(piv):, n:], T,
                   _affine_space(M.p, np.zeros(n, dtype=np.int64), basis))
+
+
+def identity_fibers(p: int, n: int) -> Fibers:
+    """`fibers` of the n x n identity with no elimination: K is empty, T is
+    the identity and the kernel is zero-dimensional."""
+    return Fibers(np.zeros((0, n), dtype=np.int64), np.eye(n, dtype=np.int64),
+                  _affine_space(p, np.zeros(n, dtype=np.int64),
+                                np.zeros((0, n), dtype=np.int64)))
 
 
 def enumerate_points(space: AffineSpace, cap: int = 4096) -> list[np.ndarray]:

@@ -53,6 +53,7 @@ from .linalg import (
     as_vector,
     enumerate_points,
     fibers,
+    identity_fibers,
     in_span,
     preimage,
     row_space_basis,
@@ -523,7 +524,7 @@ class BracketTower:
             self.pre = ctx.pre_matrix(tail[0], Xn)
         else:
             I = FpMatrix.identity(self.p, self.space.sdim)
-            self.root = _Node(self, 0, list(tail), I, fibers(I))
+            self.root = _Node(self, 0, list(tail), I, identity_fibers(self.p, I.rows))
 
     def families(self, depth: int, c):
         """The path to every node at `depth` holding a branch at c, in the

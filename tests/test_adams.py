@@ -580,7 +580,7 @@ def _cycles(res, Y, r, t, cap=4096):
     return out
 
 
-def _per_class_restricted(res, Y, x, r, t, cap):
+def _per_class_restricted(res, Y, x, r, s, t, cap):
     """The restricted fields of a `DrFormsReport` as they were read before the
     tower moved into the slot: per class, the stage triangles, the tower
     (the loop of `restricted_tower`), the lift and read-off for x alone
@@ -593,13 +593,13 @@ def _per_class_restricted(res, Y, x, r, t, cap):
     assert r >= 2
     triangles = []
     for i in range(1, r + 1):
-        a, level = i - 1, t + i - 1
+        a, level = s + i - 1, t + i - 1
         sw, sp = susp_map(res.w[a], level), susp_map(res.p[a], level)
         base = CtxTriangle(sp, sw, rotate_back(Triangle(sw, sp, _connecting_map(res, a, level))).f)
         for _ in range(i - 1):
             base = suspend_ctx_triangle(OP, base)
         triangles.append(base)
-    g = susp_map(res.p[r], t + r - 1)
+    g = susp_map(res.p[s + r], t + r - 1)
     for _ in range(r - 1):
         g = OP.sigma_map(g)
     tri, stages = list(triangles), []
@@ -618,7 +618,7 @@ def _per_class_restricted(res, Y, x, r, t, cap):
         sigma_prime = OP.compose(st.q, sigma_prime)
     b = -OP.compose(g, stages[-1].beta)
     extends = stably_equal(OP.compose(b, -sigma_prime), OP.compose(g, triangles[-1].h))
-    equal = c_elems == dr_set(res, Y, x, r, 0, t, cap).elements
+    equal = c_elems == dr_set(res, Y, x, r, s, t, cap).elements
     return {"restricted_elements": c_elems, "w_filtered_elements": c_elems,
             "equal_restricted": equal, "equal_w_filtered": equal}, extends
 
@@ -641,7 +641,7 @@ def test_the_restricted_tower_is_built_once_per_slot(p, m, a, r, monkeypatch):
     for t in (0, 1):
         xs = _cycles(res, Y, r, t)
         assert len(xs) >= 2
-        want = [_per_class_restricted(res, Y, x, r, t, cap) for x in xs]
+        want = [_per_class_restricted(res, Y, x, r, 0, t, cap) for x in xs]
         calls = []
 
         def counted(fn):
@@ -679,7 +679,7 @@ def test_slot_transport_is_the_per_element_loop(p):
     res, Y = _ghost_resolution(p, 4, 2, 6)
     nonzero = 0
     for r, t in itertools.product((1, 2, 3), range(4)):
-        slot = restricted_slot(res, Y, r, 0, t, 4096)
+        slot = restricted_slot(res.window(0, r), Y, r, t, 4096)
         comp = sigma_omega_comparison(Y, r - 1)
         E0 = stable_hom(susp_ob(res.P[0], t), Y)
         for c in itertools.product(range(p), repeat=E0.sdim):
@@ -701,8 +701,8 @@ def test_a_warm_restricted_read_refuses_filler_pairs_as_a_cold_call(p, m, a, r, 
     from stmodcat.toda import restricted_higher_bracket, restricted_read_off, restricted_tower
 
     res, Y = _ghost_resolution(p, m, a, r + 1)
-    triangles, g = op_adams_data(res, r, 0, 0)
-    read = restricted_slot(res, Y, r, 0, 0, 4096).read
+    triangles, g = op_adams_data(res.window(0, r), r, 0)
+    read = restricted_slot(res.window(0, r), Y, r, 0, 4096).read
     want = f"{read.lifts.size()} filler pairs exceed cap {cap}"
     assert read.lifts.size() > cap
     E0 = stable_hom(res.P[0], Y)
@@ -838,8 +838,8 @@ def test_coordinates_of_the_wrong_length_raise_dimension_mismatch():
     # class's stable coordinates: each names the length it expects
     res, Y = _ghost_resolution(2, 4, 2, 4)
     S = stable_hom(Y, Y)
-    towers = bracket_slot(res, Y, 2, 0, 0)
-    read = restricted_slot(res, Y, 2, 0, 0, 4096).read
+    towers = bracket_slot(res.window(0, 2), Y, 2, 0)
+    read = restricted_slot(res.window(0, 2), Y, 2, 0, 4096).read
     entries = {
         "lifts": (S.sdim, lambda c: S.lifts([c])),
         "from_stable_coords": (S.sdim, S.from_stable_coords),
@@ -941,7 +941,7 @@ def _cold_forms(res, Y, x, r, s, t, cap):
     chain += [susp_map(res.d1op(s + j), t) for j in range(1, r)]
     full = higher_bracket(chain, cap=cap)
     ops = higher_bracket([x] + [susp_map(res.d1op(s + j), t) for j in range(r)], cap=cap)
-    fields, extends = _per_class_restricted(res, Y, x, r, t, cap)
+    fields, extends = _per_class_restricted(res, Y, x, r, s, t, cap)
     c_elems = fields["restricted_elements"]
     checks = {"extension_over_sigma_prime": extends,
               "dr_subset_of_operations_bracket": a_set.elements <= ops.elements}
@@ -1015,6 +1015,41 @@ def test_the_bracket_towers_and_chain_map_are_built_once_per_slot(p, m, a, r, mo
         for rep, cold in zip(reports, want):
             _assert_forms_are_cold(rep, cold)
         assert [d.elements for d in reports[len(xs):]] == [w.dr.elements for w in want]
+
+
+@pytest.mark.parametrize("p, m, parts, rs, windows", [
+    (2, 4, [2], (2, 3), 1), (3, 4, [2], (2, 3), 1), (3, 5, [2, 1], (2,), 3)])
+def test_equal_windows_share_a_slot_and_read_every_class_as_a_cold_call(p, m, parts, rs,
+                                                                         windows):
+    # the benchmark's resolutions: over k, R/x^2 repeats its stages, so every
+    # window is one slot; on R/x^2 + k only the windows at s = 1 and s = 3
+    # are equal, so a key that ignored a stage would share too many slots.
+    # A window's key, sliced off the resolution's, is the one it would read
+    import dataclasses
+
+    import stmodcat
+
+    stmodcat.clear_caches()
+    ring = Ring(p, m)
+    Y = module_from_partition(ring, parts)
+    res = adams_resolution(Y, ProjectiveClass(module_from_partition(ring, [1])), 6)
+    for r, t in itertools.product(rs, (0, 1)):
+        before = stmodcat.cache_stats()
+        for s in range(res.length - r):
+            win = res.window(s, r)
+            assert win.key == dataclasses.replace(win).key
+            E0 = stable_hom(susp_ob(res.P[s], t), Y)
+            for c in itertools.product(range(p), repeat=E0.sdim):
+                x = E0.from_stable_coords(c)
+                warm = _outcome(dr_bracket_forms, res, Y, x, r, s, t)
+                cold = _outcome(_cold_forms, res, Y, x, r, s, t, 4096)
+                if isinstance(cold, tuple):
+                    assert warm == cold, (r, s, t, c)
+                else:
+                    _assert_forms_are_cold(warm, cold)
+        after = stmodcat.cache_stats()
+        for name in ("adams.bracket_slot", "adams.restricted_slot"):
+            assert after[name].misses - before[name].misses == windows, (name, r, t)
 
 
 # the slots of test_forms_agree_where_d_r_is_nonzero_for_r_at_least_3, and

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from stmodcat.adams import AdamsError, ProjectiveClass, adams_resolution, dr_set, pages
-from stmodcat.linalg import EnumerationOverflow, LinAlgError, as_vector
+from stmodcat.linalg import AffineSpace, EnumerationOverflow, FpMatrix, LinAlgError, as_vector
 from stmodcat.modrep import Ring, RingMismatch, identity_map, module_from_partition
 from stmodcat.stcat import stable_hom
 from stmodcat.toda import (BracketError, bracket3, bracket_read_off, bracket_tower,
@@ -58,6 +58,11 @@ CASES = {
         EnumerationOverflow, lambda: dr_set(_res(), M, _first(_res().P[0], M), 1, cap=-1)),
     "pages with r_max = 0": (AdamsError, lambda: pages(_res(), M, 0)),
     "pages past the resolution length": (AdamsError, lambda: pages(_res(), M, 5)),
+    "window at a negative stage": (AdamsError, lambda: _res().window(-1, 2)),
+    "window with r = 0": (AdamsError, lambda: _res().window(0, 0)),
+    "window past the resolution length": (AdamsError, lambda: _res().window(2, 2)),
+    "float matrix entries": (LinAlgError, lambda: FpMatrix(2, [[0.7, 1.9]])),
+    "float affine basis": (LinAlgError, lambda: AffineSpace(2, 2, [0, 0], [[0.5, 1.5]])),
 }
 
 
@@ -75,3 +80,5 @@ def test_empty_input_stays_valid():
     assert S.lifts(np.zeros((0, S.sdim))).shape == (0, M.dim, M.dim)
     assert S.lifts().shape == (S.sdim, M.dim, M.dim)
     assert as_vector([], 2).shape == (0,)
+    assert FpMatrix(2, []).a.shape == (1, 0)
+    assert AffineSpace(2, 2, [0, 0], []).basis.shape == (0, 2)

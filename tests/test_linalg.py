@@ -14,6 +14,7 @@ from stmodcat.linalg import (
     enumerate_points,
     extending,
     fibers,
+    identity_fibers,
     in_span,
     nullspace,
     preimage,
@@ -435,6 +436,18 @@ def test_fibers_are_the_solve_over_every_right_hand_side(M):
             assert np.array_equal(got.representative, want.representative)
             assert np.array_equal(got.basis, want.basis)
             assert F.size() == want.size()
+
+
+@pytest.mark.parametrize("p, n", itertools.product((2, 3, 5), range(7)))
+def test_identity_fibers_are_the_reduced_ones(p, n):
+    want, got = fibers(FpMatrix.identity(p, n)), identity_fibers(p, n)
+    for name in ("K", "T"):
+        a, b = getattr(want, name), getattr(got, name)
+        assert (a.shape, a.dtype) == (b.shape, b.dtype) and np.array_equal(a, b), name
+    for name in ("p", "ambient_dim", "representative", "basis"):
+        a, b = getattr(want.kernel, name), getattr(got.kernel, name)
+        assert np.shape(a) == np.shape(b) and np.array_equal(a, b), name
+        assert getattr(a, "dtype", None) == getattr(b, "dtype", None), name
 
 
 @given(fp_matrices(), st.data())

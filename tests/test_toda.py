@@ -626,7 +626,7 @@ def _restricted_case(case):
     B = module_from_partition(ring, [rest[-1]])
     if kind == "op":
         r, t, _ = rest
-        triangles, g = op_adams_data(res, r, 0, t)
+        triangles, g = op_adams_data(res.window(0, r), r, t)
         ctx, space = OP, stable_hom(susp_ob(res.P[0], t), B)
     else:
         n = rest[0]
