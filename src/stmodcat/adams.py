@@ -246,11 +246,11 @@ def adams_resolution(M: RModule, cls: ProjectiveClass,
 # the exact couple and its pages
 
 
-def _connecting_map(res: AdamsResolution, s: int, t: int) -> RMap:
-    """(-1)^t Sigma^t dbar_s: the connecting map of the t-th suspension of
-    stage s's triangle, since suspending a distinguished triangle negates
-    its connecting map."""
-    sd = susp_map(res.dbar[s], t)
+def _connecting_map(dbar: RMap, t: int) -> RMap:
+    """(-1)^t Sigma^t dbar: the connecting map of the t-th suspension of
+    the stage's triangle, since suspending a distinguished triangle
+    negates its connecting map."""
+    sd = susp_map(dbar, t)
     return -sd if t % 2 else sd
 
 
@@ -264,21 +264,17 @@ def _beta(res: AdamsResolution, Y: RModule, s: int, t: int) -> FpMatrix:
     return pre_matrix(susp_map(res.p[s], t), Y)
 
 
-def _alpha(res: AdamsResolution, Y: RModule, s: int, t: int) -> FpMatrix:
-    """D^{s+1,t+1} -> D^{s,t}: precompose the signed connecting map."""
-    return pre_matrix(_connecting_map(res, s, t), Y)
-
-
 @memo
-def alpha_fibers(res: AdamsResolution, Y: RModule, s: int, t: int, k: int) -> Fibers:
-    """The fibers (`linalg.fibers`) of alpha^k: D^{s+k,t+k} -> D^{s,t}, the
-    identity at k = 0, which Z_r, B_r and d_r's chains all read."""
-    p, n = Y.ring.p, stable_hom(susp_ob(res.X[s], t), Y).sdim
-    if not k:
+def alpha_fibers(X: RModule, Y: RModule, t: int, *dbar: RMap) -> Fibers:
+    """The fibers (`linalg.fibers`) of alpha^k: D^{s+k,t+k} -> D^{s,t}, for
+    X = X_s and the k maps dbar_s .. dbar_{s+k-1}; the identity at k = 0.
+    Z_r, B_r and d_r's chains read it by the maps it composes."""
+    p, n = Y.ring.p, stable_hom(susp_ob(X, t), Y).sdim
+    if not dbar:
         return identity_fibers(p, n)
     out = FpMatrix.identity(p, n)
-    for j in range(k):
-        out = out @ _alpha(res, Y, s + j, t + j)
+    for j, d in enumerate(dbar):
+        out = out @ pre_matrix(_connecting_map(d, t + j), Y)
     return fibers(out)
 
 
@@ -325,7 +321,7 @@ class SSPage:
 
 def _zr_rows(res: AdamsResolution, Y: RModule, s: int, t: int, r: int) -> FpMatrix:
     # the cycles e with gamma(e) in the image of alpha^{r-1}: K gamma(e) = 0
-    K, gamma = alpha_fibers(res, Y, s + 1, t, r - 1).K, _gamma(res, Y, s, t)
+    K, gamma = alpha_fibers(res.X[s + 1], Y, t, *res.dbar[s + 1:s + r]).K, _gamma(res, Y, s, t)
     return row_space_basis(nullspace(FpMatrix(gamma.p, K @ gamma.a)))
 
 
@@ -333,7 +329,7 @@ def _br_rows(res: AdamsResolution, Y: RModule, s: int, t: int, r: int) -> FpMatr
     # beta of the kernel of alpha^{r-1} out of D^{s,t}; below stage 0 the
     # tower is extended by identities, so the chain stops at stage 0
     k = min(r - 1, s)
-    ker = alpha_fibers(res, Y, s - k, t - k, k).kernel.basis
+    ker = alpha_fibers(res.X[s - k], Y, t - k, *res.dbar[s - k:s]).kernel.basis
     return row_space_basis(FpMatrix(Y.ring.p, ker @ _beta(res, Y, s, t).a.T))
 
 
@@ -389,8 +385,8 @@ def chain_map(win: AdamsResolution, Y: RModule, r: int, t: int) -> ChainMap:
     and t, built once per (win, Y, r, t)."""
     p = Y.ring.p
     gamma, beta = _gamma(win, Y, 0, t), _beta(win, Y, r, t + r - 1)
-    fibs = [alpha_fibers(win, Y, 1, t, j) for j in range(1, r)]
-    last = alpha_fibers(win, Y, 1, t, r - 1)
+    fibs = [alpha_fibers(win.X[1], Y, t, *win.dbar[1:j + 1]) for j in range(1, r)]
+    last = alpha_fibers(win.X[1], Y, t, *win.dbar[1:r])
     return ChainMap(tuple((f.K @ gamma.a % p, f.size()) for f in fibs),
                     beta.a @ (last.T @ gamma.a % p) % p,
                     affine_image(last.kernel, beta), last.size())
@@ -442,7 +438,7 @@ def op_adams_data(win: AdamsResolution, r: int, t: int):
     triangles = []
     for i in range(r):
         sw, sp = susp_map(win.w[i], t + i), susp_map(win.p[i], t + i)
-        tri = rotate_back(Triangle(sw, sp, _connecting_map(win, i, t + i)))
+        tri = rotate_back(Triangle(sw, sp, _connecting_map(win.dbar[i], t + i)))
         base = CtxTriangle(sp, sw, tri.f)
         for _ in range(i):
             base = suspend_ctx_triangle(OP, base)

@@ -5,7 +5,7 @@ object witnesses.
 All computations are exact: the defining lifting and extension problems
 are solved as affine spaces inside finite stable hom groups, and the
 composites over every pair of solutions are read off the composites of
-their generators (`_composite_set`): one affine space where the cross
+their generators (`_composites`): one affine space where the cross
 block is zero, as in every family, else the bilinear expansion over the
 pairs (`_pair_coords`).  An n-fold bracket <f_n, ..., f_1> is built in
 two steps.  f_n only ever sits on an extension side, so everything else
@@ -202,13 +202,19 @@ def _coord_set(rows: np.ndarray) -> frozenset:
 
 def _composite_set(ctx, A, C, B, alpha_sols, beta_sols) -> frozenset:
     """Stable coordinates of every composite b . a, a in alpha_sols, b in
-    beta_sols.  With a zero cross block G[1:, 1:] (always when a side is
-    one point) they are one affine space, G[0, 0] plus the span of G[1:, 0]
-    and G[0, 1:]; otherwise every pair is expanded (`_pair_coords`)."""
+    beta_sols (`_composites` of their generator composites)."""
     G = _generator_composites(ctx, A, C, B, alpha_sols, beta_sols)
-    if G[1:, 1:].any():
-        return _coord_set(_pair_coords(G, alpha_sols, beta_sols))
-    return span_points(alpha_sols.p, G[0, 0].tolist(), G[1:, 0].tolist() + G[0, 1:].tolist())
+    return _composites(G[0], G[1:], alpha_sols, beta_sols)
+
+
+def _composites(row, dirs, alpha_sols, beta_sols) -> frozenset:
+    """The composites b . a read off their generator composites G = [row;
+    dirs].  With a zero cross block dirs[:, 1:] (always when a side is one
+    point) they are one affine space, row[0] plus the span of dirs[:, 0]
+    and row[1:]; otherwise every pair is expanded (`_pair_coords`)."""
+    if dirs[:, 1:].any():
+        return _coord_set(_pair_coords(np.concatenate([row[None], dirs]), alpha_sols, beta_sols))
+    return span_points(alpha_sols.p, row[0].tolist(), dirs[:, 0].tolist() + row[1:].tolist())
 
 
 def indeterminacy_basis(ctx, f3, f2, f1) -> tuple:
@@ -452,12 +458,12 @@ class _Node:
         family before the last, sigma_alpha (j = 0) or beta (j = 1)."""
         t, ctx, maps = self.tower, self.tower.ctx, self.maps
         if t.n == 3:
-            return [_Last(t, self.M, maps[0], maps[1])]
+            return [_Last(t, self.M, maps[0], _single(ctx, -ctx.sigma_map(maps[1])))]
         fam = self.family
         SX = ctx.sigma_ob(ctx.src(maps[fam.j + 1]))
         if fam.j == 0:
-            sf1 = ctx.sigma_map(maps[2])
-            return [_Last(t, self.M @ fam.P, a, sf1) for a in ctx.classes(SX, fam.C, fam.A)]
+            target = _single(ctx, -ctx.sigma_map(ctx.sigma_map(maps[2])))
+            return [_Last(t, self.M @ fam.P, a, target) for a in ctx.classes(SX, fam.C, fam.A)]
         # every beta's children lift one of -Sigma(sigma_alpha), a in A
         N = ctx.hom(SX, fam.C).matrix_to(ctx.hom(t.Samb, ctx.sigma_ob(fam.C)),
                                          lambda u: -ctx.sigma_map(u))
@@ -467,23 +473,21 @@ class _Node:
 
 
 class _Last:
-    """A last-stage group: the branches sharing the middle map `mid`.  f1 is
-    the map whose -Sigma they lift, or (j = 1) the affine space of those
-    targets; either way the lifts are fixed.  Their extensions over the
+    """A last-stage group: the branches sharing the middle map `mid`, whose
+    lifts are the preimage of `targets`, the classes -Sigma f1 they lift
+    (one point but at j = 1), and so are fixed.  Their extensions over the
     parent's leftmost b are the fiber over b of the cone map's
     precomposition, so over c the fiber of M times it (`fib`), M taking
     in the parent's P at j = 0.  Composition is bilinear, so the generator
-    composites G of `_composite_set` are the composites of every basis
+    composites G of `_composites` are the composites of every basis
     class of T(C, X_n) with the lift generators, read at the fiber's
     generators: the direction rows (`dirs`) and so the cross block are
     fixed, and the offset's row is one product with c (`offset`)."""
 
-    def __init__(self, tower, M, mid, f1):
+    def __init__(self, tower, M, mid, targets):
         ctx, p = tower.ctx, tower.p
         C, q, iota = ctx.cone(mid)
-        self.lifts = (preimage(ctx.post_matrix(iota, tower.Samb), f1)
-                      if isinstance(f1, AffineSpace)
-                      else ctx.solve_post(iota, -ctx.sigma_map(f1)))
+        self.lifts = preimage(ctx.post_matrix(iota, tower.Samb), targets)
         if self.lifts is None:
             return
         self.fib = fibers(M @ ctx.pre_matrix(q, tower.Xn))
@@ -492,15 +496,12 @@ class _Last:
         self.offset = self.fib.T.T @ flat % p
         self.dirs = (self.fib.kernel.basis @ flat % p).reshape(
             (self.fib.kernel.dim,) + H.shape[1:])
-        self.cross = self.dirs[:, 1:].any()
 
     def read(self, c, p: int) -> frozenset:
-        """Every composite of the group at c (`_composite_set`)."""
+        """Every composite of the group at c (`_composites`): the fiber at c
+        is a translate of the kernel, with the same coefficient rows."""
         row = (c @ self.offset % p).reshape(self.dirs.shape[1:])
-        if self.cross:
-            G = np.concatenate([row[None], self.dirs])
-            return _coord_set(_pair_coords(G, self.lifts, self.fib.at(c)))
-        return span_points(p, row[0].tolist(), self.dirs[:, 0].tolist() + row[1:].tolist())
+        return _composites(row, self.dirs, self.lifts, self.fib.kernel)
 
 
 class BracketTower:
@@ -610,6 +611,8 @@ def bracket_read_off(tower: BracketTower, coords, cap: int = 4096) -> BracketSet
         raise DimensionMismatch(f"coordinates of length {len(c)}, expected {t.space.sdim}")
     meta = {"n": t.n, "jseq": t.jseq}
     if t.n == 2:
+        if cap < 1:
+            raise EnumerationOverflow(f"1 bracket branches exceed cap {cap}")
         elements = frozenset([tuple(int(v) for v in t.pre.apply(c))])
         return BracketSet(t.Samb, t.Xn, t.ctx.name, elements, None, None,
                           {**meta, "branches": 1})

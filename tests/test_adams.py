@@ -9,10 +9,11 @@ from conftest import restricted_per_class
 
 from stmodcat.adams import (
     AdamsError,
+    AdamsResolution,
     NotACycle,
     ProjectiveClass,
-    _alpha,
     _beta,
+    _connecting_map,
     _br_rows,
     _gamma,
     _zr_rows,
@@ -52,6 +53,7 @@ from stmodcat.modrep import (
 from stmodcat.stcat import (
     DIRECT,
     is_stably_zero,
+    pre_matrix,
     stable_coords,
     stable_hom,
     stably_equal,
@@ -588,14 +590,14 @@ def _per_class_restricted(res, Y, x, r, s, t, cap):
     the extension over sigma'."""
     from stmodcat.stcat import OP, Triangle, rotate_back, sigma_omega_comparison, stable_coords
     from stmodcat.toda import CtxTriangle, _restricted_octahedron, suspend_ctx_triangle
-    from stmodcat.adams import _connecting_map
 
     assert r >= 2
     triangles = []
     for i in range(1, r + 1):
         a, level = s + i - 1, t + i - 1
         sw, sp = susp_map(res.w[a], level), susp_map(res.p[a], level)
-        base = CtxTriangle(sp, sw, rotate_back(Triangle(sw, sp, _connecting_map(res, a, level))).f)
+        tri = rotate_back(Triangle(sw, sp, _connecting_map(res.dbar[a], level)))
+        base = CtxTriangle(sp, sw, tri.f)
         for _ in range(i - 1):
             base = suspend_ctx_triangle(OP, base)
         triangles.append(base)
@@ -783,7 +785,7 @@ def _alpha_product(res, Y, s, t, k):
     """alpha^k: D^{s+k,t+k} -> D^{s,t} as one product of the alpha maps."""
     out = FpMatrix.identity(Y.ring.p, stable_hom(susp_ob(res.X[s], t), Y).sdim)
     for j in range(k):
-        out = out @ _alpha(res, Y, s + j, t + j)
+        out = out @ pre_matrix(_connecting_map(res.dbar[s + j], t + j), Y)
     return out
 
 
@@ -864,7 +866,7 @@ def _per_class_chains(res, Y, s, t, r, coords, cap=None):
     space = AffineSpace(Y.ring.p, g.shape[0], g,
                         np.zeros((0, g.shape[0]), dtype=np.int64))
     for j in range(1, r):
-        space = preimage(_alpha(res, Y, s + j, t + j - 1), space)
+        space = preimage(pre_matrix(_connecting_map(res.dbar[s + j], t + j - 1), Y), space)
         if space is None:
             raise NotACycle(f"x is not a d_{r-1}-cycle: extension fails at stage {j}")
         if cap is not None and space.size() > cap:
@@ -1050,6 +1052,69 @@ def test_equal_windows_share_a_slot_and_read_every_class_as_a_cold_call(p, m, pa
         after = stmodcat.cache_stats()
         for name in ("adams.bracket_slot", "adams.restricted_slot"):
             assert after[name].misses - before[name].misses == windows, (name, r, t)
+
+
+def test_a_window_that_differs_only_in_its_last_stage_is_its_own_slot():
+    # windows of one resolution that agree in their first stage agree in all
+    # (ghost_cover and fiber_triangle are deterministic), so alt is built by
+    # hand: p_2 of the R/x^2 resolution over p=3 m=4 scaled by 2.  Window
+    # (0, 2) of alt shares stages 0-1 with res's and differs in stage 2, and
+    # so does d_2 of the E_1 basis classes: a key that ignored the last
+    # stage would read alt off res's chain map
+    import stmodcat
+
+    res, Y = _ghost_resolution(3, 4, 2, 4)
+    alt = AdamsResolution(res.cls, res.X, res.P, res.w,
+                          res.p[:2] + [res.p[2].scale(2)] + res.p[3:], res.dbar)
+    assert alt.key[:2] == res.key[:2] and alt.key[2] != res.key[2]
+    classes = {t: stable_hom(susp_ob(res.P[0], t), Y).quotient_basis_maps() for t in (0, 1)}
+
+    def sweep(r):
+        return [dr_set(r, Y, x, 2, 0, t) for t, xs in classes.items() for x in xs]
+
+    stmodcat.clear_caches()
+    cold = sweep(alt)
+    stmodcat.clear_caches()
+    first = sweep(res)
+    before = stmodcat.cache_stats()["adams.chain_map"].misses
+    warm = sweep(alt)
+    assert stmodcat.cache_stats()["adams.chain_map"].misses == before + 2
+    assert warm == cold
+    assert [d.elements for d in first[:2]] == [{(2, 2)}, {(1, 1)}]
+    assert [d.elements for d in warm[:2]] == [{(1, 1)}, {(2, 2)}]
+
+
+def test_pages_and_every_dr_slot_share_one_reduction_per_alpha_chain():
+    # p=3 m=4 R/x^2 over k: pages, then d_r of the zero class at every slot.
+    # A chain alpha^k out of D^{s+k,t+k} is its stage X_s, t and its maps
+    # dbar_s .. dbar_{s+k-1}, wherever they sit: pages reads Z_r's and
+    # B_r's, a slot's chain map those from s + 1 for j = 1 .. r-1 (j = 0 at
+    # r = 1).  Each is reduced once, so the sweep misses only the chains
+    # pages did not read
+    import stmodcat
+
+    def chain(s, t, k):
+        return (res.X[s].key, t) + tuple(d.key for d in res.dbar[s:s + k])
+
+    def misses():
+        return stmodcat.cache_stats()["adams.alpha_fibers"].misses
+
+    stmodcat.clear_caches()
+    res, Y = _ghost_resolution(3, 4, 2, 6)
+    ts = range(res.cls.period + 1)
+    pages(res, Y, 3)
+    read = {c for r, s, t in itertools.product((1, 2, 3), range(res.length - 2), ts)
+            for c in (chain(s + 1, t, r - 1), chain(s - min(r - 1, s), t - min(r - 1, s),
+                                                    min(r - 1, s)))}
+    assert misses() == len(read)
+    swept = set()
+    for r in range(1, res.length):
+        for s, t in itertools.product(range(res.length - r), ts):
+            E0 = stable_hom(susp_ob(res.P[s], t), Y)
+            dr_set(res, Y, E0.from_stable_coords([0] * E0.sdim), r, s, t)
+            swept |= {chain(s + 1, t, j) for j in {*range(1, r), r - 1}}
+    assert swept & read and swept - read
+    assert misses() == len(read | swept)
 
 
 # the slots of test_forms_agree_where_d_r_is_nonzero_for_r_at_least_3, and

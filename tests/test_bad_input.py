@@ -9,10 +9,10 @@ import pytest
 
 from stmodcat.adams import AdamsError, ProjectiveClass, adams_resolution, dr_set, pages
 from stmodcat.linalg import AffineSpace, EnumerationOverflow, FpMatrix, LinAlgError, as_vector
-from stmodcat.modrep import Ring, RingMismatch, identity_map, module_from_partition
+from stmodcat.modrep import Ring, RingMismatch, identity_map, module_from_partition, mu_map
 from stmodcat.stcat import stable_hom
 from stmodcat.toda import (BracketError, bracket3, bracket_read_off, bracket_tower,
-                           restricted_higher_bracket)
+                           higher_bracket, restricted_higher_bracket)
 
 R24 = Ring(2, 4)
 k = module_from_partition(R24, [1])
@@ -30,6 +30,8 @@ def _first(A, B):
 
 
 R34_MAP = identity_map(module_from_partition(Ring(3, 4), [2]))
+# <g, f> over p=2 m=3: f = mu(x): R/x -> R/x^2, g = mu(1): R/x^2 -> R/x
+TWOFOLD = [mu_map(Ring(2, 3), 2, 1, 0), mu_map(Ring(2, 3), 1, 2, 1)]
 
 
 def _tower():
@@ -56,6 +58,10 @@ CASES = {
         BracketError, lambda: bracket_tower([_first(M, k), _first(k, M)], M3, jseq=(1,))),
     "negative cap": (
         EnumerationOverflow, lambda: dr_set(_res(), M, _first(_res().P[0], M), 1, cap=-1)),
+    "2-fold bracket under cap 0": (
+        EnumerationOverflow, lambda: higher_bracket(TWOFOLD, cap=0)),
+    "2-fold bracket under a negative cap": (
+        EnumerationOverflow, lambda: higher_bracket(TWOFOLD, cap=-3)),
     "pages with r_max = 0": (AdamsError, lambda: pages(_res(), M, 0)),
     "pages past the resolution length": (AdamsError, lambda: pages(_res(), M, 5)),
     "window at a negative stage": (AdamsError, lambda: _res().window(-1, 2)),

@@ -109,6 +109,17 @@ def test_engine_error_exit_code(tmp_path):
     assert proc.returncode == 1
 
 
+def test_a_2_fold_bracket_under_cap_0_is_refused(tmp_path):
+    # --max-enumerate 0 refuses every enumeration, the one element of <g, f> too
+    f = tmp_path / "two.toda"
+    f.write_text("ring p=2 m=3\nmodule k = [1]\nmodule M = [2]\n"
+                 "map f: k -> M = mu(x)\nmap g: M -> k = mu(1)\nnbracket g f\n")
+    assert run_cli([str(f)]).returncode == 0
+    proc = run_cli([str(f), "--max-enumerate", "0"])
+    assert proc.returncode == 1
+    assert "nbracket g f" in proc.stderr and "1 bracket branches exceed cap 0" in proc.stderr
+
+
 def test_negative_cap_is_a_validation_error():
     # 0 stays a valid cap (it forces an overflow); below 0 is refused up front
     proc = run_cli([str(SESSIONS / "prop_a1.toda"), "--max-enumerate=-1"])
