@@ -24,7 +24,11 @@ restricted form's octahedron tower and read (`restricted_slot`), so a
 class costs a few small products per form.  A slot (r, s, t) reads only
 the stages s .. s+r, so it is keyed by that window of the resolution
 (`AdamsResolution.window`) and t: equal windows, as a periodic
-resolution repeats them, share one slot.  The injective-variance
+resolution repeats them, share one slot.  On top of a slot, a class's
+d_r set (`_dr_read`) and its bracket forms (`_forms_read`) are read once
+per (window, Y, r, t, class coordinates, cap); `dr_set` and
+`dr_bracket_forms` check the query first and add only what depends on
+the call: s, and fresh metadata and report dicts.  The injective-variance
 statements are exercised through the opposite context: the same
 resolution data, arrows reversed, feeds the generic restricted-bracket
 machinery.
@@ -33,7 +37,7 @@ machinery.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -143,8 +147,10 @@ class ProjectiveClass:
                    for Gn in self.shifts())
 
 
+@memo
 def ghost_cover(M: RModule, cls: ProjectiveClass) -> tuple[RModule, RMap]:
-    """A cover P -> M built on module generators of the graded stable groups.
+    """A cover P -> M built on module generators of the graded stable groups,
+    built once per (M, cls).
 
     One summand Sigma^n G per generator of +_n T(Sigma^n G, M) over the
     graded stable endomorphism ring of G.  Quotient basis map i has stable
@@ -319,18 +325,21 @@ class SSPage:
     differentials: dict
 
 
-def _zr_rows(res: AdamsResolution, Y: RModule, s: int, t: int, r: int) -> FpMatrix:
-    # the cycles e with gamma(e) in the image of alpha^{r-1}: K gamma(e) = 0
-    K, gamma = alpha_fibers(res.X[s + 1], Y, t, *res.dbar[s + 1:s + r]).K, _gamma(res, Y, s, t)
+@memo
+def _zr_rows(X: RModule, Y: RModule, t: int, w: RMap, *dbar: RMap) -> FpMatrix:
+    # Z_r at (s, t), for X = X_{s+1}, w = w_s and the r-1 maps dbar_{s+1} ..
+    # dbar_{s+r-1}: the cycles e with gamma(e) in the image of alpha^{r-1},
+    # K gamma(e) = 0; keyed, like alpha_fibers, by the maps it reads
+    K, gamma = alpha_fibers(X, Y, t, *dbar).K, pre_matrix(susp_map(w, t), Y)
     return row_space_basis(nullspace(FpMatrix(gamma.p, K @ gamma.a)))
 
 
-def _br_rows(res: AdamsResolution, Y: RModule, s: int, t: int, r: int) -> FpMatrix:
-    # beta of the kernel of alpha^{r-1} out of D^{s,t}; below stage 0 the
-    # tower is extended by identities, so the chain stops at stage 0
-    k = min(r - 1, s)
-    ker = alpha_fibers(res.X[s - k], Y, t - k, *res.dbar[s - k:s]).kernel.basis
-    return row_space_basis(FpMatrix(Y.ring.p, ker @ _beta(res, Y, s, t).a.T))
+@memo
+def _br_rows(X: RModule, Y: RModule, t: int, p: RMap, *dbar: RMap) -> FpMatrix:
+    # B_r at (s, t), for p = p_s and the k maps dbar_{s-k} .. dbar_{s-1} out
+    # of X = X_{s-k}: beta of the kernel of alpha^k out of D^{s,t}
+    ker = alpha_fibers(X, Y, t - len(dbar), *dbar).kernel.basis
+    return row_space_basis(FpMatrix(Y.ring.p, ker @ pre_matrix(susp_map(p, t), Y).a.T))
 
 
 def pages(res: AdamsResolution, Y: RModule, r_max: int) -> list[SSPage]:
@@ -347,9 +356,12 @@ def pages(res: AdamsResolution, Y: RModule, r_max: int) -> list[SSPage]:
     for r in range(1, r_max + 1):
         groups, diffs = {}, {}
         for s in range(res.length - r_max + 1):
+            # below stage 0 the tower is extended by identities, so B_r's
+            # chain stops at stage 0
+            k = min(r - 1, s)
             for t in range(res.cls.period + 1):
-                Z = _zr_rows(res, Y, s, t, r)
-                B = _br_rows(res, Y, s, t, r)
+                Z = _zr_rows(res.X[s + 1], Y, t, res.w[s], *res.dbar[s + 1:s + r])
+                B = _br_rows(res.X[s - k], Y, t, res.p[s], *res.dbar[s - k:s])
                 groups[(s, t)] = PageGroup(s, t, Z, B, Z.rows - B.rows)
         for (s, t), g in groups.items():
             tgt = groups.get((s + r, t + r - 1))
@@ -392,17 +404,10 @@ def chain_map(win: AdamsResolution, Y: RModule, r: int, t: int) -> ChainMap:
                     affine_image(last.kernel, beta), last.size())
 
 
-def dr_set(res: AdamsResolution, Y: RModule, x: RMap, r: int,
-           s: int = 0, t: int = 0, cap: int = 4096) -> BracketSet:
-    """The full set of E_1 representatives of d_r[x].
-
-    x is a representative Sigma^t P_s -> Y.  The chains of extensions
-    through the tower maps form one affine space, and d_r[x] is its image
-    under p_{s+r}, returned with that image's direction basis as the
-    indeterminacy; both are read off the slot's `chain_map` at x's
-    coordinates.  x is a d_{r-1}-cycle exactly when some chain extends
-    through every stage.
-    """
+def _slot_class(res: AdamsResolution, Y: RModule, x: RMap, r: int,
+                s: int, t: int) -> tuple[AdamsResolution, tuple]:
+    """The window of d_r's slot at (s, t) and x's stable coordinates there,
+    once the query is checked: a bad query is refused before any read."""
     if r < 1 or s < 0:
         raise AdamsError(f"d_r needs r >= 1 and s >= 0, got r = {r}, s = {s}")
     if s + r >= res.length:  # the pushout needs p_{s+r}
@@ -410,8 +415,24 @@ def dr_set(res: AdamsResolution, Y: RModule, x: RMap, r: int,
     E0 = stable_hom(susp_ob(res.P[s], t), Y)
     if x.src != E0.src or x.tgt != Y:
         raise AdamsError("class does not live in the requested E_1 slot")
-    cm, p = chain_map(res.window(s, r), Y, r, t), Y.ring.p
-    xc = np.array(E0.stable_coords(x), dtype=np.int64)
+    return res.window(s, r), E0.stable_coords(x)
+
+
+def _own(bs: BracketSet, **metadata) -> BracketSet:
+    """A memoized set as a call's own: a copy with a fresh metadata dict."""
+    return replace(bs, metadata={**metadata, **bs.metadata})
+
+
+@memo
+def _dr_read(win: AdamsResolution, Y: RModule, r: int, t: int, coords: tuple,
+             cap: int) -> BracketSet:
+    """d_r at the slot of `win` (`AdamsResolution.window`) and t of the class
+    with stable coordinates `coords`, under `cap`: the stage tests and the
+    refusals, then the image listed.  Nothing in it depends on s, so it is
+    read once per (win, Y, r, t, coords, cap); its metadata holds only the
+    chain count."""
+    cm, p = chain_map(win, Y, r, t), Y.ring.p
+    xc = np.array(coords, dtype=np.int64)
     for j, (K, chains) in enumerate(cm.stages, start=1):
         if (K @ xc % p).any():
             raise NotACycle(f"x is not a d_{r-1}-cycle: extension fails at stage {j}")
@@ -421,9 +442,24 @@ def dr_set(res: AdamsResolution, Y: RModule, x: RMap, r: int,
     if img.size() > cap:
         raise EnumerationOverflow(f"{img.size()} points exceeds cap {cap}")
     elems = span_points(p, img.representative.tolist(), img.basis.tolist())
-    return BracketSet(susp_ob(res.P[s + r], t + r - 1), Y, "direct", elems,
+    return BracketSet(susp_ob(win.P[r], t + r - 1), Y, "direct", elems,
                       tuple(tuple(int(v) for v in row) for row in img.basis),
-                      None, {"r": r, "s": s, "t": t, "chains": cm.chains})
+                      None, {"chains": cm.chains})
+
+
+def dr_set(res: AdamsResolution, Y: RModule, x: RMap, r: int,
+           s: int = 0, t: int = 0, cap: int = 4096) -> BracketSet:
+    """The full set of E_1 representatives of d_r[x].
+
+    x is a representative Sigma^t P_s -> Y.  The chains of extensions
+    through the tower maps form one affine space, and d_r[x] is its image
+    under p_{s+r}, returned with that image's direction basis as the
+    indeterminacy; both are read off the slot's `chain_map` at x's
+    coordinates, once per window and class (`_dr_read`).  x is a
+    d_{r-1}-cycle exactly when some chain extends through every stage.
+    """
+    win, coords = _slot_class(res, Y, x, r, s, t)
+    return _own(_dr_read(win, Y, r, t, coords, cap), r=r, s=s, t=t)
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +566,63 @@ class DrFormsReport:
     checks: dict
 
 
+@memo
+def _forms_read(win: AdamsResolution, Y: RModule, r: int, t: int, coords: tuple,
+                cap: int) -> DrFormsReport:
+    """d_r's bracket forms at the slot of `win` (`AdamsResolution.window`)
+    and t for the class with stable coordinates `coords`, under `cap`, read
+    once per (win, Y, r, t, coords, cap).  Every form depends only on x's
+    stable class, so `<x, d_1, delta>` reads the class's canonical
+    representative.  The d_r set is `_dr_read`'s, whose metadata lacks s."""
+    a_set = _dr_read(win, Y, r, t, coords, cap)
+    slot = restricted_slot(win, Y, r, t, cap)
+    towers = bracket_slot(win, Y, r, t)
+
+    # (b) the (r+1)-fold bracket through the cover: x.w, p, then the
+    # primary operations of the deeper stages
+    full = bracket_read_off(towers.full, towers.cover.apply(coords), cap)
+    equal_full = full.elements == a_set.elements
+
+    # the unrestricted bracket of the primary operations alone: d_r[x]
+    # is contained in it, possibly properly
+    ops_bracket = bracket_read_off(towers.ops, coords, cap)
+
+    # (c) restricted bracket in the opposite context, read off the slot at x
+    rbs = restricted_read_off(slot.read, coords, cap)
+    c_elems = _images(slot.transport, rbs.elements)
+    equal_restricted = c_elems == a_set.elements
+
+    # (e) the r-filtered tower (W_1 = J_r, W_{k+1} = stage cones, extension
+    # b = -(g . beta_last)) has the elements b . l, l a lift of Sigma^{r-1} x
+    # through the top iota; the -l lift -Sigma^{r-1} x, so the set is (c)'s
+    checks = dict(slot.checks)
+    w_elems, equal_w = (c_elems, equal_restricted) if r > 1 else (None, None)
+
+    variants: dict = {"operations_bracket": ops_bracket}
+    checks["dr_subset_of_operations_bracket"] = (
+        a_set.elements <= ops_bracket.elements)
+    if r == 2:
+        x = stable_hom(susp_ob(win.P[0], t), Y).from_stable_coords(coords)
+        d1s = susp_map(win.d1op(0), t)
+        ws1 = susp_map(win.w[1], t)
+        ps2 = susp_map(win.p[2], t + 1)
+        # <x, d_1, delta>: the bracket with the tower's connecting map
+        v_delta = fc_bracket(bracket_read_off(towers.delta, coords, cap), x, d1s, ws1)
+        variants["with_delta"] = v_delta
+        # its composition with Sigma p at the E_1 slot: one product, as
+        # composition is linear on stable classes
+        assert v_delta.src == ps2.tgt and v_delta.tgt == Y
+        v_delta_p = _images(pre_matrix(ps2, Y), v_delta.elements)
+        variants["with_delta_composed"] = v_delta_p
+        variants["through_cover"] = full
+        checks["composed_equals_dr"] = v_delta_p == a_set.elements
+        checks["chain_inclusion"] = v_delta_p <= ops_bracket.elements
+        checks["chain_proper"] = v_delta_p < ops_bracket.elements
+
+    return DrFormsReport(r, a_set, full, c_elems, w_elems, equal_full,
+                         equal_restricted, equal_w, variants, checks)
+
+
 def dr_bracket_forms(res: AdamsResolution, Y: RModule, x: RMap, r: int,
                      s: int = 0, t: int = 0, cap: int = 4096) -> DrFormsReport:
     """d_r[x] versus its bracket descriptions.
@@ -544,55 +637,15 @@ def dr_bracket_forms(res: AdamsResolution, Y: RModule, x: RMap, r: int,
     of (c) and (e) is shared per slot (`restricted_slot`, built right
     after (a)), the class entering at the lift; so are the towers of the
     other brackets (`bracket_slot`), each read off at x's coordinates.
+    The forms are read once per window and class (`_forms_read`, on
+    `dr_set`'s read); each call gets its own report and metadata.
     """
-    a_set = dr_set(res, Y, x, r, s, t, cap)
-    win = res.window(s, r)
-    slot = restricted_slot(win, Y, r, t, cap)
-    towers = bracket_slot(win, Y, r, t)
-    xc = stable_hom(x.src, Y).stable_coords(x)
-
-    # (b) the (r+1)-fold bracket through the cover: x.w, p, then the
-    # primary operations of the deeper stages
-    full = bracket_read_off(towers.full, towers.cover.apply(xc), cap)
-    equal_full = full.elements == a_set.elements
-
-    # the unrestricted bracket of the primary operations alone: d_r[x]
-    # is contained in it, possibly properly
-    ops_bracket = bracket_read_off(towers.ops, xc, cap)
-
-    # (c) restricted bracket in the opposite context, read off the slot at x
-    rbs = restricted_read_off(slot.read, xc, cap)
-    c_elems = _images(slot.transport, rbs.elements)
-    equal_restricted = c_elems == a_set.elements
-
-    # (e) the r-filtered tower (W_1 = J_r, W_{k+1} = stage cones, extension
-    # b = -(g . beta_last)) has the elements b . l, l a lift of Sigma^{r-1} x
-    # through the top iota; the -l lift -Sigma^{r-1} x, so the set is (c)'s
-    checks = dict(slot.checks)
-    w_elems, equal_w = (c_elems, equal_restricted) if r > 1 else (None, None)
-
-    variants: dict = {"operations_bracket": ops_bracket}
-    checks["dr_subset_of_operations_bracket"] = (
-        a_set.elements <= ops_bracket.elements)
-    if r == 2:
-        d1s = susp_map(res.d1op(s), t)
-        ws1 = susp_map(res.w[s + 1], t)
-        ps2 = susp_map(res.p[s + 2], t + 1)
-        # <x, d_1, delta>: the bracket with the tower's connecting map
-        v_delta = fc_bracket(bracket_read_off(towers.delta, xc, cap), x, d1s, ws1)
-        variants["with_delta"] = v_delta
-        # its composition with Sigma p at the E_1 slot: one product, as
-        # composition is linear on stable classes
-        assert v_delta.src == ps2.tgt and v_delta.tgt == Y
-        v_delta_p = _images(pre_matrix(ps2, Y), v_delta.elements)
-        variants["with_delta_composed"] = v_delta_p
-        variants["through_cover"] = full
-        checks["composed_equals_dr"] = v_delta_p == a_set.elements
-        checks["chain_inclusion"] = v_delta_p <= ops_bracket.elements
-        checks["chain_proper"] = v_delta_p < ops_bracket.elements
-
-    return DrFormsReport(r, a_set, full, c_elems, w_elems, equal_full,
-                         equal_restricted, equal_w, variants, checks)
+    win, coords = _slot_class(res, Y, x, r, s, t)
+    rep = _forms_read(win, Y, r, t, coords, cap)
+    return replace(rep, dr=_own(rep.dr, r=r, s=s, t=t), full_bracket=_own(rep.full_bracket),
+                   variants={k: _own(v) if isinstance(v, BracketSet) else v
+                             for k, v in rep.variants.items()},
+                   checks=dict(rep.checks))
 
 
 # ---------------------------------------------------------------------------

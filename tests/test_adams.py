@@ -43,12 +43,15 @@ from stmodcat.linalg import (
     stack_rows,
 )
 from stmodcat.modrep import (
+    RMap,
     Ring,
     block_map,
     free_module,
+    hom_basis,
     jordan_type,
     module_from_partition,
     mu_map,
+    projective_cover,
 )
 from stmodcat.stcat import (
     DIRECT,
@@ -802,17 +805,19 @@ def test_zr_and_br_read_off_the_alpha_fibers_as_the_old_formulas(p, m, parts):
         if s + r > res.length:
             continue
         E = stable_hom(susp_ob(res.P[s], t), Y).sdim
+        k = min(r - 1, s)
         if r == 1:
             Z, B = FpMatrix.identity(p, E), FpMatrix.zeros(p, 0, E)
         else:
             Q = quotient(_alpha_product(res, Y, s + 1, t, r - 1).transpose())[0]
             Z = row_space_basis(nullspace(Q @ _gamma(res, Y, s, t)))
-            k = min(r - 1, s)
             ker = nullspace(_alpha_product(res, Y, s - k, t - k, k))
             img = ker.a @ _beta(res, Y, s, t).a.T % p
             B = row_space_basis(FpMatrix(p, img.reshape(ker.rows, E)))
-        assert np.array_equal(_zr_rows(res, Y, s, t, r).a, Z.a), (r, s, t)
-        assert np.array_equal(_br_rows(res, Y, s, t, r).a, B.a), (r, s, t)
+        Zr = _zr_rows(res.X[s + 1], Y, t, res.w[s], *res.dbar[s + 1:s + r])
+        Br = _br_rows(res.X[s - k], Y, t, res.p[s], *res.dbar[s - k:s])
+        assert np.array_equal(Zr.a, Z.a), (r, s, t)
+        assert np.array_equal(Br.a, B.a), (r, s, t)
 
 
 def test_one_bracket_slot_serves_every_cap():
@@ -1026,7 +1031,12 @@ def test_equal_windows_share_a_slot_and_read_every_class_as_a_cold_call(p, m, pa
     # the benchmark's resolutions: over k, R/x^2 repeats its stages, so every
     # window is one slot; on R/x^2 + k only the windows at s = 1 and s = 3
     # are equal, so a key that ignored a stage would share too many slots.
-    # A window's key, sliced off the resolution's, is the one it would read
+    # A window's key, sliced off the resolution's, is the one it would read.
+    # A class is read once per window: dr_set and dr_bracket_forms, at x and
+    # at x + z with z through a projective, give the cold call's report, "s"
+    # included; each distinct (window, t, class) cycle read misses once, and
+    # a refused call misses every time; under a smaller cap a cached class
+    # refuses as the cold call does
     import dataclasses
 
     import stmodcat
@@ -1035,23 +1045,43 @@ def test_equal_windows_share_a_slot_and_read_every_class_as_a_cold_call(p, m, pa
     ring = Ring(p, m)
     Y = module_from_partition(ring, parts)
     res = adams_resolution(Y, ProjectiveClass(module_from_partition(ring, [1])), 6)
+    F, cover = projective_cover(Y)
     for r, t in itertools.product(rs, (0, 1)):
         before = stmodcat.cache_stats()
+        reads, cycles, refused = set(), [], 0
         for s in range(res.length - r):
             win = res.window(s, r)
             assert win.key == dataclasses.replace(win).key
             E0 = stable_hom(susp_ob(res.P[s], t), Y)
+            z = cover @ RMap(E0.src, F, FpMatrix(p, hom_basis(E0.src, F).sum(axis=0)))
+            assert is_stably_zero(z) and not z.is_zero()
             for c in itertools.product(range(p), repeat=E0.sdim):
                 x = E0.from_stable_coords(c)
-                warm = _outcome(dr_bracket_forms, res, Y, x, r, s, t)
                 cold = _outcome(_cold_forms, res, Y, x, r, s, t, 4096)
-                if isinstance(cold, tuple):
-                    assert warm == cold, (r, s, t, c)
-                else:
-                    _assert_forms_are_cold(warm, cold)
+                for y in (x, x + z):
+                    warm = _outcome(dr_bracket_forms, res, Y, y, r, s, t)
+                    warm_set = _outcome(dr_set, res, Y, y, r, s, t)
+                    if isinstance(cold, tuple):
+                        assert warm == warm_set == cold, (r, s, t, c)
+                        refused += 1
+                    else:
+                        _assert_forms_are_cold(warm, cold)
+                        assert warm_set == cold.dr and warm_set.metadata == cold.dr.metadata
+                if not isinstance(cold, tuple):
+                    _assert_forms_are_cold(_cold_forms(res, Y, x + z, r, s, t, 4096), cold)
+                    reads.add((win.key, c))
+                    cycles.append((s, x))
         after = stmodcat.cache_stats()
         for name in ("adams.bracket_slot", "adams.restricted_slot"):
             assert after[name].misses - before[name].misses == windows, (name, r, t)
+        # a refused dr_bracket_forms misses both reads, a refused dr_set one
+        for name, fails in (("adams._forms_read", refused), ("adams._dr_read", 2 * refused)):
+            assert after[name].size - before[name].size == len(reads), (name, r, t)
+            assert after[name].misses - before[name].misses == len(reads) + fails, (name, r, t)
+        for s, x in cycles:
+            cold = _outcome(_cold_forms, res, Y, x, r, s, t, 1)
+            assert isinstance(cold, tuple)
+            assert _outcome(dr_bracket_forms, res, Y, x, r, s, t, 1) == cold
 
 
 def test_a_window_that_differs_only_in_its_last_stage_is_its_own_slot():

@@ -7,7 +7,8 @@ import functools
 import numpy as np
 import pytest
 
-from stmodcat.adams import AdamsError, ProjectiveClass, adams_resolution, dr_set, pages
+from stmodcat.adams import (AdamsError, ProjectiveClass, adams_resolution, dr_bracket_forms,
+                            dr_set, pages)
 from stmodcat.linalg import AffineSpace, EnumerationOverflow, FpMatrix, LinAlgError, as_vector
 from stmodcat.modrep import Ring, RingMismatch, identity_map, module_from_partition, mu_map
 from stmodcat.stcat import stable_hom
@@ -72,6 +73,27 @@ CASES = {
 }
 
 
+def _cached(fn, Y, r, s, t):
+    """fn(res, Y, x, r, s, t) for the first class x of E_1^{0,0}, once the
+    forms of d_1[x] are read and cached: no memoized read may get ahead of
+    the checks."""
+    def call():
+        x = _first(_res().P[0], M)
+        dr_bracket_forms(_res(), M, x, 1)
+        return fn(_res(), Y, x, r, s, t)
+    return call
+
+
+CASES |= {
+    f"{fn.__name__} of a cached class {what}": (err, _cached(fn, *args))
+    for fn in (dr_set, dr_bracket_forms)
+    for what, err, args in (("in another slot", AdamsError, (M, 1, 0, 1)),
+                            ("into a Y over another ring", RingMismatch,
+                             (R34_MAP.src, 1, 0, 0)),
+                            ("at r = 0", AdamsError, (M, 0, 0, 0)),
+                            ("at s = -1", AdamsError, (M, 1, -1, 0)))}
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_bad_input_raises_the_named_engine_error(case):
     err, call = CASES[case]
@@ -88,3 +110,22 @@ def test_empty_input_stays_valid():
     assert as_vector([], 2).shape == (0,)
     assert FpMatrix(2, []).a.shape == (1, 0)
     assert AffineSpace(2, 2, [0, 0], []).basis.shape == (0, 2)
+
+
+def test_a_returned_report_owns_its_metadata():
+    # reads are memoized per window and class, but each call gets its own
+    # sets and dicts: emptying one call's leaves the next call's whole
+    x = _first(_res().P[1], M)
+    dr_set(_res(), M, x, 1, 1).metadata.clear()
+    assert dr_set(_res(), M, x, 1, 1).metadata == {"r": 1, "s": 1, "t": 0, "chains": 1}
+
+    def dicts(rep):
+        return [rep.dr.metadata, rep.full_bracket.metadata,
+                rep.variants["operations_bracket"].metadata, rep.checks]
+
+    first = dicts(dr_bracket_forms(_res(), M, x, 1, 1))
+    want = [dict(d) for d in first]
+    for d in first:
+        d.clear()
+    assert dicts(dr_bracket_forms(_res(), M, x, 1, 1)) == want
+    assert all(want)

@@ -1,6 +1,7 @@
 """The benchmark's per-op answers stay fixed: one checked round of each gated
 workload, generated and run as `perfbench/run.py` runs them, gives the
-digests recorded in tests/golden/bench_digests.json."""
+digests recorded in tests/golden/bench_digests.json (seed 1001) and
+tests/golden/bench_digests_4242.json (seed 4242)."""
 
 import json
 import os
@@ -11,7 +12,14 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-GOLDEN = json.loads((ROOT / "tests" / "golden" / "bench_digests.json").read_text())
+
+
+def _golden(name):
+    return json.loads((ROOT / "tests" / "golden" / name).read_text())
+
+
+GOLDEN = _golden("bench_digests.json")
+GOLDEN_4242 = _golden("bench_digests_4242.json")
 
 
 def _run(args):
@@ -24,11 +32,20 @@ def _run(args):
     return proc.stdout
 
 
-@pytest.mark.parametrize("workload", sorted(GOLDEN["digests"]))
-def test_checked_round_keeps_the_golden_digests(workload, tmp_path):
+def _check_round(golden, workload, tmp_path):
     inputs = tmp_path / "inputs.json"
-    _run(["perfbench/gen.py", "--workload", workload, "--seed", str(GOLDEN["seed"]),
+    _run(["perfbench/gen.py", "--workload", workload, "--seed", str(golden["seed"]),
           "--out", str(inputs)])
     out = json.loads(_run(["perfbench/worker.py", "--inputs", str(inputs), "--check", "1"]))
     assert out["bad"] == {}
-    assert out["digests"] == GOLDEN["digests"][workload]
+    assert out["digests"] == golden["digests"][workload]
+
+
+@pytest.mark.parametrize("workload", sorted(GOLDEN["digests"]))
+def test_checked_round_keeps_the_golden_digests(workload, tmp_path):
+    _check_round(GOLDEN, workload, tmp_path)
+
+
+@pytest.mark.parametrize("workload", sorted(GOLDEN_4242["digests"]))
+def test_checked_round_keeps_the_golden_digests_at_seed_4242(workload, tmp_path):
+    _check_round(GOLDEN_4242, workload, tmp_path)
