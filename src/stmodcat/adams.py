@@ -17,16 +17,16 @@ the full set of E_1 representatives.
 A class x enters d_r and its bracket forms only linearly, through its
 stable coordinates, so everything else is built once and memoized: the
 fibers of each alpha^k (`alpha_fibers`, which Z_r, B_r and d_r's chains
-read), and per slot the chains as one linear map (`chain_map`, read by
-`dr_set` and `pages`), the towers of the full, operations and (r = 2)
-connecting-map brackets (`bracket_slot`, one for every cap) and the
-restricted form's octahedron tower and read (`restricted_slot`), so a
-class costs a few small products per form.  A slot (r, s, t) reads only
-the stages s .. s+r, so it is keyed by that window of the resolution
-(`AdamsResolution.window`) and t: equal windows, as a periodic
-resolution repeats them, share one slot.  On top of a slot, a class's
-d_r set (`_dr_read`) and its bracket forms (`_forms_read`) are read once
-per (window, Y, r, t, class coordinates, cap); `dr_set` and
+read) and the rows of Z_r and B_r (`_zr_rows`, `_br_rows`: d_r[x] is a
+coset of B_r at its target), and per slot the towers of the full,
+operations and (r = 2) connecting-map brackets (`bracket_slot`, one for
+every cap) and the restricted form's octahedron tower and read
+(`restricted_slot`), so a class costs a few small products per form.
+A slot (r, s, t) reads only the stages s .. s+r, so it is keyed by that
+window of the resolution (`AdamsResolution.window`) and t: equal
+windows, as a periodic resolution repeats them, share one slot.  A
+class's d_r set (`_dr_read`) and its bracket forms (`_forms_read`) are
+read once per (window, Y, r, t, class coordinates, cap); `dr_set` and
 `dr_bracket_forms` check the query first and add only what depends on
 the call: s, and fresh metadata and report dicts.  The injective-variance
 statements are exercised through the opposite context: the same
@@ -42,13 +42,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .linalg import (
-    AffineSpace,
     DimensionMismatch,
     EnumerationOverflow,
     Fibers,
     FpMatrix,
-    affine_image,
+    _affine_space,
     as_vector,
+    enumerate_points,
     extending,
     fibers,
     identity_fibers,
@@ -56,7 +56,6 @@ from .linalg import (
     quotient,
     rank,
     row_space_basis,
-    span_points,
     stack_rows,
 )
 from .modrep import (
@@ -260,14 +259,11 @@ def _connecting_map(dbar: RMap, t: int) -> RMap:
     return -sd if t % 2 else sd
 
 
-def _gamma(res: AdamsResolution, Y: RModule, s: int, t: int) -> FpMatrix:
-    """E^{s,t} -> D^{s+1,t}: precompose the suspended w_s."""
-    return pre_matrix(susp_map(res.w[s], t), Y)
-
-
-def _beta(res: AdamsResolution, Y: RModule, s: int, t: int) -> FpMatrix:
-    """D^{s,t} -> E^{s,t}: precompose the suspended p_s."""
-    return pre_matrix(susp_map(res.p[s], t), Y)
+def _precompose(f: RMap, Y: RModule, t: int) -> FpMatrix:
+    """T(Sigma^t f, Y): precompose the suspended f.  The couple's gamma,
+    E^{s,t} -> D^{s+1,t}, is this for f = w_s, and its beta, D^{s,t} ->
+    E^{s,t}, for f = p_s."""
+    return pre_matrix(susp_map(f, t), Y)
 
 
 @memo
@@ -330,7 +326,7 @@ def _zr_rows(X: RModule, Y: RModule, t: int, w: RMap, *dbar: RMap) -> FpMatrix:
     # Z_r at (s, t), for X = X_{s+1}, w = w_s and the r-1 maps dbar_{s+1} ..
     # dbar_{s+r-1}: the cycles e with gamma(e) in the image of alpha^{r-1},
     # K gamma(e) = 0; keyed, like alpha_fibers, by the maps it reads
-    K, gamma = alpha_fibers(X, Y, t, *dbar).K, pre_matrix(susp_map(w, t), Y)
+    K, gamma = alpha_fibers(X, Y, t, *dbar).K, _precompose(w, Y, t)
     return row_space_basis(nullspace(FpMatrix(gamma.p, K @ gamma.a)))
 
 
@@ -339,7 +335,7 @@ def _br_rows(X: RModule, Y: RModule, t: int, p: RMap, *dbar: RMap) -> FpMatrix:
     # B_r at (s, t), for p = p_s and the k maps dbar_{s-k} .. dbar_{s-1} out
     # of X = X_{s-k}: beta of the kernel of alpha^k out of D^{s,t}
     ker = alpha_fibers(X, Y, t - len(dbar), *dbar).kernel.basis
-    return row_space_basis(FpMatrix(Y.ring.p, ker @ pre_matrix(susp_map(p, t), Y).a.T))
+    return row_space_basis(FpMatrix(Y.ring.p, ker @ _precompose(p, Y, t).a.T))
 
 
 def pages(res: AdamsResolution, Y: RModule, r_max: int) -> list[SSPage]:
@@ -352,7 +348,7 @@ def pages(res: AdamsResolution, Y: RModule, r_max: int) -> list[SSPage]:
         raise AdamsError(f"pages need r_max >= 1, got r_max = {r_max}")
     if r_max > res.length:
         raise AdamsError("resolution too short for the requested pages")
-    out = []
+    p, out = Y.ring.p, []
     for r in range(1, r_max + 1):
         groups, diffs = {}, {}
         for s in range(res.length - r_max + 1):
@@ -367,41 +363,14 @@ def pages(res: AdamsResolution, Y: RModule, r_max: int) -> list[SSPage]:
             tgt = groups.get((s + r, t + r - 1))
             if tgt is None:
                 continue
-            # one element of d_r[z] per cycle row z; its class is that of all
-            images = g.Z.a @ chain_map(res.window(s, r), Y, r, t).offset.T % Y.ring.p
-            diffs[(s, t)] = FpMatrix(Y.ring.p, tgt.classes(images).T)
+            # one element beta T gamma z of d_r[z] per cycle row z, T the
+            # chains' fibers (`_dr_read`); its class is that of all
+            T = alpha_fibers(res.X[s + 1], Y, t, *res.dbar[s + 1:s + r]).T
+            chains = g.Z.a @ _precompose(res.w[s], Y, t).a.T % p @ T.T % p
+            images = chains @ _precompose(res.p[s + r], Y, t + r - 1).a.T % p
+            diffs[(s, t)] = FpMatrix(p, tgt.classes(images).T)
         out.append(SSPage(r, groups, diffs))
     return out
-
-
-@dataclass(frozen=True)
-class ChainMap:
-    """d_r's chains of extensions at one slot, for every E_1 class x at once
-    (`chain_map`).  The chains extend gamma(x) through the tower maps, one
-    preimage under alpha per stage, so the stage-j ends are the fiber over
-    gamma(x) of alpha^j into D^{s+1,t}, the window's D^{1,t}
-    (`alpha_fibers`): a class gets past stage j exactly when K_j gamma x = 0
-    (`stages`: that matrix and the stage's chain count), and d_r[x] is the
-    image under beta of the last fiber, the point `offset` x along the
-    fixed directions of `image`."""
-
-    stages: tuple
-    offset: np.ndarray
-    image: AffineSpace
-    chains: int
-
-
-@memo
-def chain_map(win: AdamsResolution, Y: RModule, r: int, t: int) -> ChainMap:
-    """The chain map of d_r at the slot of `win` (`AdamsResolution.window`)
-    and t, built once per (win, Y, r, t)."""
-    p = Y.ring.p
-    gamma, beta = _gamma(win, Y, 0, t), _beta(win, Y, r, t + r - 1)
-    fibs = [alpha_fibers(win.X[1], Y, t, *win.dbar[1:j + 1]) for j in range(1, r)]
-    last = alpha_fibers(win.X[1], Y, t, *win.dbar[1:r])
-    return ChainMap(tuple((f.K @ gamma.a % p, f.size()) for f in fibs),
-                    beta.a @ (last.T @ gamma.a % p) % p,
-                    affine_image(last.kernel, beta), last.size())
 
 
 def _slot_class(res: AdamsResolution, Y: RModule, x: RMap, r: int,
@@ -427,24 +396,26 @@ def _own(bs: BracketSet, **metadata) -> BracketSet:
 def _dr_read(win: AdamsResolution, Y: RModule, r: int, t: int, coords: tuple,
              cap: int) -> BracketSet:
     """d_r at the slot of `win` (`AdamsResolution.window`) and t of the class
-    with stable coordinates `coords`, under `cap`: the stage tests and the
-    refusals, then the image listed.  Nothing in it depends on s, so it is
-    read once per (win, Y, r, t, coords, cap); its metadata holds only the
-    chain count."""
-    cm, p = chain_map(win, Y, r, t), Y.ring.p
-    xc = np.array(coords, dtype=np.int64)
-    for j, (K, chains) in enumerate(cm.stages, start=1):
-        if (K @ xc % p).any():
+    with stable coordinates `coords`, under `cap`.  The chains extending
+    gamma(x) through j tower maps end in the fiber over gamma(x) of alpha^j
+    into the window's D^{1,t} (`alpha_fibers`), and d_r[x] is beta of the
+    last fiber: beta T gamma(x) plus B_r at the target (`_br_rows`).
+    Nothing in it depends on s; its metadata holds only the chain count."""
+    p, gx = Y.ring.p, _precompose(win.w[0], Y, t).apply(coords)
+    for j in range(1, r):
+        stage = alpha_fibers(win.X[1], Y, t, *win.dbar[1:j + 1])
+        if not stage.has(gx):
             raise NotACycle(f"x is not a d_{r-1}-cycle: extension fails at stage {j}")
-        if chains > cap:
-            raise EnumerationOverflow(f"{chains} chains exceed cap {cap}")
-    img = cm.image.through(cm.offset @ xc % p)
-    if img.size() > cap:
-        raise EnumerationOverflow(f"{img.size()} points exceeds cap {cap}")
-    elems = span_points(p, img.representative.tolist(), img.basis.tolist())
-    return BracketSet(susp_ob(win.P[r], t + r - 1), Y, "direct", elems,
-                      tuple(tuple(int(v) for v in row) for row in img.basis),
-                      None, {"chains": cm.chains})
+        if stage.size() > cap:
+            raise EnumerationOverflow(f"{stage.size()} chains exceed cap {cap}")
+    last = alpha_fibers(win.X[1], Y, t, *win.dbar[1:r])
+    offset = _precompose(win.p[r], Y, t + r - 1).apply(last.T @ gx % p)
+    B = _br_rows(win.X[1], Y, t + r - 1, win.p[r], *win.dbar[1:r]).a
+    elems = enumerate_points(_affine_space(p, offset, B), cap)
+    return BracketSet(susp_ob(win.P[r], t + r - 1), Y, "direct",
+                      frozenset(map(tuple, np.array(elems).tolist())),
+                      tuple(tuple(int(v) for v in row) for row in B),
+                      None, {"chains": last.size()})
 
 
 def dr_set(res: AdamsResolution, Y: RModule, x: RMap, r: int,
@@ -454,8 +425,8 @@ def dr_set(res: AdamsResolution, Y: RModule, x: RMap, r: int,
     x is a representative Sigma^t P_s -> Y.  The chains of extensions
     through the tower maps form one affine space, and d_r[x] is its image
     under p_{s+r}, returned with that image's direction basis as the
-    indeterminacy; both are read off the slot's `chain_map` at x's
-    coordinates, once per window and class (`_dr_read`).  x is a
+    indeterminacy, B_r at the target; both are read off the exact couple
+    at x's coordinates, once per window and class (`_dr_read`).  x is a
     d_{r-1}-cycle exactly when some chain extends through every stage.
     """
     win, coords = _slot_class(res, Y, x, r, s, t)

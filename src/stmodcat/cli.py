@@ -130,6 +130,8 @@ class Session:
         kv = dict(a.split("=", 1) for a in args if "=" in a)
         if set(kv) != {"p", "m"}:
             raise SessionError(lineno, "ring needs p=<prime> m=<int>")
+        if len(args) != 2:
+            raise SessionError(lineno, f"ring takes 2 operands p=<prime> m=<int>, got {len(args)}")
         p, m = _int_arg(lineno, "p", kv["p"], 2), _int_arg(lineno, "m", kv["m"], 1)
         try:
             self.ring = Ring(p, m)

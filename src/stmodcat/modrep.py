@@ -134,7 +134,7 @@ class RModule:
 class RMap:
     """An R-linear map, i.e. a matrix A with A X_src = X_tgt A."""
 
-    __slots__ = ("src", "tgt", "A")
+    __slots__ = ("src", "tgt", "A", "_key")
 
     def __init__(self, src: RModule, tgt: RModule, A: FpMatrix, check: bool = True):
         if src.ring != tgt.ring:
@@ -153,7 +153,13 @@ class RMap:
 
     @property
     def key(self):
-        return (self.src.key, self.tgt.key, self.A.a.tobytes())
+        """The memo key, built on first use and kept (a map never changes)."""
+        try:
+            return self._key
+        except AttributeError:
+            key = (self.src.key, self.tgt.key, self.A.a.tobytes())
+            object.__setattr__(self, "_key", key)
+            return key
 
     def __matmul__(self, other: "RMap") -> "RMap":
         if other.tgt != self.src:
@@ -333,11 +339,10 @@ def _hom_blocks(sparts, tparts) -> list[tuple[int, int, int, int, int]]:
             for coff, a in zip(coffs, sparts) for j in range(max(0, b - a), b)]
 
 
-@memo
 def hom_basis(M: RModule, N: RModule) -> np.ndarray:
     """Basis of the F_p-space of R-linear maps M -> N, deterministic order.
 
-    One read-only (shared) int64 array of shape (h, dim N, dim M), entry k
+    One read-only int64 array of shape (h, dim N, dim M), entry k
     the matrix of basis map k.  Between canonical-layout modules the basis
     is the multiplication maps listed by `_hom_blocks` (one per block pair
     and eligible power); otherwise the commuting-matrix system is solved.

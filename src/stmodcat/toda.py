@@ -61,7 +61,7 @@ from .linalg import (
     stack_rows,
 )
 from .modrep import RMap, RModule, identity_map, zero_module
-from .stcat import DIRECT, stably_equal
+from .stcat import DIRECT, OP, stably_equal
 
 
 class BracketError(Exception):
@@ -95,8 +95,13 @@ class BracketSet:
         return self._key(coords) in self.elements
 
     def _key(self, coords) -> tuple:
-        """The element tuple of coordinates given as any integers."""
-        return tuple(int(c) for c in as_vector(coords, self.src.ring.p))
+        """The element tuple of coordinates given as any integers, of the
+        stable group's length."""
+        c = as_vector(coords, self.src.ring.p)
+        n = (OP if self.ctx_name == OP.name else DIRECT).hom(self.src, self.tgt).sdim
+        if len(c) != n:
+            raise DimensionMismatch(f"coordinates of length {len(c)}, expected {n}")
+        return tuple(int(v) for v in c)
 
     def same_ambient(self, other: "BracketSet") -> bool:
         return (self.src == other.src and self.tgt == other.tgt

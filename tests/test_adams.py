@@ -12,10 +12,9 @@ from stmodcat.adams import (
     AdamsResolution,
     NotACycle,
     ProjectiveClass,
-    _beta,
-    _connecting_map,
     _br_rows,
-    _gamma,
+    _connecting_map,
+    _precompose,
     _zr_rows,
     adams_resolution,
     bracket_slot,
@@ -733,7 +732,8 @@ def test_dr_refuses_r_below_1_and_s_below_0():
         with pytest.raises(AdamsError, match=f"got r = {r}, s = {s}$"):
             fn(res, Y, x, r, s)
     after = stmodcat.cache_stats()
-    for name in ("adams.chain_map", "adams.restricted_slot", "adams.bracket_slot"):
+    for name in ("adams.alpha_fibers", "adams._br_rows", "adams._dr_read",
+                 "adams.restricted_slot", "adams.bracket_slot"):
         assert after[name].misses == before[name].misses, name
 
 
@@ -781,7 +781,7 @@ except EnumerationOverflow as e:
 
 
 # ---------------------------------------------------------------------------
-# the chain map and the bracket towers, shared per resolution slot
+# d_r's alpha-chains and the bracket towers, shared per resolution slot
 
 
 def _alpha_product(res, Y, s, t, k):
@@ -810,9 +810,9 @@ def test_zr_and_br_read_off_the_alpha_fibers_as_the_old_formulas(p, m, parts):
             Z, B = FpMatrix.identity(p, E), FpMatrix.zeros(p, 0, E)
         else:
             Q = quotient(_alpha_product(res, Y, s + 1, t, r - 1).transpose())[0]
-            Z = row_space_basis(nullspace(Q @ _gamma(res, Y, s, t)))
+            Z = row_space_basis(nullspace(Q @ _precompose(res.w[s], Y, t)))
             ker = nullspace(_alpha_product(res, Y, s - k, t - k, k))
-            img = ker.a @ _beta(res, Y, s, t).a.T % p
+            img = ker.a @ _precompose(res.p[s], Y, t).a.T % p
             B = row_space_basis(FpMatrix(p, img.reshape(ker.rows, E)))
         Zr = _zr_rows(res.X[s + 1], Y, t, res.w[s], *res.dbar[s + 1:s + r])
         Br = _br_rows(res.X[s - k], Y, t, res.p[s], *res.dbar[s - k:s])
@@ -853,6 +853,9 @@ def test_coordinates_of_the_wrong_length_raise_dimension_mismatch():
         "make": (S.sdim, lambda c: DIRECT.make(Y, Y, c)),
         "rep_maps": (S.sdim, lambda c: BracketSet(Y, Y, "direct", frozenset([tuple(c)]))
                      .rep_maps()),
+        "membership": (S.sdim, lambda c: c in BracketSet(Y, Y, "direct", frozenset())),
+        "op membership": (S.sdim, lambda c: c in BracketSet(Y, Y, "op",
+                                                            frozenset({(1,) * S.sdim}))),
         "bracket_read_off": (towers.ops.space.sdim, lambda c: bracket_read_off(towers.ops, c)),
         "restricted_read_off": (read.S.shape[1], lambda c: restricted_read_off(read, c)),
     }
@@ -864,10 +867,10 @@ def test_coordinates_of_the_wrong_length_raise_dimension_mismatch():
 
 
 def _per_class_chains(res, Y, s, t, r, coords, cap=None):
-    """d_r's chains of extensions solved for one class, as before the slot's
-    chain map: the affine space of the chains' last entries, one preimage
+    """d_r's chains of extensions solved for one class, with no shared
+    alpha-chain fibers: the affine space of the chains' last entries, one preimage
     under alpha per stage."""
-    g = _gamma(res, Y, s, t).apply(coords)
+    g = _precompose(res.w[s], Y, t).apply(coords)
     space = AffineSpace(Y.ring.p, g.shape[0], g,
                         np.zeros((0, g.shape[0]), dtype=np.int64))
     for j in range(1, r):
@@ -883,7 +886,7 @@ def _per_class_dr_set(res, Y, x, r, s=0, t=0, cap=4096):
     """dr_set with the chains solved for x alone (`_per_class_chains`)."""
     E0 = stable_hom(susp_ob(res.P[s], t), Y)
     chains = _per_class_chains(res, Y, s, t, r, E0.stable_coords(x), cap)
-    img = affine_image(chains, _beta(res, Y, s + r, t + r - 1))
+    img = affine_image(chains, _precompose(res.p[s + r], Y, t + r - 1))
     elems = frozenset(tuple(int(y) for y in v) for v in enumerate_points(img, cap))
     return BracketSet(susp_ob(res.P[s + r], t + r - 1), Y, "direct", elems,
                       tuple(tuple(int(v) for v in row) for row in img.basis),
@@ -928,7 +931,7 @@ def test_dr_set_and_pages_read_the_per_class_chains(p, m, parts):
     for page in pages(res, Y, 3):
         for (s, t), mat in page.differentials.items():
             tgt = page.groups[(s + page.r, t + page.r - 1)]
-            beta = _beta(res, Y, s + page.r, t + page.r - 1)
+            beta = _precompose(res.p[s + page.r], Y, t + page.r - 1)
             cols = [tgt.class_coords(beta.apply(
                 _per_class_chains(res, Y, s, t, page.r, z).representative))
                 for z in page.groups[(s, t)].Z.a]
@@ -937,7 +940,7 @@ def test_dr_set_and_pages_read_the_per_class_chains(p, m, parts):
 
 def _cold_forms(res, Y, x, r, s, t, cap):
     """d_r's bracket forms read per class, as before the slot held their
-    towers and chain map: d_r from the chains solved for x alone, each
+    towers and alpha-chain fibers: d_r from the chains solved for x alone, each
     bracket built afresh on its own maps, the restricted fields of
     `_per_class_restricted`; the refusals in the order of
     `dr_bracket_forms` (the restricted tower never refuses at these caps)."""
@@ -980,9 +983,9 @@ def _assert_forms_are_cold(rep, cold):
                                         (2, 8, 4, 4)])
 def test_the_bracket_towers_and_chain_map_are_built_once_per_slot(p, m, a, r, monkeypatch):
     # the zero class reaches every node of the slot's towers (every fiber
-    # holds 0), so after it no class at the slot builds a tower, a node or a
-    # chain map; one slot serves every cap, so the caches are cleared to keep
-    # the first class cold
+    # holds 0), so after it no class at the slot builds a tower, a node or an
+    # alpha-chain's fibers; one slot serves every cap, so the caches are
+    # cleared to keep the first class cold
     import stmodcat
     import stmodcat.adams as adams
     import stmodcat.toda as toda
@@ -1001,7 +1004,7 @@ def test_the_bracket_towers_and_chain_map_are_built_once_per_slot(p, m, a, r, mo
             return bracket_tower(*args, **kwargs)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a later class built a tower, node or chain map")
+            raise AssertionError("a later class built a tower, node or fibers")
 
         bracket_tower = toda.bracket_tower
         before = stmodcat.cache_stats()
@@ -1018,7 +1021,7 @@ def test_the_bracket_towers_and_chain_map_are_built_once_per_slot(p, m, a, r, mo
         slot = after["adams.bracket_slot"]
         assert slot.misses == before["adams.bracket_slot"].misses + 1
         assert slot.hits == before["adams.bracket_slot"].hits + len(xs) - 1
-        assert after["adams.chain_map"].misses == before["adams.chain_map"].misses
+        assert after["adams.alpha_fibers"].misses == before["adams.alpha_fibers"].misses
         for rep, cold in zip(reports, want):
             _assert_forms_are_cold(rep, cold)
         assert [d.elements for d in reports[len(xs):]] == [w.dr.elements for w in want]
@@ -1090,7 +1093,7 @@ def test_a_window_that_differs_only_in_its_last_stage_is_its_own_slot():
     # hand: p_2 of the R/x^2 resolution over p=3 m=4 scaled by 2.  Window
     # (0, 2) of alt shares stages 0-1 with res's and differs in stage 2, and
     # so does d_2 of the E_1 basis classes: a key that ignored the last
-    # stage would read alt off res's chain map
+    # stage would read alt off res's B_2 at the target
     import stmodcat
 
     res, Y = _ghost_resolution(3, 4, 2, 4)
@@ -1106,9 +1109,9 @@ def test_a_window_that_differs_only_in_its_last_stage_is_its_own_slot():
     cold = sweep(alt)
     stmodcat.clear_caches()
     first = sweep(res)
-    before = stmodcat.cache_stats()["adams.chain_map"].misses
+    before = stmodcat.cache_stats()["adams._br_rows"].misses
     warm = sweep(alt)
-    assert stmodcat.cache_stats()["adams.chain_map"].misses == before + 2
+    assert stmodcat.cache_stats()["adams._br_rows"].misses == before + 2
     assert warm == cold
     assert [d.elements for d in first[:2]] == [{(2, 2)}, {(1, 1)}]
     assert [d.elements for d in warm[:2]] == [{(1, 1)}, {(2, 2)}]
@@ -1118,7 +1121,7 @@ def test_pages_and_every_dr_slot_share_one_reduction_per_alpha_chain():
     # p=3 m=4 R/x^2 over k: pages, then d_r of the zero class at every slot.
     # A chain alpha^k out of D^{s+k,t+k} is its stage X_s, t and its maps
     # dbar_s .. dbar_{s+k-1}, wherever they sit: pages reads Z_r's and
-    # B_r's, a slot's chain map those from s + 1 for j = 1 .. r-1 (j = 0 at
+    # B_r's, a slot's d_r read those from s + 1 for j = 1 .. r-1 (j = 0 at
     # r = 1).  Each is reduced once, so the sweep misses only the chains
     # pages did not read
     import stmodcat

@@ -9,11 +9,12 @@ import pytest
 
 from stmodcat.adams import (AdamsError, ProjectiveClass, adams_resolution, dr_bracket_forms,
                             dr_set, pages)
-from stmodcat.linalg import AffineSpace, EnumerationOverflow, FpMatrix, LinAlgError, as_vector
+from stmodcat.linalg import (AffineSpace, DimensionMismatch, EnumerationOverflow, FpMatrix,
+                             LinAlgError, as_vector)
 from stmodcat.modrep import Ring, RingMismatch, identity_map, module_from_partition, mu_map
-from stmodcat.stcat import stable_hom
+from stmodcat.stcat import OP, stable_hom
 from stmodcat.toda import (BracketError, bracket3, bracket_read_off, bracket_tower,
-                           higher_bracket, restricted_higher_bracket)
+                           filtered_witness, higher_bracket, restricted_higher_bracket)
 
 R24 = Ring(2, 4)
 k = module_from_partition(R24, [1])
@@ -35,9 +36,14 @@ R34_MAP = identity_map(module_from_partition(Ring(3, 4), [2]))
 TWOFOLD = [mu_map(Ring(2, 3), 2, 1, 0), mu_map(Ring(2, 3), 1, 2, 1)]
 
 
+# <f_3, f_2, f_1> on k -> M -> k -> M3, in the 1-dimensional T(Sigma k, M3)
+def _maps():
+    return [_first(k, M3), _first(M, k), _first(k, M)]
+
+
 def _tower():
-    # the tail (f_2, f_1) of <f_3, f_2, f_1> on k -> M -> k -> M3
-    return bracket_tower([_first(M, k), _first(k, M)], M3)
+    # the tail (f_2, f_1) of `_maps()`
+    return bracket_tower(_maps()[1:], M3)
 
 
 CASES = {
@@ -68,6 +74,14 @@ CASES = {
     "window at a negative stage": (AdamsError, lambda: _res().window(-1, 2)),
     "window with r = 0": (AdamsError, lambda: _res().window(0, 0)),
     "window past the resolution length": (AdamsError, lambda: _res().window(2, 2)),
+    "bracket membership one coordinate over": (
+        DimensionMismatch, lambda: (0, 0) in bracket3(*_maps())),
+    "bracket membership one coordinate short": (
+        DimensionMismatch, lambda: () in bracket3(*_maps())),
+    "op bracket membership one coordinate over": (
+        DimensionMismatch, lambda: (0, 0) in bracket3(*reversed(_maps()), ctx=OP)),
+    "filtered witness one coordinate over": (
+        DimensionMismatch, lambda: filtered_witness(_maps(), (1, 0))),
     "float matrix entries": (LinAlgError, lambda: FpMatrix(2, [[0.7, 1.9]])),
     "float affine basis": (LinAlgError, lambda: AffineSpace(2, 2, [0, 0], [[0.5, 1.5]])),
 }

@@ -215,10 +215,13 @@ def test_shipped_session_output_is_golden(name, as_json):
 
 
 def test_shipped_sessions_stay_golden_warm_and_after_clearing_the_caches():
-    # both sessions twice in one process, then once more after every memo
-    # cache is emptied: the per-slot towers and chain maps built by earlier
-    # commands (and runs) must not change any output
+    # both sessions twice in one process from empty caches, then once more
+    # after every memo cache is emptied: the reads cached by earlier commands
+    # (and runs) must not change any output.  The second pass reads every
+    # d_r class, its bracket forms and the page rows from the first's
     import stmodcat
+
+    stmodcat.clear_caches()
 
     def run_all():
         for name in ("c3_negative", "prop_a1"):
@@ -230,9 +233,12 @@ def test_shipped_sessions_stay_golden_warm_and_after_clearing_the_caches():
                 assert out.getvalue().encode() == golden.read_bytes(), (name, as_json)
 
     run_all()
+    cold = stmodcat.cache_stats()
     run_all()
     warm = stmodcat.cache_stats()
-    assert warm["adams.bracket_slot"].hits and warm["adams.chain_map"].hits
+    for name in ("adams._dr_read", "adams._forms_read", "adams._zr_rows", "adams._br_rows"):
+        assert warm[name].misses == cold[name].misses, name
+        assert warm[name].hits > cold[name].hits, name
     stmodcat.clear_caches()
     assert not any(info.size or info.hits or info.misses
                    for info in stmodcat.cache_stats().values())
@@ -318,6 +324,20 @@ def test_integer_tokens_follow_the_json_grammar(tmp_path, capsys, lineno, line):
     err = capsys.readouterr().err
     assert err.startswith(f"error: line {lineno}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("line, got", [
+    ("ring p=2 m=4 junk extra", 4),           # operands with no '='
+    ("ring p=2 m=4 junk", 3),
+    ("ring p=2 p=3 m=4", 3),                  # a repeated key
+])
+def test_stray_ring_operands_are_refused(tmp_path, capsys, line, got):
+    lines = [line] + _SESSION[1:]
+    bad = tmp_path / "bad.toda"
+    bad.write_text("\n".join(lines) + "\n")
+    assert run_session(str(bad)) == 2
+    assert capsys.readouterr().err == (
+        f"error: line 1: ring takes 2 operands p=<prime> m=<int>, got {got}\n")
 
 
 def test_mu_terms_read_coefficient_and_power(tmp_path, capsys):
