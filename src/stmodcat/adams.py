@@ -413,7 +413,7 @@ def _dr_read(win: AdamsResolution, Y: RModule, r: int, t: int, coords: tuple,
     B = _br_rows(win.X[1], Y, t + r - 1, win.p[r], *win.dbar[1:r]).a
     elems = enumerate_points(_affine_space(p, offset, B), cap)
     return BracketSet(susp_ob(win.P[r], t + r - 1), Y, "direct",
-                      frozenset(map(tuple, np.array(elems).tolist())),
+                      frozenset(map(tuple, elems.tolist())),
                       tuple(tuple(int(v) for v in row) for row in B),
                       None, {"chains": last.size()})
 
@@ -499,7 +499,6 @@ class BracketSlot:
     """The x-free towers of d_r's unrestricted bracket forms at one slot
     (`bracket_slot`): x enters each only as the leftmost map f_n."""
 
-    cover: FpMatrix            # x -> x . Sigma^t w_s, in stable coordinates
     full: BracketTower         # <x . w, p, d_1, ..., d_1>
     ops: BracketTower          # <x, d_1, ..., d_1>
     delta: BracketTower | None  # <x, d_1, delta>, for r = 2
@@ -515,7 +514,7 @@ def bracket_slot(win: AdamsResolution, Y: RModule, r: int, t: int) -> BracketSlo
     ops = [susp_map(win.d1op(j), t) for j in range(r)]
     full = bracket_tower([susp_map(win.p[1], t)] + ops[1:], Y)
     delta = bracket_tower([ops[0], susp_map(win.w[1], t)], Y) if r == 2 else None
-    return BracketSlot(pre_matrix(susp_map(win.w[0], t), Y), full, bracket_tower(ops, Y), delta)
+    return BracketSlot(full, bracket_tower(ops, Y), delta)
 
 
 def _images(M: FpMatrix, rows) -> frozenset:
@@ -551,7 +550,7 @@ def _forms_read(win: AdamsResolution, Y: RModule, r: int, t: int, coords: tuple,
 
     # (b) the (r+1)-fold bracket through the cover: x.w, p, then the
     # primary operations of the deeper stages
-    full = bracket_read_off(towers.full, towers.cover.apply(coords), cap)
+    full = bracket_read_off(towers.full, _precompose(win.w[0], Y, t).apply(coords), cap)
     equal_full = full.elements == a_set.elements
 
     # the unrestricted bracket of the primary operations alone: d_r[x]
@@ -576,14 +575,13 @@ def _forms_read(win: AdamsResolution, Y: RModule, r: int, t: int, coords: tuple,
         x = stable_hom(susp_ob(win.P[0], t), Y).from_stable_coords(coords)
         d1s = susp_map(win.d1op(0), t)
         ws1 = susp_map(win.w[1], t)
-        ps2 = susp_map(win.p[2], t + 1)
         # <x, d_1, delta>: the bracket with the tower's connecting map
         v_delta = fc_bracket(bracket_read_off(towers.delta, coords, cap), x, d1s, ws1)
         variants["with_delta"] = v_delta
         # its composition with Sigma p at the E_1 slot: one product, as
         # composition is linear on stable classes
-        assert v_delta.src == ps2.tgt and v_delta.tgt == Y
-        v_delta_p = _images(pre_matrix(ps2, Y), v_delta.elements)
+        assert v_delta.src == susp_ob(win.X[2], t + 1) and v_delta.tgt == Y
+        v_delta_p = _images(_precompose(win.p[2], Y, t + 1), v_delta.elements)
         variants["with_delta_composed"] = v_delta_p
         variants["through_cover"] = full
         checks["composed_equals_dr"] = v_delta_p == a_set.elements

@@ -398,8 +398,8 @@ def identity_fibers(p: int, n: int) -> Fibers:
                                 np.zeros((0, n), dtype=np.int64)))
 
 
-def enumerate_points(space: AffineSpace, cap: int = 4096) -> list[np.ndarray]:
-    """All points of the affine space, lexicographic in the coefficients.
+def enumerate_points(space: AffineSpace, cap: int = 4096) -> np.ndarray:
+    """All points of the affine space, one per row, lexicographic in the coefficients.
 
     Coefficient tuples (c_1, ..., c_d) run in lexicographic order over
     F_p, so the representative (all zeros) comes first.
@@ -407,7 +407,7 @@ def enumerate_points(space: AffineSpace, cap: int = 4096) -> list[np.ndarray]:
     total = space.size()
     if total > cap:
         raise EnumerationOverflow(f"{total} points exceeds cap {cap}")
-    return list(space.points())
+    return space.points()
 
 
 def span_points(p: int, offset: list, directions: list) -> frozenset:

@@ -17,10 +17,10 @@ that are again such a fiber.  The read-off (`bracket_read_off`) tests and
 slices those fibers at f_n's coordinates under its own cap, a few
 products per node and group, so one tower serves every f_n and every cap.
 The fiber-cofiber bracket is the 3-fold higher bracket, one such group,
-with its indeterminacy added.  A bracket is a set of coordinates only;
-the tower's one walk of its branches in order (`BracketTower.families`)
-finds the family the cap refuses, the empty reason and the branch of a
-filtered witness.
+with its indeterminacy added.  A bracket is a set of coordinates only:
+the read-off refuses an over-cap family off its own list of nodes, and
+only the empty reason and the branch of a filtered witness walk the
+tower's branches in order (`BracketTower.families`).
 A restricted bracket is likewise a tower of octahedra on its triangles
 alone and a read linear in the fed-in map's coordinates (`restricted_read`),
 so a map costs one fiber test and one product (`restricted_read_off`).
@@ -61,7 +61,7 @@ from .linalg import (
     stack_rows,
 )
 from .modrep import RMap, RModule, identity_map, zero_module
-from .stcat import DIRECT, OP, stably_equal
+from .stcat import DIRECT, OP, is_stably_zero, stably_equal
 
 
 class BracketError(Exception):
@@ -250,6 +250,8 @@ def bracket3(f3, f2, f1, defn: str = "fc", ctx=DIRECT,
     build = {"fc": _bracket3_fc, "cc": _bracket3_cc, "ff": _bracket3_ff}.get(defn)
     if build is None:
         raise BracketError(f"unknown bracket definition {defn!r}")
+    if cap < 0:
+        raise EnumerationOverflow(f"every bracket exceeds the negative cap {cap}")
     return build(ctx, f3, f2, f1, cap)
 
 
@@ -278,7 +280,7 @@ def _bracket3_cc(ctx, f3, f2, f1, cap) -> BracketSet:
     psi_sols = preimage(ctx.pre_matrix(iota1, X3),
                         affine_image(phi_sols, ctx.post_matrix(f3, C1)))
     elements = (frozenset() if psi_sols is None
-                else _coord_set(np.array(enumerate_points(psi_sols, cap))))
+                else _coord_set(enumerate_points(psi_sols, cap)))
     return BracketSet(SX0, X3, ctx.name, elements,
                       indeterminacy_basis(ctx, f3, f2, f1),
                       None if elements else "f3.f2 not stably zero",
@@ -291,9 +293,9 @@ def _bracket3_ff(ctx, f3, f2, f1, cap) -> BracketSet:
     W = ctx.sigma_inv_ob(X3)
     F, u, v = ctx.fiber(f3)
     gamma_sols = ctx.solve_post(v, f2)
-    if gamma_sols is None:
-        return _empty_bracket(ctx, SX0, X3, "f3.f2 not stably zero",
-                              {"defn": "ff"})
+    if gamma_sols is None:   # f3.f2 != 0, but f2.f1 is named first, as in cc and fc
+        first = "f3.f2" if is_stably_zero(ctx.compose(f2, f1)) else "f2.f1"
+        return _empty_bracket(ctx, SX0, X3, f"{first} not stably zero", {"defn": "ff"})
     # u . delta = gamma . f1 for some lift gamma of f2 (v . gamma = f2)
     delta_space = preimage(ctx.post_matrix(u, X0),
                            affine_image(gamma_sols, ctx.pre_matrix(f1, F)))
@@ -306,7 +308,7 @@ def _bracket3_ff(ctx, f3, f2, f1, cap) -> BracketSet:
     L = ctx.hom(X0, W).matrix_to(amb, lambda b: ctx.compose(ident, ctx.sigma_map(b)))
     img = affine_image(delta_space, L)
     return BracketSet(SX0, X3, ctx.name,
-                      _coord_set(np.array(enumerate_points(img, cap))),
+                      _coord_set(enumerate_points(img, cap)),
                       indeterminacy_basis(ctx, f3, f2, f1), None,
                       {"defn": "ff"})
 
@@ -401,9 +403,10 @@ class _Family:
     def ext(self) -> Fibers:
         return fibers(self.P)
 
-    def pairs(self, p: int) -> int:
-        """The (lift, extension) pairs of each of its families."""
-        return p ** (self.A.dim + (self.ext.kernel.dim if self.j == 0 else self.B.dim))
+    @property
+    def dim(self) -> int:
+        """The dimension of each of its families' (lift, extension) pairs."""
+        return self.A.dim + (self.ext.kernel.dim if self.j == 0 else self.B.dim)
 
 
 class _Node:
@@ -539,7 +542,7 @@ class BracketTower:
         from (None, c, root), u the child's leftmost.  One stage past the
         tower, at depth len(js), the paths end at the last stage's branches,
         each the triple (u, *child.maps) (`last_triple`), every family
-        bounded by the read-off."""
+        bounded by the read-off.  Only `reason` and `_first_trace` walk it."""
         def walk(path):
             _, b, node = path[-1]
             if node.depth == depth:
@@ -556,15 +559,6 @@ class BracketTower:
     def last_triple(self, u, node) -> list:
         """The maps of a last-stage branch: u's class, then node.maps."""
         return [self.ctx.make(self.ctx.tgt(node.maps[0]), self.Xn, u)] + node.maps
-
-    def overflow(self, depth: int, c, cap: int) -> str:
-        """The refusal of the first family at `depth` whose pairs exceed cap."""
-        for *_, (_, b, node) in self.families(depth, c):
-            fam = node.family
-            if (fam.A is not None and node.extensions(b) is not None
-                    and fam.pairs(self.p) > cap):
-                return f"{fam.pairs(self.p)} filler pairs exceed cap {cap}"
-        raise AssertionError("no family exceeds the cap")
 
     def reason(self, c) -> str | None:
         """The empty reason of the per-branch order: the first failing
@@ -604,13 +598,14 @@ def bracket_read_off(tower: BracketTower, coords, cap: int = 4096) -> BracketSet
     """The bracket at f_n with stable coordinates `coords`, under `cap`.
 
     Stage by stage, the nodes holding a branch at c (their fiber over c is
-    nonempty) count their families' children, and the cap refuses, in the
-    per-branch order, a family's pairs (`overflow`) and then a stage's
-    branches, before the next stage is built.  The last stage's groups
-    count their (lift, extension) pairs, which `branches` reports and the
-    cap refuses before any is listed, and read their composites.  Only an
-    empty bracket walks its branches, for the reason the per-branch order
-    meets first (`reason`)."""
+    nonempty, and their list is in the per-branch order) count their
+    families' children, and the cap refuses the first family whose pairs
+    exceed it (`_check_pairs`) and then a stage's branches, before the
+    next stage is built.  The last stage's groups count their (lift,
+    extension) pairs, which `branches` reports and the cap refuses before
+    any is listed, and read their composites.  Only an empty bracket walks
+    its branches, for the reason the per-branch order meets first
+    (`reason`)."""
     t, p = tower, tower.p
     if len(c := as_vector(coords, p)) != t.space.sdim:
         raise DimensionMismatch(f"coordinates of length {len(c)}, expected {t.space.sdim}")
@@ -625,8 +620,9 @@ def bracket_read_off(tower: BracketTower, coords, cap: int = 4096) -> BracketSet
     for depth in range(len(t.js)):
         counts = [node.branches(c) for node in nodes]
         nodes = [node for k, node in zip(counts, nodes) if k]
-        if depth < last and any(node.family.pairs(p) > cap for node in nodes):
-            raise EnumerationOverflow(t.overflow(depth, c, cap))
+        if depth < last:
+            for node in nodes:
+                _check_pairs(p, node.family.dim, cap)
         if sum(counts) > cap:
             raise EnumerationOverflow(f"{sum(counts)} bracket branches exceed cap {cap}")
         if depth < last:

@@ -6,15 +6,17 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from stmodcat.adams import (AdamsError, ProjectiveClass, adams_resolution, dr_bracket_forms,
-                            dr_set, pages)
+                            dr_set, pages, sparse_check)
 from stmodcat.linalg import (AffineSpace, DimensionMismatch, EnumerationOverflow, FpMatrix,
                              LinAlgError, as_vector)
-from stmodcat.modrep import Ring, RingMismatch, identity_map, module_from_partition, mu_map
-from stmodcat.stcat import OP, stable_hom
+from stmodcat.modrep import (ModRepError, Ring, RingMismatch, identity_map,
+                             module_from_partition, mu_map)
+from stmodcat.stcat import DIRECT, OP, StCatError, stable_hom, susp_ob
 from stmodcat.toda import (BracketError, bracket3, bracket_read_off, bracket_tower,
-                           filtered_witness, higher_bracket, restricted_higher_bracket)
+                           filtered_witness, higher_bracket, is_jseq, restricted_higher_bracket)
 
 R24 = Ring(2, 4)
 k = module_from_partition(R24, [1])
@@ -34,6 +36,8 @@ def _first(A, B):
 R34_MAP = identity_map(module_from_partition(Ring(3, 4), [2]))
 # <g, f> over p=2 m=3: f = mu(x): R/x -> R/x^2, g = mu(1): R/x^2 -> R/x
 TWOFOLD = [mu_map(Ring(2, 3), 2, 1, 0), mu_map(Ring(2, 3), 1, 2, 1)]
+# <f, g, f> for f = mu(1): M -> k and g = mu(x): k -> M is empty: g . f != 0
+EMPTY3 = [mu_map(R24, 2, 1, 0), mu_map(R24, 1, 2, 1), mu_map(R24, 2, 1, 0)]
 
 
 # <f_3, f_2, f_1> on k -> M -> k -> M3, in the 1-dimensional T(Sigma k, M3)
@@ -69,6 +73,9 @@ CASES = {
         EnumerationOverflow, lambda: higher_bracket(TWOFOLD, cap=0)),
     "2-fold bracket under a negative cap": (
         EnumerationOverflow, lambda: higher_bracket(TWOFOLD, cap=-3)),
+    **{f"empty {defn} bracket under a negative cap": (
+        EnumerationOverflow, lambda defn=defn: bracket3(*EMPTY3, defn=defn, cap=-1))
+       for defn in ("cc", "fc", "ff")},
     "pages with r_max = 0": (AdamsError, lambda: pages(_res(), M, 0)),
     "pages past the resolution length": (AdamsError, lambda: pages(_res(), M, 5)),
     "window at a negative stage": (AdamsError, lambda: _res().window(-1, 2)),
@@ -143,3 +150,60 @@ def test_a_returned_report_owns_its_metadata():
         d.clear()
     assert dicts(dr_bracket_forms(_res(), M, x, 1, 1)) == want
     assert all(want)
+
+
+ENGINE_ERRORS = (AdamsError, BracketError, LinAlgError, ModRepError, StCatError)
+DEGREES = st.sampled_from([-2, -1, 0, 1, 2, 3, 4, 5])   # around the resolution's length 4
+
+
+@st.composite
+def library_calls(draw):
+    """A library call (function, arguments) with r, s, t and cap drawn from
+    small negatives, zero and values past the resolution, a target Y over
+    R24 or another ring, and whether an argument is out of range, so that a
+    refusal is due."""
+    res, r, s, t = _res(), draw(DEGREES), draw(DEGREES), draw(DEGREES)
+    cap = draw(st.sampled_from([-2, -1, 0, 4096]))
+    Y = draw(st.sampled_from([M, R34_MAP.src]))
+    fn = draw(st.sampled_from([dr_set, dr_bracket_forms, pages, higher_bracket, bracket3,
+                               sparse_check, res.window]))
+    if fn in (dr_set, dr_bracket_forms):
+        # x lies in E_1^{s,t}, or E_1^{s,t+1}, where stage s exists, else at s = 0
+        s0, t0 = s if 0 <= s < res.length else 0, t + draw(st.integers(0, 1))
+        x = _first(susp_ob(res.P[s0], t0), M)
+        due = (r < 1 or s < 0 or s + r >= res.length or Y != M or cap < 1
+               or x.src != susp_ob(res.P[s], t))
+        return fn, (res, Y, x, r, s, t, cap), due
+    if fn is pages:
+        return fn, (res, Y, r), r < 1 or r > res.length or Y != M
+    if fn is sparse_check:
+        return fn, (Y, r, s), r < 1 or s < 0
+    if fn == res.window:
+        return fn, (s, r), s < 0 or r < 1 or s + r >= res.length
+    # the last n maps of a 3-chain, `_maps()` or the empty EMPTY3, its
+    # leftmost map over Y's ring, in the order of a drawn context
+    n = 3 if fn is bracket3 else draw(st.integers(2, 3))
+    ctx, chain = draw(st.sampled_from([DIRECT, OP])), draw(st.sampled_from([_maps(), EMPTY3]))
+    maps = (chain if Y == M else [R34_MAP] + chain[1:])[3 - n:]
+    maps = maps if ctx is DIRECT else maps[::-1]
+    if fn is bracket3:
+        defn = draw(st.sampled_from(["cc", "fc", "ff", "xx"]))
+        return (functools.partial(bracket3, defn=defn, ctx=ctx, cap=cap), maps,
+                cap < 0 or Y != M or defn == "xx")
+    jseq = draw(st.sampled_from([None, (0,), (1,), (-1,)]))
+    return fn, (maps, jseq, ctx, cap), (
+        cap < 0 or (Y != M and n == 3) or (jseq is not None and not is_jseq(jseq, n)))
+
+
+@given(library_calls())
+@example((functools.partial(bracket3, defn="ff", cap=-1), EMPTY3, True))
+@settings(max_examples=200, deadline=None)
+def test_drawn_bad_calls_raise_engine_errors(call):
+    # never a raw IndexError, RecursionError, TypeError or ValueError, and
+    # never an answer where an argument is out of range
+    fn, args, due = call
+    try:
+        fn(*args)
+    except ENGINE_ERRORS:
+        return
+    assert not due, call

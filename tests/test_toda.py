@@ -43,7 +43,9 @@ from stmodcat.toda import (
     PrescribedMapError,
     all_jseqs,
     bracket3,
+    bracket3_contains,
     bracket3_restricted,
+    bracket_tower,
     filtered_witness,
     higher_bracket,
     is_jseq,
@@ -115,6 +117,39 @@ def test_empty_bracket_reason():
     bs = bracket3(MU1, MUX, identity_map(k33))
     assert bs.is_empty()
     assert bs.empty_reason == "f2.f1 not stably zero"
+
+
+ID2 = identity_map(module_from_partition(Ring(2, 4), [2]))   # stably nonzero
+
+
+@pytest.mark.parametrize("ctx", [DIRECT, OP], ids=lambda c: c.name)
+@pytest.mark.parametrize("defn", ["cc", "fc", "ff"])
+def test_every_definition_names_the_same_failing_composite(defn, ctx):
+    # f2.f1 is named whenever it is stably nonzero, f3.f2 only when f2.f1
+    # vanishes: with both nonzero, with f3 = 0, and with f1 = 0
+    zero = zero_map(ID2.src, ID2.tgt)
+    for maps, reason in (((ID2, ID2, ID2), "f2.f1"), ((zero, ID2, ID2), "f2.f1"),
+                         ((ID2, ID2, zero), "f3.f2")):
+        bs = bracket3(*maps, defn=defn, ctx=ctx)
+        assert bs.is_empty() and bs.empty_reason == f"{reason} not stably zero", maps
+
+
+def test_nothing_lies_in_a_bracket_of_a_nonvanishing_chain():
+    # f2.f1 = MUX is stably nonzero, so no class of T(Sigma k, k) lies in
+    # <MU1, MUX, 1_k>, and its restricted form is empty for the same reason
+    amb = stable_hom(sigma_ob(k33), k33)
+    for c in itertools.product(range(3), repeat=amb.sdim):
+        assert not bracket3_contains(MU1, MUX, identity_map(k33), amb.from_stable_coords(c))
+    bs = bracket3_restricted(MU1, MUX, identity_map(k33))
+    assert bs.is_empty() and bs.empty_reason == "f2.f1 not stably zero"
+    assert bs.metadata == {"defn": "fc-restricted"}
+
+
+def test_restricted_refuses_a_bad_prescribed_extension():
+    # beta . q must be f3 = MU1, which is stably nonzero, so 0 is no extension
+    beta = toda_family(DIRECT, MU1, MUX, MU1)[0].beta
+    with pytest.raises(PrescribedMapError, match="prescribed extension"):
+        bracket3_restricted(MU1, MUX, MU1, beta=zero_map(beta.src, beta.tgt))
 
 
 def test_restricted_c3_and_validation():
@@ -529,6 +564,22 @@ def test_filtered_witness_on_drawn_chains(length, data):
             assert all(fo.checks.values()) and len(fo.stages) == length
     except EnumerationOverflow:
         pass
+
+
+def test_filtered_witness_walks_past_failing_branches():
+    # a nonempty 5-fold bracket over F_2[x]/x^4 (a `vanishing_chains`
+    # draw) some of whose depth-1 branches have no lift or no extension:
+    # the walk to the last stage drops them, and every element's witness,
+    # on the first branch reaching it, verifies
+    maps = random_vanishing_chain(np.random.default_rng(57), Ring(2, 4), 5, max_dim=4)
+    tower = bracket_tower(maps[1:], maps[0].tgt)
+    c = np.array(tower.space.stable_coords(maps[0]))
+    assert any(node.family.A is None or node.extensions(b) is None
+               for *_, (_, b, node) in tower.families(1, c))
+    bs = higher_bracket(maps)
+    assert len(bs.elements) == 2
+    for el in bs.sorted_elements():
+        assert all(filtered_witness(maps, el).checks.values())
 
 
 def test_filtered_witness_rejects_outsider():
